@@ -4,7 +4,7 @@ coding, and a polarity-based point-transport code."""
 
 __version__ = "0.1.0"
 
-from .errors import GQTError
+from .errors import GQTError, InvariantError
 from .field import FieldElement, FieldSpec, build_field, theory_coordinates
 from .geocode import GeoCiphertext, GeoParams, agree_parameters, geo_decode, geo_encode, geo_transmit
 from .kernel import (
@@ -17,6 +17,7 @@ from .kernel import (
     polar_hyperplane,
     polar_of_subspace,
     unique_meet,
+    unitary_escapes,
     verify_one_or_all,
 )
 from .linalg import (

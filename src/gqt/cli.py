@@ -15,7 +15,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .errors import GQTError
+from .errors import GQTError, InvariantError
 from .field import build_field, theory_coordinates
 from .geocode import (
     GeoCiphertext,
@@ -26,8 +26,8 @@ from .geocode import (
     geo_transmit,
     roundtrip_sweep,
 )
-from .kernel import ProjectivePoint, enumerate_kernel, verify_one_or_all
-from .linalg import FieldVector, is_unitary, random_unitary, standard_form
+from .kernel import enumerate_kernel, unitary_escapes, verify_one_or_all
+from .linalg import FieldVector, standard_form
 from .nogo import clone_obstruction, delete_obstruction, f2_orthogonal_special_case
 from .protocols import sdc_transcript, teleport, teleport_char2
 
@@ -164,10 +164,11 @@ def _cmd_theory(args) -> dict:
     return theory_coordinates(args.i, args.m, args.pp).to_json()
 
 
-def _cmd_kernel_enumerate(args) -> dict:
+def _cmd_kernel_enumerate(args):
+    """The JSON report, or the CSV catalog text with ``--csv``."""
     spec = _field_from_args(args)
     geom = enumerate_kernel(standard_form(spec, args.dim), override=args.unsafe_size)
-    return geom.to_json()
+    return geom.to_csv() if args.csv else geom.to_json()
 
 
 def _cmd_verify(args) -> dict:
@@ -175,21 +176,7 @@ def _cmd_verify(args) -> dict:
     form = standard_form(spec, args.dim)
     geom = enumerate_kernel(form, override=args.unsafe_size)
     ooa = verify_one_or_all(geom)
-    point_set = set(geom.points)
-    line_set = set(geom.lines)
-    escapes = 0
-    for s in range(args.samples):
-        u = random_unitary(form, args.seed + s)
-        mapped_points = {ProjectivePoint(u @ p.coords) for p in geom.points}
-        if mapped_points != point_set:
-            escapes += 1
-            continue
-        mapped_lines = {
-            frozenset(geom.index_of(ProjectivePoint(u @ geom.points[i].coords)) for i in line)
-            for line in geom.lines
-        }
-        if mapped_lines != line_set:
-            escapes += 1
+    escapes = unitary_escapes(geom, args.seed, args.samples)
     degrees = sorted({len(geom.incidence[i]) for i in range(len(geom.points))})
     sizes = sorted({len(line) for line in geom.lines})
     return {
@@ -247,7 +234,11 @@ def _cmd_nogo_scan(args, kind: str) -> dict:
                     "psi": psi.to_json(),
                     "obstruction_vanishes": c.obstruction_vanishes,
                 }
-            assert c.entrywise_agrees
+            if not c.entrywise_agrees:
+                raise InvariantError(
+                    f"entrywise check disagrees with the {kind} obstruction "
+                    f"for phi={phi.to_json()}, psi={psi.to_json()}"
+                )
     report = {
         "kind": kind,
         "field": spec.to_json(),
@@ -338,10 +329,8 @@ def run(argv=None) -> int:
         _emit(payload, getattr(args, "out", None))
         return 1
 
-    if getattr(args, "csv", False) and args.command == "kernel":
-        spec = _field_from_args(args)
-        geom = enumerate_kernel(standard_form(spec, args.dim), override=args.unsafe_size)
-        _emit(geom.to_csv(), args.out)
+    if isinstance(report, str):  # kernel catalog as CSV
+        _emit(report, args.out)
         return 0
 
     if not getattr(args, "deterministic", False):

@@ -16,6 +16,15 @@ class GQTError(Exception):
         return {"type": self.code, "message": str(self)}
 
 
+class InvariantError(GQTError):
+    """An internal cross-check failed: two exact routes to one fact disagree.
+
+    Raised instead of ``assert`` so the check survives ``python -O``.
+    """
+
+    code = "Invariant"
+
+
 # --- field construction / arithmetic ---------------------------------------
 
 class NotPrimeError(GQTError):

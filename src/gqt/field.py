@@ -2,9 +2,11 @@
 
 Elements are indexed by integers: the element with coefficient vector
 (c0, c1, ..., c_{k-1}) (little-endian in the generator ``t``) has index
-c0 + c1*p + ... + c_{k-1}*p^(k-1).  For small orders the multiplication
-and inverse tables are precomputed, which keeps the exhaustive sweeps
-and geometry enumeration fast.
+c0 + c1*p + ... + c_{k-1}*p^(k-1).  For orders up to ``_TABLE_LIMIT``
+every operation is a table lookup: addition, subtraction, negation and
+multiplication (``order x order`` tables), inverse and conjugation
+(``order`` entries).  The hot loops of the kernel geometry read these
+tables directly.  Larger orders fall back to polynomial arithmetic.
 
 When the extension degree k is even the field carries the conjugation
 x -> x^q with q = p^(k/2); the fixed subfield has order q, and a
@@ -18,18 +20,20 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DegreeMismatchError,
     DivisionByZeroError,
     FieldMismatchError,
+    InvariantError,
     NoInvolutionError,
     NotPrimeError,
     ReducibleModulusError,
+    TooLargeError,
 )
 
-# Orders up to this bound get full multiplication tables.
+# Orders up to this bound get full arithmetic tables.
 _TABLE_LIMIT = 4096
 
 
@@ -112,6 +116,22 @@ def _first_irreducible(p: int, k: int) -> tuple:
     raise ReducibleModulusError(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
+class FieldTables(NamedTuple):
+    """Lookup tables of one field, indexed by element index.
+
+    ``add``, ``sub`` and ``mul`` are read ``table[a][b]``; ``neg``, ``inv``
+    and ``frob`` are read ``table[a]``.  ``inv[0]`` is a placeholder 0 and
+    ``frob`` is ``None`` for odd extension degrees.
+    """
+
+    add: List[List[int]]
+    sub: List[List[int]]
+    neg: List[int]
+    mul: List[List[int]]
+    inv: List[int]
+    frob: Optional[List[int]]
+
+
 _TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*(?:\*\s*)?(t(?:\^(\d+))?)?\s*$")
 
 
@@ -149,8 +169,11 @@ class FieldSpec:
         self._kappa_index = None
         if self.q is not None:
             qq = self.q
-            self._subfield = frozenset(n for n in range(self.order) if self.pow_i(n, qq) == n)
-            assert len(self._subfield) == qq
+            self._subfield = frozenset(n for n in range(self.order) if self.frob_i(n) == n)
+            if len(self._subfield) != qq:
+                raise InvariantError(
+                    f"fixed field of x -> x^{qq} has {len(self._subfield)} elements, expected {qq}"
+                )
             self._kappa_index = next(n for n in range(self.order) if n not in self._subfield)
 
     # -- construction-time helpers --
@@ -169,37 +192,62 @@ class FieldSpec:
         return n
 
     def _build_tables(self) -> None:
+        """Fill the arithmetic tables (see ``FieldTables``); ``None`` above ``_TABLE_LIMIT``."""
         p, order = self.p, self.order
-        if order <= _TABLE_LIMIT:
-            mul = [[0] * order for _ in range(order)]
-            for a in range(order):
-                ca = _poly_trim(self._coeffs[a])
-                for b in range(a, order):
-                    cb = _poly_trim(self._coeffs[b])
-                    prod = _poly_mod(_poly_mul(ca, cb, p), self.modulus, p)
-                    v = self._index_of(prod + (0,) * (self.k - len(prod)))
-                    mul[a][b] = v
-                    mul[b][a] = v
-            self._mul = mul
-            inv = [0] * order
-            for a in range(1, order):
-                row = mul[a]
-                inv[a] = row.index(1)
-            self._inv = inv
-        else:  # pragma: no cover - beyond desk scale
-            self._mul = None
-            self._inv = None
+        self._add = self._sub = self._neg = self._mul = self._inv = self._frob = None
+        if order > _TABLE_LIMIT:  # pragma: no cover - beyond desk scale
+            return
+        coeffs = self._coeffs
+        # Addition is digit-wise mod p: extend the table one top digit at a time.
+        add, w = [[0]], 1
+        for _ in range(self.k):
+            add = [[x + w * ((at + bt) % p) for bt in range(p) for x in add[a]]
+                   for at in range(p) for a in range(w)]
+            w *= p
+        self._add = add
+        self._neg = [row.index(0) for row in add]
+        self._sub = [list(map(row.__getitem__, self._neg)) for row in add]
+        mul = [[0] * order for _ in range(order)]
+        for a in range(order):
+            ca = _poly_trim(coeffs[a])
+            for b in range(a, order):
+                cb = _poly_trim(coeffs[b])
+                prod = _poly_mod(_poly_mul(ca, cb, p), self.modulus, p)
+                v = self._index_of(prod + (0,) * (self.k - len(prod)))
+                mul[a][b] = v
+                mul[b][a] = v
+        self._mul = mul
+        inv = [0] * order
+        for a in range(1, order):
+            inv[a] = mul[a].index(1)
+        self._inv = inv
+        if self.q is not None:
+            self._frob = [self.pow_i(a, self.q) for a in range(order)]
 
     # -- index-level arithmetic (used by hot loops) --
 
+    def tables(self) -> FieldTables:
+        """The full lookup tables, for loops that work on element indices."""
+        if self._mul is None:  # pragma: no cover - beyond desk scale
+            raise TooLargeError(
+                f"GF({self.p}^{self.k}) has order {self.order} > {_TABLE_LIMIT}: no lookup tables"
+            )
+        return FieldTables(self._add, self._sub, self._neg, self._mul, self._inv, self._frob)
+
     def add_i(self, a: int, b: int) -> int:
+        if self._add is not None:
+            return self._add[a][b]
         ca, cb = self._coeffs[a], self._coeffs[b]
         return self._index_of([(x + y) % self.p for x, y in zip(ca, cb)])
 
     def neg_i(self, a: int) -> int:
+        if self._neg is not None:
+            return self._neg[a]
         return self._index_of([(-x) % self.p for x in self._coeffs[a]])
 
     def sub_i(self, a: int, b: int) -> int:
+        if self._sub is not None:
+            return self._sub[a][b]
         ca, cb = self._coeffs[a], self._coeffs[b]
         return self._index_of([(x - y) % self.p for x, y in zip(ca, cb)])
 
@@ -232,6 +280,8 @@ class FieldSpec:
     def frob_i(self, a: int) -> int:
         if self.q is None:
             raise NoInvolutionError(f"GF({self.p}^{self.k}) has odd degree, no conjugation")
+        if self._frob is not None:
+            return self._frob[a]
         return self.pow_i(a, self.q)
 
     # -- public element constructors --
@@ -330,6 +380,8 @@ class FieldSpec:
     # -- identity / serialization --
 
     def __eq__(self, other) -> bool:
+        if self is other:  # build_field interns specs, so this is the usual case
+            return True
         return (
             isinstance(other, FieldSpec)
             and self.p == other.p

@@ -2,8 +2,14 @@
 
 For the standard form in dimension 4 over GF(q^2) the point set is the
 Hermitian surface X0^(q+1) + X1^(q+1) + X2^(q+1) + X3^(q+1) = 0, a
-generalized quadrangle of order (q^2, q).  Enumeration is brute force
-over normalized rays; lines come from spans of collinear point pairs.
+generalized quadrangle of order (q^2, q).
+
+Enumeration works on rays as tuples of element indices and reads the
+field's lookup tables directly; ``ProjectivePoint`` objects are built only
+for the final points.  It scans every normalized ray once, tests all point
+pairs for orthogonality, and finds each totally isotropic line once: the
+first uncovered collinear pair spans it, and every pair on it then counts
+as covered.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
+    InvariantError,
     NotKernelPointError,
     NotUniqueError,
     SelfOrthogonalInputError,
@@ -25,7 +32,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .field import FieldElement, FieldSpec
-from .linalg import FieldMatrix, FieldVector, HermitianForm, nullspace
+from .linalg import FieldMatrix, FieldVector, HermitianForm, nullspace, random_unitary
 
 # Default desk-scale guard for enumeration; override with the flag or
 # GQT_GUARD_OVERRIDE=1.
@@ -146,57 +153,144 @@ def _guard(spec: FieldSpec, dim: int, override: bool) -> None:
         )
 
 
+Ray = Tuple[int, ...]
+
+
+def _index_rays(order: int, dim: int) -> Iterator[Ray]:
+    """Normalized rays as index tuples, in ``enumerate_projective_points`` order."""
+    for lead in range(dim):
+        prefix = (0,) * lead + (1,)
+        for tail in itertools.product(range(order), repeat=dim - lead - 1):
+            yield prefix + tail
+
+
+def _normalize_ray(w: Ray, mul: List[List[int]], inv: List[int]) -> Ray:
+    """Index-tuple version of ``normalize_ray``: the leading entry becomes 1."""
+    for x in w:
+        if x:
+            if x == 1:
+                return w
+            row = mul[inv[x]]
+            return tuple(row[y] for y in w)
+    raise ZeroVectorError("the zero vector spans no ray")
+
+
+def _matvec(rows: Sequence[Sequence[List[int]]], v: Ray, add: List[List[int]]) -> Ray:
+    """Matrix-vector product; ``rows[r][c]`` is the mul-table row of entry (r, c)."""
+    out = []
+    for row in rows:
+        acc = 0
+        for m, x in zip(row, v):
+            acc = add[acc][m[x]]
+        out.append(acc)
+    return tuple(out)
+
+
+def _mul_rows(m: FieldMatrix) -> List[List[List[int]]]:
+    mul = m.spec.tables().mul
+    return [[mul[e.index] for e in row] for row in m.rows]
+
+
 def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry:
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
     dim = f.dim
     _guard(spec, dim, override)
+    add, _, _, mul, inv, frob = spec.tables()
+    gram = _mul_rows(f.gram)
 
-    points: List[ProjectivePoint] = []
-    for v in enumerate_projective_points(spec, dim):
-        if f.evaluate(v, v).is_zero():
-            points.append(ProjectivePoint(v))
-    point_index = {p: i for i, p in enumerate(points)}
+    # Self-orthogonal rays, with G v kept for the pair test.
+    rays: List[Ray] = []
+    gvs: List[Ray] = []
+    for v in _index_rays(spec.order, dim):
+        gv = _matvec(gram, v, add)
+        acc = 0
+        for x, y in zip(v, gv):
+            acc = add[acc][mul[frob[x]][y]]
+        if acc == 0:
+            rays.append(v)
+            gvs.append(gv)
+    n = len(rays)
+    ray_index = {r: i for i, r in enumerate(rays)}
 
-    n = len(points)
-    adjacency: List[Set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        pi = points[i].coords
-        for j in range(i + 1, n):
-            if f.evaluate(pi, points[j].coords).is_zero():
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-
-    # Every span of two collinear kernel points is totally isotropic for a
-    # Hermitian form; deduplicate spans by their sorted point-index sets.
-    lines: Set[FrozenSet[int]] = set()
-    elements = list(spec.elements())
-    for i in range(n):
-        u = points[i].coords
-        for j in adjacency[i]:
-            if j < i:
+    # <p_i, p_j> = sum_k conj(p_i)_k (G p_j)_k, for all j > i at once.
+    cols = [[gv[k] for gv in gvs] for k in range(dim)]
+    adjacency: List[List[int]] = [[] for _ in range(n)]  # ascending
+    for i, u in enumerate(rays):
+        values = None
+        for k, x in enumerate(u):
+            if not x:
                 continue
-            v = points[j].coords
-            member_ids = {i, j}
-            for lam in elements:
-                w = u.scale(lam) + v
-                member_ids.add(point_index[ProjectivePoint(w)])
-            lines.add(frozenset(member_ids))
-    sorted_lines = tuple(sorted(lines, key=lambda s: tuple(sorted(s))))
+            m = mul[frob[x]]
+            col = cols[k][i + 1:]
+            values = ([m[y] for y in col] if values is None
+                      else [add[a][m[y]] for a, y in zip(values, col)])
+        later = [j for j, value in enumerate(values, i + 1) if not value]
+        adjacency[i] += later
+        for j in later:
+            adjacency[j].append(i)
+
+    # Two collinear kernel points span a totally isotropic line, and two
+    # distinct points lie on one line only: span each line from its first
+    # uncovered pair; a pair (i, j) is covered once a line through i holds j.
+    through: List[List[FrozenSet[int]]] = [[] for _ in range(n)]
+    found: List[FrozenSet[int]] = []
+    for i, u in enumerate(rays):
+        for j in adjacency[i]:
+            if j < i or any(j in line for line in through[i]):
+                continue
+            v = rays[j]
+            members = {i, j}
+            for lam in range(1, spec.order):
+                row = mul[lam]
+                w = tuple(add[row[a]][b] for a, b in zip(u, v))
+                members.add(ray_index[_normalize_ray(w, mul, inv)])
+            line = frozenset(members)
+            for a in line:
+                through[a].append(line)
+            found.append(line)
+    sorted_lines = tuple(sorted(found, key=sorted))
 
     incidence: Dict[int, Set[int]] = {i: set() for i in range(n)}
     for li, line in enumerate(sorted_lines):
         for pi in line:
             incidence[pi].add(li)
 
+    elements = list(spec.elements())
+    points = [ProjectivePoint(FieldVector(spec, [elements[x] for x in r])) for r in rays]
     return KernelGeometry(
         form=f,
         points=tuple(points),
         lines=sorted_lines,
         incidence={i: frozenset(s) for i, s in incidence.items()},
-        _point_index=point_index,
+        _point_index={p: i for i, p in enumerate(points)},
         _adjacency=tuple(frozenset(s) for s in adjacency),
     )
+
+
+def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
+    """How many of ``samples`` seeded unitaries fail to permute points and lines.
+
+    Unitary ``s`` is ``random_unitary(geom.form, seed + s)``.  Each point is
+    mapped by an index-level matrix-vector product, normalized, and looked
+    up among the kernel rays; a unitary escapes when some image is not a
+    kernel point, two images coincide, or the mapped lines differ from the
+    lines.
+    """
+    add, _, _, mul, inv, _ = geom.spec.tables()
+    rays = [tuple(e.index for e in p.coords.entries) for p in geom.points]
+    ray_index = {r: i for i, r in enumerate(rays)}
+    line_set = set(geom.lines)
+    escapes = 0
+    for s in range(samples):
+        u = _mul_rows(random_unitary(geom.form, seed + s))
+        image = [ray_index.get(_normalize_ray(_matvec(u, r, add), mul, inv)) for r in rays]
+        if None in image or len(set(image)) != len(rays):
+            escapes += 1
+            continue
+        if {frozenset(image[i] for i in line) for line in geom.lines} != line_set:
+            escapes += 1
+    return escapes
 
 
 def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> bool:
@@ -206,7 +300,10 @@ def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> b
     if i == j:
         return True
     by_lines = bool(geom.incidence[i] & geom.incidence[j])
-    assert by_form == by_lines, "form and incidence disagree on collinearity"
+    if by_form != by_lines:
+        raise InvariantError(
+            f"form and incidence disagree on collinearity of points {i} and {j}"
+        )
     return by_form
 
 

@@ -21,6 +21,7 @@ from .errors import (
     Char2MessageUnsupportedError,
     Char2NotSupportedError,
     DimensionMismatchError,
+    InvariantError,
     NotBellRayError,
     NotChar2Error,
     NotInSpanError,
@@ -256,7 +257,8 @@ def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
     basis = bell_basis(spec)  # [phi+, psi+]
     expected = tensor(basis[0][1], FieldVector(spec, [alpha, beta])) + \
         tensor(basis[1][1], FieldVector(spec, [beta, alpha]))
-    assert system == expected, "char-2 joint-state identity failed"
+    if system != expected:
+        raise InvariantError("char-2 joint-state identity failed")
 
     vectors = [v for _, v in basis]
     if branch is None:

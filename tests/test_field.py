@@ -86,6 +86,29 @@ def test_fixed_field_size():
         assert len(fixed) == spec.q
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)])
+def test_tables_match_coefficient_arithmetic(p, k):
+    spec = build_field(p, k)
+    t = spec.tables()
+
+    def index(coeffs):
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    for a in range(spec.order):
+        ca = spec.coeffs_of(a)
+        assert t.neg[a] == index([-x for x in ca])
+        for b in range(spec.order):
+            cb = spec.coeffs_of(b)
+            assert t.add[a][b] == index([x + y for x, y in zip(ca, cb)])
+            assert t.sub[a][b] == index([x - y for x, y in zip(ca, cb)])
+        if a:
+            assert t.mul[a][t.inv[a]] == 1
+        if spec.q is None:
+            assert t.frob is None
+        else:
+            assert t.frob[a] == spec.pow_i(a, spec.q)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
 def test_field_axioms_exhaustive(p, k):
     spec = build_field(p, k)

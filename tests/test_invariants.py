@@ -1,0 +1,63 @@
+"""Internal cross-checks raise InvariantError, which survives ``python -O``."""
+
+import json
+from dataclasses import replace
+
+import pytest
+
+import gqt.cli
+import gqt.field
+import gqt.protocols
+from gqt.cli import run
+from gqt.errors import GQTError, InvariantError
+from gqt.field import FieldSpec, build_field
+from gqt.kernel import collinear
+from gqt.linalg import FieldVector
+
+
+def test_invariant_error_is_a_domain_error():
+    assert issubclass(InvariantError, GQTError)
+    assert InvariantError("x").to_json() == {"type": "Invariant", "message": "x"}
+
+
+def test_nogo_scan_invariant_failure_is_json_exit_1(monkeypatch, capsys):
+    real = gqt.cli.clone_obstruction
+
+    def disagreeing(phi, psi):
+        return replace(real(phi, psi), entrywise_agrees=False)
+
+    monkeypatch.setattr(gqt.cli, "clone_obstruction", disagreeing)
+    code = run(["noclone", "scan", "--p", "2", "--deterministic"])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["type"] == "Invariant"
+
+
+def test_teleport_char2_invariant_failure(monkeypatch, capsys):
+    def swapped_basis(spec):
+        return [("phi+", FieldVector(spec, [0, 1, 1, 0])),
+                ("psi+", FieldVector(spec, [1, 0, 0, 1]))]
+
+    monkeypatch.setattr(gqt.protocols, "bell_basis", swapped_basis)
+    with pytest.raises(InvariantError):
+        gqt.protocols.teleport_char2("t", "1", build_field(2, 2), seed=0)
+    code = run(["teleport", "--p", "2", "--alpha", "t", "--beta", "1", "--char2",
+                "--seed", "0", "--deterministic"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "Invariant"
+
+
+def test_collinear_invariant_failure(kernel_q2):
+    i = 0
+    j = next(iter(kernel_q2.collinear_indices(i)))
+    # drop every line through i, so incidence no longer sees the collinear pair
+    tampered = replace(kernel_q2, incidence={**kernel_q2.incidence, i: frozenset()})
+    with pytest.raises(InvariantError):
+        collinear(kernel_q2.points[i], kernel_q2.points[j], tampered)
+
+
+def test_field_spec_invariant_failure(monkeypatch):
+    # a broken conjugation fixes every element, so the subfield has the wrong size
+    monkeypatch.setattr(gqt.field.FieldSpec, "frob_i", lambda self, a: a)
+    with pytest.raises(InvariantError):
+        FieldSpec(2, 2)

@@ -25,6 +25,7 @@ from gqt.kernel import (
     polar_of_subspace,
     polar_point,
     unique_meet,
+    unitary_escapes,
     verify_one_or_all,
 )
 from gqt.linalg import FieldMatrix, FieldVector, random_unitary, standard_form
@@ -90,6 +91,63 @@ def test_degrees_and_double_counting(fix, kernel_q2, kernel_q3):
     assert degrees == {q + 1}
     assert sizes == {q ** 2 + 1}
     assert len(geom.points) * (q + 1) == len(geom.lines) * (q ** 2 + 1)
+
+
+def brute_force_geometry(f):
+    """Object-level oracle: filter every ray, span every collinear pair."""
+    spec = f.spec
+    points = [ProjectivePoint(v) for v in enumerate_projective_points(spec, f.dim)
+              if f.evaluate(v, v).is_zero()]
+    index = {p: i for i, p in enumerate(points)}
+    lines = set()
+    for i, x in enumerate(points):
+        for j in range(i + 1, len(points)):
+            y = points[j]
+            if f.evaluate(x.coords, y.coords).is_zero():
+                span = {i} | {index[ProjectivePoint(x.coords.scale(lam) + y.coords)]
+                              for lam in spec.elements()}
+                lines.add(frozenset(span))
+    return points, lines
+
+
+def test_enumeration_matches_brute_force_q2(form4_dim4, kernel_q2):
+    points, lines = brute_force_geometry(form4_dim4)
+    assert list(kernel_q2.points) == points
+    assert set(kernel_q2.lines) == lines
+    assert len(kernel_q2.lines) == len(lines)
+    for i in range(len(points)):
+        expected = {j for j in range(len(points)) if j != i and
+                    form4_dim4.evaluate(points[i].coords, points[j].coords).is_zero()}
+        assert kernel_q2.collinear_indices(i) == expected
+
+
+def test_closed_form_counts_q4():
+    # H(3, 16) is the generalized quadrangle GQ(q^2, q) with q = 4
+    q = 4
+    geom = enumerate_kernel(standard_form(build_field(2, 4), 4))
+    assert len(geom.points) == (q ** 2 + 1) * (q ** 3 + 1) == 1105
+    assert len(geom.lines) == (q + 1) * (q ** 3 + 1) == 325
+    assert all(len(geom.incidence[i]) == q + 1 for i in range(len(geom.points)))
+    assert all(len(line) == q ** 2 + 1 for line in geom.lines)
+
+
+@pytest.mark.parametrize("fix", ["q2", "q3"])
+def test_unitary_escapes_zero(fix, kernel_q2, kernel_q3):
+    geom = kernel_q2 if fix == "q2" else kernel_q3
+    assert unitary_escapes(geom, seed=0, samples=10) == 0
+
+
+def test_unitary_escapes_counts_a_broken_geometry(kernel_q2):
+    # swap a real line for three pairwise non-collinear points; mapped lines
+    # then no longer match the line set
+    picked = []
+    for i in range(len(kernel_q2.points)):
+        if all(i not in kernel_q2.collinear_indices(j) for j in picked):
+            picked.append(i)
+        if len(picked) == 3:
+            break
+    tampered = replace(kernel_q2, lines=kernel_q2.lines[1:] + (frozenset(picked),))
+    assert unitary_escapes(tampered, seed=0, samples=5) > 0
 
 
 def test_empty_kernel_dim1(gf4):
