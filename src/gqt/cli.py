@@ -24,6 +24,7 @@ from .geocode import (
     geo_decode,
     geo_encode,
     geo_transmit,
+    parse_bitstream,
     roundtrip_sweep,
 )
 from .kernel import enumerate_kernel, unitary_escapes, verify_one_or_all
@@ -43,7 +44,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
     p.add_argument("--deterministic", action="store_true",
                    help="omit timestamps for byte-reproducible output")
-    p.add_argument("--csv", action="store_true", help="CSV output (catalogs only)")
+
+
+def _count(text: str) -> int:
+    """A non-negative integer argument; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _field_from_args(args) -> "FieldSpec":
@@ -80,13 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--dim", type=int, default=4)
     ke.add_argument("--unsafe-size", action="store_true",
                     help="override the desk-scale enumeration guard")
+    ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
     _add_common(ke)
 
     p = sub.add_parser("verify", help="axioms: one-or-all, degrees, unitary action")
     _add_field_args(p)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20, help="unitaries to sample")
+    p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
     p.add_argument("--unsafe-size", action="store_true")
     _add_common(p)
 
@@ -117,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr = gsub.add_parser("roundtrip", help="batch encode/transmit/decode sweep")
     _add_field_args(gr)
     gr.add_argument("--seed", type=int, required=True)
-    gr.add_argument("--trials", type=int, default=100)
+    gr.add_argument("--trials", type=_count, default=100)
     _add_common(gr)
     ge = gsub.add_parser("encode", help="encode a single state")
     _add_field_args(ge)
@@ -282,10 +294,7 @@ def _cmd_geocode_encode(args) -> dict:
 
 def _cmd_geocode_decode(args) -> dict:
     spec, params = _geo_params(args)
-    bits = args.bitstream
-    if not set(bits) <= {"0", "1"}:
-        bits_len = 3 * 4 * spec.k * max(1, (spec.p - 1).bit_length())
-        bits = format(int(bits, 16), f"0{bits_len}b")
+    bits = parse_bitstream(args.bitstream, spec, 4)
     points = deserialize_points(bits, spec, 4)
     ct = GeoCiphertext(points=tuple(points), bitstream=bits)
     recovered = geo_decode(ct, params)

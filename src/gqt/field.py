@@ -268,7 +268,7 @@ class FieldSpec:
     def pow_i(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv_i(a), -e
-        result = self._index_of((1,) + (0,) * (self.k - 1))
+        result = 1  # the index of one
         base = a
         while e:
             if e & 1:
@@ -292,7 +292,7 @@ class FieldSpec:
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, self._index_of((1,) + (0,) * (self.k - 1)))
+        return FieldElement(self, 1)
 
     @property
     def gen(self) -> "FieldElement":
@@ -352,7 +352,7 @@ class FieldSpec:
 
     def parse(self, value: Union[str, int, Sequence[int], "FieldElement"]) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatchError("element belongs to a different field")
             return value
         if isinstance(value, str):

@@ -3,16 +3,25 @@
 Alice and Bob share three pairwise disjoint kernel lines and a unitary.
 A non-self-orthogonal state is encoded as the three intersection points
 of its polar plane's curve with the shared lines, pushed through the
-unitary; transport uses the super-dense channel bit-by-bit; decoding
-inverts the unitary, spans the plane through the three points and takes
-its polar point.
+unitary; decoding inverts the unitary, spans the plane through the three
+points and takes its polar point.  Encoding and decoding run on element
+index tuples; points become ``ProjectivePoint`` objects only where the
+public functions hand them over.
+
+Transport carries the bitstream over the super-dense channel.  Each field
+gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
+themselves: the encoded Bell state of every allowed message, and the
+message ``sdc_decode`` reads back from it.  A symbol then costs two
+lookups instead of a run of the protocol.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateSpanError,
@@ -25,13 +34,17 @@ from .field import FieldSpec
 from .kernel import (
     KernelGeometry,
     ProjectivePoint,
+    Ray,
+    _matvec,
+    _mul_rows,
+    _normalize_ray,
     hermitian_curve,
-    normalize_ray,
+    is_self_orthogonal,
     polar_point,
     unique_meet,
 )
-from .linalg import FieldMatrix, FieldVector, random_unitary
-from .protocols import sdc_decode, sdc_encode
+from .linalg import FieldMatrix, FieldVector, _rref, random_unitary
+from .protocols import sdc_decode, sdc_encode, sdc_messages
 
 SERIALIZATION_VERSION = 1
 
@@ -94,41 +107,45 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
     )
 
 
+def _spans_plane(rays: Sequence[Ray], spec: FieldSpec) -> bool:
+    return len(_rref([list(r) for r in rays], spec)[1]) >= 3
+
+
 def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
     """Three curve points on the shared lines, pushed through the unitary."""
     geom = params.geom
-    form = geom.form
-    if form.evaluate(state, state).is_zero():
+    spec = geom.spec
+    if is_self_orthogonal(state, geom.form):
         raise SelfOrthogonalStateError("state must not be self-orthogonal")
-    x = ProjectivePoint(normalize_ray(state))
-    curve = hermitian_curve(x, geom)
-    meets = [
-        unique_meet(geom.lines[li], curve, geom)
-        for li in params.line_indices
-    ]
-    span = FieldMatrix(form.spec, [list(m.coords.entries) for m in meets])
-    if span.rank() < 3:
+    curve = hermitian_curve(ProjectivePoint(state), geom)
+    meets = [unique_meet(geom.lines[li], curve, geom).ray for li in params.line_indices]
+    if not _spans_plane(meets, spec):
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
+    add, _, _, mul, inv, _ = spec.tables()
+    eta = _mul_rows(params.eta)
     transported = tuple(
-        ProjectivePoint(params.eta @ m.coords) for m in meets
+        ProjectivePoint(FieldVector.from_indices(spec, _normalize_ray(_matvec(eta, m, add), mul, inv)))
+        for m in meets
     )
-    bits = serialize_points(transported, form.spec)
+    bits = serialize_points(transported, spec)
     return GeoCiphertext(points=transported, bitstream=bits)
 
 
 def geo_decode(ct: GeoCiphertext, params: GeoParams) -> ProjectivePoint:
     """Invert the unitary, span the plane, return its polar point."""
     geom = params.geom
+    spec = geom.spec
     for p in ct.points:
         if not geom.contains(p):
             raise NotKernelPointError(f"{p!r} is not a kernel point")
-    pulled = [ProjectivePoint(params.eta_inverse @ p.coords) for p in ct.points]
-    span = FieldMatrix(geom.spec, [list(p.coords.entries) for p in pulled])
-    if span.rank() < 3:
+    add = spec.tables().add
+    eta_inverse = _mul_rows(params.eta_inverse)
+    pulled = [_matvec(eta_inverse, p.ray, add) for p in ct.points]
+    if not _spans_plane(pulled, spec):
         raise DegenerateSpanError("ciphertext points do not span a plane")
-    return polar_point([p.coords for p in pulled], geom.form)
+    return polar_point([FieldVector.from_indices(spec, r) for r in pulled], geom.form)
 
 
 # --- bit serialization and transport ------------------------------------------------
@@ -177,6 +194,44 @@ def deserialize_points(bits: str, spec: FieldSpec, dim: int) -> List[ProjectiveP
     return points
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def parse_bitstream(text: str, spec: FieldSpec, dim: int) -> str:
+    """Ciphertext bits from text: the bits of three points, or their hex.
+
+    Hex (as ``geocode encode`` prints it) may drop leading zeros.  A bit
+    string is always longer than the hex of the same points, so text of
+    exactly that many 0s and 1s is bits and anything shorter is hex.
+    """
+    width = 3 * dim * spec.k * _bits_per_coeff(spec.p)
+    if len(text) == width and set(text) <= {"0", "1"}:
+        return text
+    digits = (width + 3) // 4
+    if not text or not set(text) <= _HEX_DIGITS or len(text) > digits or int(text, 16) >> width:
+        raise MalformedBitstreamError(
+            f"bitstream must be {width} bits or at most {digits} hex digits, got {text!r}"
+        )
+    return format(int(text, 16), f"0{width}b")
+
+
+@lru_cache(maxsize=None)
+def _sdc_codebook(spec: FieldSpec) -> Tuple[Mapping[str, Ray], Mapping[Ray, str]]:
+    """Super-dense code words of ``spec``, from ``sdc_encode``/``sdc_decode``.
+
+    Returns the encoded state (as element indices) of every allowed
+    message, and the message ``sdc_decode`` reads from each encoded state,
+    as read-only views since every caller shares them.
+    """
+    words: Dict[str, Ray] = {}
+    readings: Dict[Ray, str] = {}
+    for message in sdc_messages(spec):
+        state = sdc_encode(message, spec)
+        words[message] = state.indices()
+        readings[state.indices()] = sdc_decode(state, spec)
+    return MappingProxyType(words), MappingProxyType(readings)
+
+
 def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[ProjectivePoint]]:
     """Push every chunk of the bitstream through the super-dense channel.
 
@@ -189,19 +244,16 @@ def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[Projecti
     bits = ct.bitstream
     if not bits:
         raise MalformedBitstreamError("empty bitstream")
-    received = []
-    if spec.p == 2:
-        for b in bits:
-            message = "00" if b == "0" else "01"
-            decoded = sdc_decode(sdc_encode(message, spec), spec)
-            received.append("0" if decoded == "00" else "1")
-    else:
-        padded = bits + ("0" if len(bits) % 2 else "")
-        for i in range(0, len(padded), 2):
-            decoded = sdc_decode(sdc_encode(padded[i:i + 2], spec), spec)
-            received.append(decoded)
-        received = [b for chunk in received for b in chunk][: len(bits)]
-    received_bits = "".join(received)
+    if not set(bits) <= {"0", "1"}:
+        raise MalformedBitstreamError("bitstream holds characters other than 0 and 1")
+    words, readings = _sdc_codebook(spec)
+    per_use = 1 if spec.p == 2 else 2
+    padded = bits + "0" * (-len(bits) % per_use)
+    # A chunk is sent as the message that ends in it (char 2: 0b).
+    received_bits = "".join(
+        readings[words[padded[i:i + per_use].rjust(2, "0")]][-per_use:]
+        for i in range(0, len(padded), per_use)
+    )[:len(bits)]
     dim = len(ct.points[0].coords)
     points = deserialize_points(received_bits, spec, dim)
     return received_bits, points
@@ -231,19 +283,22 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     """Seeded random non-self-orthogonal states through the full pipeline."""
     geom = params.geom
     spec = geom.spec
+    form = geom.form
     rng = random.Random(seed)
-    dim = geom.form.dim
+    dim = form.dim
     order = spec.order
+    _, _, _, mul, inv, _ = spec.tables()
     successes = 0
     degenerate = 0
     skipped = 0
     witnesses: List[dict] = []
     done = 0
     while done < trials:
-        vec = FieldVector(spec, [spec.from_index(rng.randrange(order)) for _ in range(dim)])
-        if vec.is_zero():
+        ray = tuple(rng.randrange(order) for _ in range(dim))
+        if not any(ray):
             continue
-        if geom.form.evaluate(vec, vec).is_zero():
+        vec = FieldVector.from_indices(spec, ray)
+        if is_self_orthogonal(vec, form):
             skipped += 1
             continue
         done += 1
@@ -256,7 +311,7 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
         _, received = geo_transmit(ct, spec)
         recovered = geo_decode(GeoCiphertext(points=tuple(received), bitstream=ct.bitstream),
                                params)
-        if recovered == ProjectivePoint(vec):
+        if recovered.ray == _normalize_ray(ray, mul, inv):
             successes += 1
         else:
             witnesses.append({

@@ -19,7 +19,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from .errors import (
     DependentBasisError,
@@ -31,8 +31,16 @@ from .errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from .field import FieldElement, FieldSpec
-from .linalg import FieldMatrix, FieldVector, HermitianForm, nullspace, random_unitary
+from .field import FieldSpec
+from .linalg import (
+    FieldMatrix,
+    FieldVector,
+    HermitianForm,
+    _null_basis,
+    _pair,
+    _rref,
+    random_unitary,
+)
 
 # Default desk-scale guard for enumeration; override with the flag or
 # GQT_GUARD_OVERRIDE=1.
@@ -41,22 +49,28 @@ _MAX_Q = 5
 
 
 class ProjectivePoint:
-    """Normalized ray: leftmost nonzero coordinate equals 1."""
+    """Normalized ray: leftmost nonzero coordinate equals 1.
 
-    __slots__ = ("coords",)
+    ``ray`` holds the element indices of ``coords``; equality and hashing
+    read it.
+    """
+
+    __slots__ = ("coords", "ray")
 
     def __init__(self, coords: FieldVector):
         self.coords = normalize_ray(coords)
+        self.ray = self.coords.indices()
 
     @property
     def spec(self) -> FieldSpec:
         return self.coords.spec
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectivePoint) and self.coords == other.coords
+        return (isinstance(other, ProjectivePoint) and self.ray == other.ray
+                and self.spec == other.spec)
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.spec.p, self.spec.k, self.ray))
 
     def __repr__(self) -> str:
         return "pt(" + ", ".join(str(e) for e in self.coords) + ")"
@@ -86,19 +100,26 @@ def enumerate_projective_points(spec: FieldSpec, dim: int) -> Iterator[FieldVect
             yield FieldVector(spec, prefix + list(tail))
 
 
+Ray = Tuple[int, ...]
+
+
 def is_self_orthogonal(v: FieldVector, f: HermitianForm) -> bool:
     return f.evaluate(v, v).is_zero()
 
 
 @dataclass
 class KernelGeometry:
-    """Enumerated self-orthogonal points and totally isotropic lines."""
+    """Enumerated self-orthogonal points and totally isotropic lines.
+
+    ``rays`` holds each point's element indices, in point order.
+    """
 
     form: HermitianForm
     points: Tuple[ProjectivePoint, ...]
     lines: Tuple[FrozenSet[int], ...]
     incidence: Dict[int, FrozenSet[int]]
-    _point_index: Dict[ProjectivePoint, int] = field(default_factory=dict)
+    rays: Tuple[Ray, ...]
+    _point_index: Dict[Ray, int] = field(default_factory=dict)
     _adjacency: Tuple[FrozenSet[int], ...] = ()
 
     @property
@@ -106,13 +127,13 @@ class KernelGeometry:
         return self.form.spec
 
     def index_of(self, point: ProjectivePoint) -> int:
-        idx = self._point_index.get(point)
+        idx = self._point_index.get(point.ray) if point.spec == self.spec else None
         if idx is None:
             raise NotKernelPointError(f"{point!r} is not a kernel point")
         return idx
 
     def contains(self, point: ProjectivePoint) -> bool:
-        return point in self._point_index
+        return point.spec == self.spec and point.ray in self._point_index
 
     def collinear_indices(self, i: int) -> FrozenSet[int]:
         return self._adjacency[i]
@@ -151,9 +172,6 @@ def _guard(spec: FieldSpec, dim: int, override: bool) -> None:
             f"enumeration guard: dim <= {_MAX_DIM} and q <= {_MAX_Q}; "
             "pass override=True or set GQT_GUARD_OVERRIDE=1"
         )
-
-
-Ray = Tuple[int, ...]
 
 
 def _index_rays(order: int, dim: int) -> Iterator[Ray]:
@@ -256,14 +274,13 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
         for pi in line:
             incidence[pi].add(li)
 
-    elements = list(spec.elements())
-    points = [ProjectivePoint(FieldVector(spec, [elements[x] for x in r])) for r in rays]
     return KernelGeometry(
         form=f,
-        points=tuple(points),
+        points=tuple(ProjectivePoint(FieldVector.from_indices(spec, r)) for r in rays),
         lines=sorted_lines,
         incidence={i: frozenset(s) for i, s in incidence.items()},
-        _point_index={p: i for i, p in enumerate(points)},
+        rays=tuple(rays),
+        _point_index=ray_index,
         _adjacency=tuple(frozenset(s) for s in adjacency),
     )
 
@@ -278,14 +295,13 @@ def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     lines.
     """
     add, _, _, mul, inv, _ = geom.spec.tables()
-    rays = [tuple(e.index for e in p.coords.entries) for p in geom.points]
-    ray_index = {r: i for i, r in enumerate(rays)}
     line_set = set(geom.lines)
     escapes = 0
     for s in range(samples):
         u = _mul_rows(random_unitary(geom.form, seed + s))
-        image = [ray_index.get(_normalize_ray(_matvec(u, r, add), mul, inv)) for r in rays]
-        if None in image or len(set(image)) != len(rays):
+        image = [geom._point_index.get(_normalize_ray(_matvec(u, r, add), mul, inv))
+                 for r in geom.rays]
+        if None in image or len(set(image)) != len(geom.rays):
             escapes += 1
             continue
         if {frozenset(image[i] for i in line) for line in geom.lines} != line_set:
@@ -309,26 +325,34 @@ def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> b
 
 # --- polarity -----------------------------------------------------------------
 
-def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
-    """Coefficients c with pi(v) = {w : sum c_i w_i = 0}; c = conj(v) gram."""
+def _functional(v: FieldVector, f: HermitianForm) -> Ray:
+    """``polar_hyperplane`` as element indices."""
     if v.is_zero():
         raise ZeroVectorError("the polar of the zero vector is undefined")
     if len(v) != f.dim:
         raise DimensionMismatchError("vector length does not match the form")
-    conj_row = FieldMatrix(f.spec, [[e.conj() for e in v.entries]])
-    return FieldVector(f.spec, (conj_row @ f.gram).rows[0])
+    return f._row(v.indices())
+
+
+def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
+    """Coefficients c with pi(v) = {w : sum c_i w_i = 0}; c = conj(v) gram."""
+    return FieldVector.from_indices(f.spec, _functional(v, f))
 
 
 def polar_of_subspace(basis: Sequence[FieldVector], f: HermitianForm) -> List[FieldVector]:
-    """Basis of the intersection of the polar hyperplanes of a subspace."""
+    """Basis of the intersection of the polar hyperplanes of a subspace.
+
+    One row reduction of the polar hyperplanes' coefficient rows gives both
+    their rank (the basis must be independent) and their common null space.
+    """
     basis = list(basis)
     if not basis:
         raise DependentBasisError("empty basis")
-    functional_rows = [polar_hyperplane(v, f).entries for v in basis]
-    m = FieldMatrix(f.spec, functional_rows)
-    if m.rank() < len(basis):
+    rows = [list(_functional(v, f)) for v in basis]
+    rows, pivots = _rref(rows, f.spec)
+    if len(pivots) < len(basis):
         raise DependentBasisError("basis vectors are linearly dependent")
-    return nullspace(m)
+    return [FieldVector.from_indices(f.spec, v) for v in _null_basis(rows, pivots, f.dim, f.spec)]
 
 
 def polar_point(basis: Sequence[FieldVector], f: HermitianForm) -> ProjectivePoint:
@@ -402,18 +426,28 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
 
 
 def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:
-    """Kernel points in the polar plane of a non-self-orthogonal point."""
-    f = geom.form
-    if f.evaluate(x.coords, x.coords).is_zero():
+    """Kernel points in the polar plane of a non-self-orthogonal point.
+
+    One polar row conj(x) G is paired with x (the self-orthogonality test)
+    and with every kernel ray.
+    """
+    add, _, _, mul, _, _ = geom.spec.tables()
+    row = geom.form._row(x.ray)
+    if _pair(row, x.ray, geom.spec) == 0:
         raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
-    return [p for p in geom.points if f.evaluate(x.coords, p.coords).is_zero()]
+    # Pair all rays at once, one coordinate column at a time.
+    values = [0] * len(geom.rays)
+    for k, c in enumerate(row):
+        if c:
+            m = mul[c]
+            values = [add[a][m[r[k]]] for a, r in zip(values, geom.rays)]
+    return [p for p, value in zip(geom.points, values) if not value]
 
 
 def unique_meet(line: FrozenSet[int], curve: Sequence[ProjectivePoint],
                 geom: KernelGeometry) -> ProjectivePoint:
     """The single common point of a kernel line and a Hermitian curve."""
-    curve_ids = {geom.index_of(p) for p in curve}
-    common = sorted(line & curve_ids)
+    common = sorted(line.intersection(map(geom.index_of, curve)))
     if len(common) != 1:
         raise NotUniqueError(f"line meets curve in {len(common)} points, expected 1")
     return geom.points[common[0]]

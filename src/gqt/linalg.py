@@ -8,7 +8,7 @@ is reflexive: conj(<x,y>) = <y,x>.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateFormError,
@@ -34,6 +34,15 @@ class FieldVector:
             raise DimensionMismatchError("vectors must have length >= 1")
         self.spec = spec
         self.entries = entries
+
+    @classmethod
+    def from_indices(cls, spec: FieldSpec, indices: Iterable[int]) -> "FieldVector":
+        """The vector whose entries have the given element indices."""
+        return cls(spec, [FieldElement(spec, i) for i in indices])
+
+    def indices(self) -> Tuple[int, ...]:
+        """The element indices of the entries."""
+        return tuple(e.index for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,6 +112,15 @@ class FieldMatrix:
         self.spec = spec
         self.rows = rows
 
+    @classmethod
+    def from_indices(cls, spec: FieldSpec, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
+        """The matrix whose entries have the given element indices."""
+        return cls(spec, [[FieldElement(spec, i) for i in row] for row in rows])
+
+    def indices(self) -> List[List[int]]:
+        """The element indices of the entries, as fresh row lists."""
+        return [[e.index for e in row] for row in self.rows]
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -133,17 +151,17 @@ class FieldMatrix:
         ])
 
     def __matmul__(self, other: Union["FieldMatrix", FieldVector]):
+        spec = self.spec
         if isinstance(other, FieldVector):
             if self.ncols != len(other):
                 raise DimensionMismatchError(f"{self.ncols} cols vs vector length {len(other)}")
-            return FieldVector(self.spec, [
-                _dot(row, other.entries, self.spec) for row in self.rows
-            ])
+            v = other.indices()
+            return FieldVector.from_indices(spec, [_pair(row, v, spec) for row in self.indices()])
         if self.ncols != other.nrows:
             raise DimensionMismatchError(f"{self.ncols} cols vs {other.nrows} rows")
-        cols = list(zip(*other.rows))
-        return FieldMatrix(self.spec, [
-            [_dot(row, col, self.spec) for col in cols] for row in self.rows
+        cols = list(zip(*other.indices()))
+        return FieldMatrix.from_indices(spec, [
+            [_pair(row, col, spec) for col in cols] for row in self.indices()
         ])
 
     def scale(self, c: Union[FieldElement, int, str]) -> "FieldMatrix":
@@ -163,20 +181,17 @@ class FieldMatrix:
         return self.nrows == self.ncols
 
     def rank(self) -> int:
-        reduced, pivots = _rref([list(r) for r in self.rows], self.spec)
-        return len(pivots)
+        return len(_rref(self.indices(), self.spec)[1])
 
     def inverse(self) -> "FieldMatrix":
         if not self.is_square():
             raise NotSquareError("only square matrices are invertible")
         n = self.nrows
-        spec = self.spec
-        ident = identity_matrix(spec, n)
-        aug = [list(self.rows[i]) + list(ident.rows[i]) for i in range(n)]
-        reduced, pivots = _rref(aug, spec)
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.indices())]
+        reduced, pivots = _rref(aug, self.spec)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return FieldMatrix(spec, [row[n:] for row in reduced])
+        return FieldMatrix.from_indices(self.spec, [row[n:] for row in reduced])
 
     def __repr__(self) -> str:
         return "mat[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
@@ -185,31 +200,39 @@ class FieldMatrix:
         return [[list(e.coeffs) for e in row] for row in self.rows]
 
 
-def _dot(a: Sequence[FieldElement], b: Sequence[FieldElement], spec: FieldSpec) -> FieldElement:
-    acc = 0
+def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
+    """The index of sum_i a_i b_i, for element indices a and b."""
     add_i, mul_i = spec.add_i, spec.mul_i
+    acc = 0
     for x, y in zip(a, b):
-        acc = add_i(acc, mul_i(x.index, y.index))
-    return FieldElement(spec, acc)
+        acc = add_i(acc, mul_i(x, y))
+    return acc
 
 
-def _rref(rows: List[List[FieldElement]], spec: FieldSpec) -> Tuple[List[List[FieldElement]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(rows: List[List[int]], spec: FieldSpec) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form of a matrix of element indices, in place.
+
+    Returns the reduced rows and the pivot columns.  Arithmetic goes
+    through ``spec.sub_i``/``mul_i``/``inv_i``, so every field order works,
+    with or without lookup tables.  Callers holding ``FieldMatrix`` or
+    ``FieldVector`` objects convert at their edges.
+    """
+    sub_i, mul_i = spec.sub_i, spec.mul_i
     nrows = len(rows)
     ncols = len(rows[0])
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
+        inv = spec.inv_i(rows[r][c])
+        top = rows[r] = [mul_i(e, inv) for e in rows[r]]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub_i(a, mul_i(f, b)) for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -217,42 +240,49 @@ def _rref(rows: List[List[FieldElement]], spec: FieldSpec) -> Tuple[List[List[Fi
     return rows, pivots
 
 
+def _null_basis(rows: List[List[int]], pivots: Sequence[int], ncols: int,
+                spec: FieldSpec) -> List[List[int]]:
+    """Canonical null-space basis of a reduced matrix, as index lists.
+
+    One vector per free column: 1 there, minus the column's entries at the
+    pivot coordinates, 0 elsewhere.
+    """
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = spec.neg_i(rows[r][fc])
+        basis.append(v)
+    return basis
+
+
 def rref(m: FieldMatrix) -> Tuple[FieldMatrix, Tuple[int, ...]]:
-    rows, pivots = _rref([list(r) for r in m.rows], m.spec)
-    return FieldMatrix(m.spec, rows), tuple(pivots)
+    rows, pivots = _rref(m.indices(), m.spec)
+    return FieldMatrix.from_indices(m.spec, rows), tuple(pivots)
 
 
 def nullspace(m: FieldMatrix) -> List[FieldVector]:
     """Canonical basis of {x : m @ x = 0}."""
-    spec = m.spec
-    rows, pivots = _rref([list(r) for r in m.rows], spec)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [spec.zero] * m.ncols
-        v[fc] = spec.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(FieldVector(spec, v))
-    return basis
+    rows, pivots = _rref(m.indices(), m.spec)
+    return [FieldVector.from_indices(m.spec, v) for v in _null_basis(rows, pivots, m.ncols, m.spec)]
 
 
 def solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     """Solve a @ x = b exactly; requires a consistent system with full column rank."""
-    spec = a.spec
     if a.nrows != b.nrows:
         raise DimensionMismatchError("row counts differ")
-    aug = [list(a.rows[i]) + list(b.rows[i]) for i in range(a.nrows)]
-    rows, pivots = _rref(aug, spec)
+    aug = [ra + rb for ra, rb in zip(a.indices(), b.indices())]
+    rows, pivots = _rref(aug, a.spec)
     n = a.ncols
     if any(p >= n for p in pivots):
         raise SingularMatrixError("inconsistent system")
     if len(pivots) < n:
         raise SingularMatrixError("underdetermined system")
-    x = [[spec.zero] * b.ncols for _ in range(n)]
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n:]
-    return FieldMatrix(spec, x)
+    # Full column rank: pivot r sits in column r.
+    return FieldMatrix.from_indices(a.spec, [row[n:] for row in rows[:n]])
 
 
 def identity_matrix(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -315,19 +345,21 @@ class HermitianForm:
             raise DimensionMismatchError(
                 f"form has dim {self.dim}, got vectors of length {len(x)}, {len(y)}"
             )
+        return FieldElement(self.spec, _pair(self._row(x.indices()), y.indices(), self.spec))
+
+    def _row(self, x: Sequence[int]) -> Tuple[int, ...]:
+        """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
+        if len(x) != self.dim:
+            raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
         spec = self.spec
-        acc = 0
-        add_i, mul_i, frob_i = spec.add_i, spec.mul_i, spec.frob_i
-        for i, xi in enumerate(x.entries):
-            if xi.index == 0:
-                continue
-            ci = frob_i(xi.index)
-            grow = self.gram.rows[i]
-            for j, yj in enumerate(y.entries):
-                if yj.index == 0 or grow[j].index == 0:
-                    continue
-                acc = add_i(acc, mul_i(mul_i(ci, grow[j].index), yj.index))
-        return FieldElement(spec, acc)
+        row = [0] * self.dim
+        for xi, grow in zip(x, self.gram.rows):
+            if xi:
+                c = spec.frob_i(xi)
+                for j, g in enumerate(grow):
+                    if g.index:
+                        row[j] = spec.add_i(row[j], spec.mul_i(c, g.index))
+        return tuple(row)
 
     def is_standard(self) -> bool:
         return self.gram == identity_matrix(self.spec, self.dim)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadMessageError,
@@ -27,7 +27,7 @@ from .errors import (
     NotInSpanError,
     ZeroStateError,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .linalg import (
     FieldMatrix,
     FieldVector,
@@ -101,17 +101,16 @@ def decompose_in_basis(state: FieldVector, basis: Sequence[FieldVector]) -> List
         )
     m = total // d
     # state reshaped to d x m; solve B @ R = M with B columns = basis vectors
-    bmat = [[basis[k][i] for k in range(len(basis))] for i in range(d)]
-    mmat = [[state[i * m + j] for j in range(m)] for i in range(d)]
-    aug = [bmat[i] + mmat[i] for i in range(d)]
-    rows, pivots = _rref(aug, spec)
     nb = len(basis)
+    aug = [[b[i].index for b in basis] + [e.index for e in state.entries[i * m:(i + 1) * m]]
+           for i in range(d)]
+    rows, pivots = _rref(aug, spec)
     if any(p >= nb for p in pivots):
         raise NotInSpanError("state component lies outside the span of the basis")
-    residuals = [[spec.zero] * m for _ in range(nb)]
+    residuals = [[0] * m for _ in range(nb)]
     for r, pc in enumerate(pivots):
         residuals[pc] = rows[r][nb:]
-    return [FieldVector(spec, res) for res in residuals]
+    return [FieldVector.from_indices(spec, res) for res in residuals]
 
 
 def possible_branches(state: FieldVector,
@@ -167,20 +166,29 @@ class ProtocolTranscript:
         }
 
 
+# --- gates and branches -----------------------------------------------------------------
+
+# The one gate/branch table: Bell label -> (two-bit message, Pauli gate), in
+# bell_basis order.  Teleportation reports the message of the measured Bell
+# vector and corrects with its gate; super-dense coding encodes a message
+# with its gate and decodes the Bell vector it lands on back to the message.
+_BELL_TABLE = {
+    "phi+": ("00", "id"),
+    "phi-": ("10", "Z"),
+    "psi+": ("01", "X"),
+    "psi-": ("11", "ZX"),
+}
+
+# Pauli gate name -> its builder.
+_GATES = {
+    "id": lambda spec: identity_matrix(spec, 2),
+    "Z": gate_z,
+    "X": gate_x,
+    "ZX": gate_zx,
+}
+
+
 # --- teleportation -----------------------------------------------------------------------
-
-_CORRECTIONS = {"phi+": "id", "phi-": "Z", "psi+": "X", "psi-": "ZX"}
-_BRANCH_MESSAGE = {"phi+": "00", "phi-": "10", "psi+": "01", "psi-": "11"}
-
-
-def _correction_gate(spec: FieldSpec, name: str) -> FieldMatrix:
-    return {
-        "id": identity_matrix(spec, 2),
-        "Z": gate_z(spec),
-        "X": gate_x(spec),
-        "ZX": gate_zx(spec),
-    }[name]
-
 
 def teleport(alpha, beta, spec: FieldSpec, seed: int,
              branch: Optional[int] = None) -> ProtocolTranscript:
@@ -221,11 +229,10 @@ def teleport(alpha, beta, spec: FieldSpec, seed: int,
     # each branch carries an explicit 1/2 factor; strip it before correcting
     residual = residual.scale(spec.from_int(2))
     tr.branch_index, tr.branch_label = idx, label
-    tr.classical_message = _BRANCH_MESSAGE[label]
+    tr.classical_message, correction = _BELL_TABLE[label]
     tr.record(f"bob_pre_correction[{label}]", residual)
-    correction = _CORRECTIONS[label]
     tr.correction = correction
-    final = _correction_gate(spec, correction) @ residual
+    final = _GATES[correction](spec) @ residual
     tr.final_state = final
     tr.record("bob_final", final)
     return tr
@@ -270,11 +277,11 @@ def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
             raise ZeroStateError(f"branch {branch} is impossible for this input")
     label = basis[idx][0]
     tr.branch_index, tr.branch_label = idx, label
-    tr.classical_message = {"phi+": "0", "psi+": "1"}[label]
+    message, correction = _BELL_TABLE[label]
+    tr.classical_message = message[1]  # phi+ and psi+ differ in the second bit only
     tr.record(f"bob_pre_correction[{label}]", residual)
-    correction = "id" if label == "phi+" else "X"
     tr.correction = correction
-    final = _correction_gate(spec, correction) @ residual
+    final = _GATES[correction](spec) @ residual
     tr.final_state = final
     tr.record("bob_final", final)
     return tr
@@ -282,20 +289,27 @@ def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
 
 # --- super-dense coding -----------------------------------------------------------------
 
-_SDC_GATES = {"00": "id", "10": "Z", "01": "X", "11": "ZX"}
+def sdc_messages(spec: FieldSpec) -> List[str]:
+    """The two-bit messages super-dense coding carries over ``spec``.
+
+    Z acts trivially in characteristic 2, so there only the messages whose
+    gate has no Z (00 and 01) stay distinguishable.
+    """
+    return [msg for msg, gate in _BELL_TABLE.values() if spec.p != 2 or "Z" not in gate]
 
 
 def sdc_encode(bits: str, spec: FieldSpec) -> FieldVector:
     """Apply the two-bit gate rule to the shared Bell state."""
-    if bits not in _SDC_GATES:
-        raise BadMessageError(f"message must be one of {sorted(_SDC_GATES)}, got {bits!r}")
-    if spec.p == 2 and bits in ("10", "11"):
+    gate = next((g for msg, g in _BELL_TABLE.values() if msg == bits), None)
+    if gate is None:
+        messages = sorted(msg for msg, _ in _BELL_TABLE.values())
+        raise BadMessageError(f"message must be one of {messages}, got {bits!r}")
+    if bits not in sdc_messages(spec):
         raise Char2MessageUnsupportedError(
             f"message {bits}: Z acts trivially in characteristic 2, "
             "only the messages 00 and 01 are distinguishable"
         )
-    gate = _correction_gate(spec, _SDC_GATES[bits])
-    full = tensor(gate, identity_matrix(spec, 2))
+    full = tensor(_GATES[gate](spec), identity_matrix(spec, 2))
     return full @ bell_state(spec)
 
 
@@ -305,14 +319,12 @@ def sdc_decode(state: FieldVector, spec: FieldSpec) -> str:
         raise DimensionMismatchError("expected a two-qubit state")
     if state.is_zero():
         raise NotBellRayError("zero state")
-    inverse = {v: k for k, v in _SDC_GATES.items()}
     for label, vec in bell_basis(spec):
         # scalar multiple test: state = lam * vec
         lead = next(i for i, e in enumerate(vec.entries) if not e.is_zero())
         lam = state[lead] / vec[lead]
         if not lam.is_zero() and vec.scale(lam) == state:
-            gate = {"phi+": "id", "phi-": "Z", "psi+": "X", "psi-": "ZX"}[label]
-            return inverse[gate]
+            return _BELL_TABLE[label][0]
     raise NotBellRayError("state is not a nonzero multiple of a Bell vector")
 
 

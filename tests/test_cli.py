@@ -164,3 +164,34 @@ def test_deterministic_repeat_is_byte_identical(capsys):
     assert run(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("bitstream", ["zz", "babea70", "0x1f", "12_34"])
+def test_geocode_decode_malformed_bitstream_is_json_exit_1(capsys, bitstream):
+    # "babea70" is one hex digit longer than three GF(4) points
+    code, report = run_json(capsys, [
+        "geocode", "decode", "--p", "2", "--seed", "5",
+        "--bitstream", bitstream, "--deterministic"])
+    assert code == 1
+    assert report["error"]["type"] == "MalformedBitstream"
+
+
+@pytest.mark.parametrize("argv", [
+    ["geocode", "roundtrip", "--p", "2", "--seed", "1", "--trials", "-5"],
+    ["verify", "--p", "2", "--seed", "1", "--samples", "-1"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--deterministic"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3"],
+    ["verify", "--p", "2", "--seed", "0"],
+    ["geocode", "roundtrip", "--p", "2", "--seed", "0"],
+])
+def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--csv", "--deterministic"])
+    assert exc.value.code == 2

@@ -5,19 +5,24 @@ from gqt.errors import (
     NotKernelPointError,
     SelfOrthogonalStateError,
 )
+from gqt import geocode
+from gqt.field import build_field
 from gqt.geocode import (
     GeoCiphertext,
     GeoParams,
+    _sdc_codebook,
     agree_parameters,
     deserialize_points,
     geo_decode,
     geo_encode,
     geo_transmit,
+    parse_bitstream,
     roundtrip_sweep,
     serialize_points,
 )
 from gqt.kernel import ProjectivePoint, hermitian_curve
 from gqt.linalg import FieldVector, identity_matrix, is_unitary
+from gqt.protocols import sdc_decode, sdc_encode, sdc_messages
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +135,54 @@ def test_sweep_deterministic(params_q2):
     a = roundtrip_sweep(params_q2, trials=20, seed=9)
     b = roundtrip_sweep(params_q2, trials=20, seed=9)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_codebook_matches_sdc_protocol(p):
+    spec = build_field(p, 2)
+    words, readings = _sdc_codebook(spec)
+    messages = sdc_messages(spec)
+    assert sorted(words) == sorted(messages) == (["00", "01"] if p == 2 else
+                                                 ["00", "01", "10", "11"])
+    for message in messages:
+        encoded = sdc_encode(message, spec)
+        assert words[message] == encoded.indices()
+        assert readings[words[message]] == sdc_decode(encoded, spec) == message
+    assert _sdc_codebook(spec) is _sdc_codebook(spec)
+
+
+def test_transmit_returns_the_points_of_the_roundtrip_golden_job(kernel_q2, monkeypatch):
+    # tests/golden/geocode_roundtrip_q2.json: seed 0, 200 trials, 22 degenerate
+    sent = []
+
+    def recording_transmit(ct, spec):
+        bits, points = geo_transmit(ct, spec)
+        sent.append((ct, bits, points))
+        return bits, points
+
+    monkeypatch.setattr(geocode, "geo_transmit", recording_transmit)
+    report = roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0)
+    assert (report.successes, report.degenerate) == (178, 22)
+    assert len(sent) == 178
+    for ct, bits, points in sent:
+        assert bits == ct.bitstream
+        assert tuple(points) == ct.points
+
+
+def test_transmit_rejects_non_binary_bitstream(gf4, params_q2):
+    ct = geo_encode(FieldVector(gf4, [1, 0, 0, 0]), params_q2)
+    with pytest.raises(MalformedBitstreamError):
+        geo_transmit(GeoCiphertext(points=ct.points, bitstream=ct.bitstream[:-1] + "2"), gf4)
+
+
+def test_parse_bitstream(gf4, gf9):
+    bits = format(0xBABEA7, "024b")
+    assert parse_bitstream(bits, gf4, 4) == bits
+    assert parse_bitstream("babea7", gf4, 4) == bits
+    assert parse_bitstream("a7", gf4, 4) == format(0xA7, "024b")
+    # hex whose digits are all 0 or 1 is still hex
+    assert parse_bitstream("100000", gf4, 4) == format(0x100000, "024b")
+    assert len(parse_bitstream("2" * 12, gf9, 4)) == 48
+    for bad in ["", "zz", "babea70", "0x1f", " 1f", "-1f", "0" * 8, "1" * 25]:
+        with pytest.raises(MalformedBitstreamError):
+            parse_bitstream(bad, gf4, 4)

@@ -341,3 +341,23 @@ def test_catalog_export(kernel_q2):
     csv_text = kernel_q2.to_csv()
     assert csv_text.splitlines()[0].startswith("# p,2,k,2,dim,4")
     assert sum(1 for line in csv_text.splitlines() if line.startswith("point")) == 45
+
+
+@pytest.mark.parametrize("fix", ["q2", "q3"])
+def test_hermitian_curve_matches_form_filter(fix, kernel_q2, kernel_q3):
+    # the index-level curve against a brute-force form.evaluate filter
+    geom = kernel_q2 if fix == "q2" else kernel_q3
+    f = geom.form
+    bases = [v for v in enumerate_projective_points(geom.spec, 4)
+             if not f.evaluate(v, v).is_zero()]
+    if fix == "q3":
+        bases = random.Random(5).sample(bases, 60)
+    for v in bases:
+        expected = [p for p in geom.points if f.evaluate(v, p.coords).is_zero()]
+        assert hermitian_curve(ProjectivePoint(v), geom) == expected
+
+
+def test_geometry_rays_index_the_points(kernel_q2, kernel_q3):
+    for geom in (kernel_q2, kernel_q3):
+        assert geom.rays == tuple(p.coords.indices() for p in geom.points)
+        assert all(geom.index_of(p) == i for i, p in enumerate(geom.points))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqt.errors import (
     DegenerateFormError,
@@ -11,6 +13,7 @@ from gqt.errors import (
     NotHermitianError,
     NotSquareError,
     NotUnitaryError,
+    SingularMatrixError,
 )
 from gqt.field import build_field
 from gqt.linalg import (
@@ -191,3 +194,37 @@ def test_inverse_and_nullspace(gf9):
     assert len(basis) == 3
     for v in basis:
         assert (row @ v).is_zero()
+
+
+@st.composite
+def field_matrices(draw, square=False, max_size=4):
+    """A matrix over GF(4) or GF(9), entries drawn by element index."""
+    spec = build_field(draw(st.sampled_from([2, 3])), 2)
+    nrows = draw(st.integers(1, max_size))
+    ncols = nrows if square else draw(st.integers(1, max_size))
+    entries = st.integers(0, spec.order - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return FieldMatrix.from_indices(spec, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_rank_nullity_and_nullspace(m):
+    basis = nullspace(m)
+    assert m.rank() + len(basis) == m.ncols
+    zero = FieldVector.from_indices(m.spec, [0] * m.nrows)
+    for v in basis:
+        assert m @ v == zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(square=True))
+def test_rref_inverse(m):
+    ident = identity_matrix(m.spec, m.nrows)
+    if m.rank() < m.nrows:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        assert m @ m.inverse() == ident
+        assert m.inverse() @ m == ident
