@@ -15,8 +15,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .errors import GQTError, InvariantError
-from .field import build_field, theory_coordinates
+from .errors import GQTError
+from .field import build_field, parse_coefficients, theory_coordinates
 from .geocode import (
     GeoCiphertext,
     agree_parameters,
@@ -29,7 +29,7 @@ from .geocode import (
 )
 from .kernel import enumerate_kernel, unitary_escapes, verify_one_or_all
 from .linalg import FieldVector, standard_form
-from .nogo import clone_obstruction, delete_obstruction, f2_orthogonal_special_case
+from .nogo import scan
 from .protocols import sdc_transcript, teleport, teleport_char2
 
 
@@ -57,10 +57,18 @@ def _count(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    """A positive integer argument; anything else is a usage error."""
+    n = _count(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _field_from_args(args) -> "FieldSpec":
     modulus = None
     if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
+        modulus = parse_coefficients(args.modulus)
     return build_field(args.p, args.k, modulus)
 
 
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         nsub = p.add_subparsers(dest=f"{name}_command", required=True)
         ns = nsub.add_parser("scan", help="classify every state pair exhaustively")
         _add_field_args(ns)
-        ns.add_argument("--dim", type=int, default=2)
+        ns.add_argument("--dim", type=_positive, default=2)
         _add_common(ns)
 
     p = sub.add_parser("geocode", help="kernel-geometry coding scheme")
@@ -158,7 +166,7 @@ def _cmd_field(args) -> dict:
     }
     if args.element is not None:
         x = spec.parse(args.element if "," not in args.element
-                       else [int(c) for c in args.element.split(",")])
+                       else parse_coefficients(args.element))
         entry = {"element": x.to_json(), "text": str(x)}
         if spec.q:
             a, b = x.decompose()
@@ -221,47 +229,7 @@ def _cmd_sdc(args) -> dict:
 
 
 def _cmd_nogo_scan(args, kind: str) -> dict:
-    spec = _field_from_args(args)
-    classify = clone_obstruction if kind == "clone" else delete_obstruction
-    dim = args.dim
-    counts: dict = {}
-    sample_witnesses: dict = {}
-    elements = list(spec.elements())
-    import itertools as it
-
-    def vectors():
-        for combo in it.product(elements, repeat=dim):
-            yield FieldVector(spec, combo)
-
-    pairs = 0
-    for phi in vectors():
-        for psi in vectors():
-            c = classify(phi, psi)
-            pairs += 1
-            key = c.verdict.value
-            counts[key] = counts.get(key, 0) + 1
-            if key not in sample_witnesses:
-                sample_witnesses[key] = {
-                    "phi": phi.to_json(),
-                    "psi": psi.to_json(),
-                    "obstruction_vanishes": c.obstruction_vanishes,
-                }
-            if not c.entrywise_agrees:
-                raise InvariantError(
-                    f"entrywise check disagrees with the {kind} obstruction "
-                    f"for phi={phi.to_json()}, psi={psi.to_json()}"
-                )
-    report = {
-        "kind": kind,
-        "field": spec.to_json(),
-        "dim": dim,
-        "pairs": pairs,
-        "counts": counts,
-        "sample_witnesses": sample_witnesses,
-    }
-    if kind == "clone":
-        report["f2_special_case"] = f2_orthogonal_special_case()
-    return report
+    return scan(_field_from_args(args), args.dim, kind)
 
 
 def _geo_params(args):

@@ -51,6 +51,12 @@ class FieldMismatchError(GQTError):
     code = "FieldMismatch"
 
 
+class ParseError(GQTError):
+    """Text input (an element, a coefficient list, a lattice point) is malformed."""
+
+    code = "Parse"
+
+
 # --- linear algebra / forms -------------------------------------------------
 
 class DimensionMismatchError(GQTError):

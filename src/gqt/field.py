@@ -29,6 +29,7 @@ from .errors import (
     InvariantError,
     NoInvolutionError,
     NotPrimeError,
+    ParseError,
     ReducibleModulusError,
     TooLargeError,
 )
@@ -130,6 +131,14 @@ class FieldTables(NamedTuple):
     mul: List[List[int]]
     inv: List[int]
     frob: Optional[List[int]]
+
+
+def parse_coefficients(text: str) -> List[int]:
+    """Comma-separated integers, e.g. ``'1,0,1'``, low degree first."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
 
 
 _TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*(?:\*\s*)?(t(?:\^(\d+))?)?\s*$")
@@ -339,14 +348,14 @@ class FieldSpec:
                 continue
             m = _TERM_RE.match(term)
             if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
-                raise ValueError(f"cannot parse field element term {term!r}")
+                raise ParseError(f"cannot parse field element term {term!r}")
             coef_s, t_part, exp_s = m.group(1), m.group(2), m.group(3)
             coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
             exp = 0
             if t_part:
                 exp = int(exp_s) if exp_s else 1
             if exp >= self.k:
-                raise ValueError(f"exponent {exp} exceeds degree {self.k - 1} in {text!r}")
+                raise ParseError(f"exponent {exp} exceeds degree {self.k - 1} in {text!r}")
             coeffs[exp] = (coeffs[exp] + coef) % self.p
         return self.element(coeffs)
 
@@ -560,6 +569,6 @@ def theory_coordinates(i: int, m: int, p: int) -> TheoryDescriptor:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if i < 1 or m < 1:
-        raise ValueError("i and m must be positive")
+        raise ParseError(f"i and m must be positive, got i={i}, m={m}")
     field = build_field(p, 2 * i)
     return TheoryDescriptor(i=i, m=m, p=p, field=field, subfield_order=p ** i, dimension=m)

@@ -19,7 +19,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import (
     DependentBasisError,
@@ -388,6 +388,14 @@ class OneOrAllReport:
         }
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask with bit j set for every j in indices."""
+    m = 0
+    for j in indices:
+        m |= 1 << j
+    return m
+
+
 def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     """Check: a point off a line sees either one or all of its points.
 
@@ -398,23 +406,24 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     violations: List[Tuple[int, int, int]] = []
     gq_failures: List[Tuple[int, int]] = []
     pairs = 0
+    # Point sets as bitmasks: bit j is point j.
+    adjacency = [_mask(geom.collinear_indices(xi)) for xi in range(len(geom.points))]
     for li, line in enumerate(geom.lines):
-        members = sorted(line)
-        size = len(members)
-        for xi in range(len(geom.points)):
-            if xi in line:
+        line_mask = _mask(line)
+        size = len(line)
+        for xi, adjacent in enumerate(adjacency):
+            if line_mask >> xi & 1:
                 continue
             pairs += 1
-            adjacent = geom.collinear_indices(xi)
-            seen = [pj for pj in members if pj in adjacent]
-            count = len(seen)
+            seen = adjacent & line_mask
+            count = seen.bit_count()
             distribution[count] = distribution.get(count, 0) + 1
             if count not in (1, size):
                 violations.append((xi, li, count))
                 continue
             if count == 1:
                 # unique connecting line through x hitting this line
-                connecting = geom.incidence[xi] & geom.incidence[seen[0]]
+                connecting = geom.incidence[xi] & geom.incidence[seen.bit_length() - 1]
                 if len(connecting) != 1:
                     gq_failures.append((xi, li))
     return OneOrAllReport(

@@ -298,20 +298,24 @@ def basis_vector(spec: FieldSpec, n: int, i: int) -> FieldVector:
     return FieldVector(spec, [spec.one if j == i else spec.zero for j in range(n)])
 
 
+def _kron(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
+    """The index tuple of a (x) b = (a_0 b_0, a_0 b_1, ...), for element indices a and b."""
+    mul_i = spec.mul_i
+    return tuple([mul_i(x, y) for x in a for y in b])
+
+
 def tensor(a, b):
     """Kronecker product, row-major blocks; works on vectors and matrices."""
     if isinstance(a, FieldVector) and isinstance(b, FieldVector):
         if a.spec != b.spec:
             raise FieldMismatchError("tensor factors over different fields")
-        return FieldVector(a.spec, [x * y for x in a.entries for y in b.entries])
+        return FieldVector.from_indices(a.spec, _kron(a.indices(), b.indices(), a.spec))
     if isinstance(a, FieldMatrix) and isinstance(b, FieldMatrix):
         if a.spec != b.spec:
             raise FieldMismatchError("tensor factors over different fields")
-        rows = []
-        for ra in a.rows:
-            for rb in b.rows:
-                rows.append([x * y for x in ra for y in rb])
-        return FieldMatrix(a.spec, rows)
+        return FieldMatrix.from_indices(a.spec, [
+            _kron(ra, rb, a.spec) for ra in a.indices() for rb in b.indices()
+        ])
     raise TypeError("tensor expects two vectors or two matrices")
 
 

@@ -7,17 +7,34 @@ entrywise condition a_i b_j = -b_i a_j is evaluated alongside the tensor
 and the two must agree.  Commutators [a_i, a_j] are evaluated as well;
 over commutative scalars they are identically zero, which documents the
 general division-ring statement without fake arithmetic.
+
+One core, ``_classify_indices``, works on element-index tuples;
+``clone_obstruction``/``delete_obstruction`` convert at their edges and
+``scan`` streams index tuples through it.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatchError, FieldMismatchError, NotUnitaryError
+from .errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    InvariantError,
+    NotUnitaryError,
+    TooLargeError,
+)
 from .field import FieldElement, FieldSpec, build_field
-from .linalg import FieldMatrix, FieldVector, HermitianForm, is_unitary, tensor
+from .linalg import FieldMatrix, FieldVector, HermitianForm, _kron, is_unitary, tensor
+
+# Largest exhaustive scan, in state pairs, unless GQT_GUARD_OVERRIDE=1.
+_MAX_SCAN_PAIRS = 10 ** 6
+
+IndexVector = Tuple[int, ...]
 
 
 class CloneVerdict(str, Enum):
@@ -54,45 +71,48 @@ class CloneClassification:
         }
 
 
-def _same_ray_witness(phi: FieldVector, psi: FieldVector) -> Optional[FieldElement]:
-    """rho with psi = phi * rho, or None; assumes both nonzero."""
-    lead = next(i for i, e in enumerate(phi.entries) if not e.is_zero())
-    rho = psi.entries[lead] / phi.entries[lead]
-    if rho.is_zero():
-        return None
-    return rho if phi.scale(rho) == psi else None
+class IndexClassification(NamedTuple):
+    """``CloneClassification`` on element indices, without the kind."""
+
+    verdict: CloneVerdict
+    tensor_obstruction: IndexVector
+    witness: Optional[int]
+    entrywise_agrees: bool
+    commutators_vanish: bool
 
 
-def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:
-    if phi.spec != psi.spec:
-        raise FieldMismatchError("states over different fields")
-    if len(phi) != len(psi):
-        raise DimensionMismatchError("states of different lengths")
-    spec = phi.spec
+def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexClassification:
+    """Classify the pair (phi, psi) given by the element indices a and b.
 
-    obstruction = tensor(phi, psi) + tensor(psi, phi)
+    Arithmetic goes through ``spec.add_i``/``sub_i``/``mul_i``/``inv_i``,
+    so every field order works, with or without lookup tables.
+    """
+    add_i, sub_i, mul_i = spec.add_i, spec.sub_i, spec.mul_i
+    obstruction = tuple(map(add_i, _kron(a, b, spec), _kron(b, a, spec)))
 
     # entrywise reading of the same equation: a_i b_j = -b_i a_j
-    entrywise_zero = all(
-        (phi[i] * psi[j] + psi[i] * phi[j]).is_zero()
-        for i in range(len(phi))
-        for j in range(len(psi))
+    entrywise_zero = not any(
+        add_i(mul_i(ai, bj), mul_i(bi, aj))
+        for ai, bi in zip(a, b)
+        for aj, bj in zip(a, b)
     )
-    entrywise_agrees = entrywise_zero == obstruction.is_zero()
+    entrywise_agrees = entrywise_zero == (not any(obstruction))
 
     # commutators of the first state's entries; always zero over a field
-    commutators_vanish = all(
-        (phi[i] * phi[j] - phi[j] * phi[i]).is_zero()
-        for i in range(len(phi))
-        for j in range(len(phi))
+    commutators_vanish = not any(
+        sub_i(mul_i(ai, aj), mul_i(aj, ai)) for ai in a for aj in a
     )
 
-    if phi.is_zero() or psi.is_zero():
-        verdict: CloneVerdict = CloneVerdict.ZERO_STATE
-        witness = None
+    witness = None
+    if not any(a) or not any(b):
+        verdict = CloneVerdict.ZERO_STATE
     else:
-        witness = _same_ray_witness(phi, psi)
-        if witness is not None:
+        # rho with psi = phi * rho, read off the lead coordinate of phi;
+        # rho = 0 fails the check since psi is nonzero
+        lead = next(i for i, ai in enumerate(a) if ai)
+        rho = mul_i(b[lead], spec.inv_i(a[lead]))
+        if all(mul_i(ai, rho) == bi for ai, bi in zip(a, b)):
+            witness = rho
             verdict = (
                 CloneVerdict.SAME_RAY_CHAR2
                 if spec.p == 2
@@ -101,12 +121,22 @@ def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassificat
         else:
             verdict = CloneVerdict.INDEPENDENT
 
+    return IndexClassification(verdict, obstruction, witness, entrywise_agrees, commutators_vanish)
+
+
+def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:
+    if phi.spec != psi.spec:
+        raise FieldMismatchError("states over different fields")
+    if len(phi) != len(psi):
+        raise DimensionMismatchError("states of different lengths")
+    spec = phi.spec
+    c = _classify_indices(spec, phi.indices(), psi.indices())
     return CloneClassification(
-        verdict=verdict,
-        tensor_obstruction=obstruction,
-        witness=witness,
-        entrywise_agrees=entrywise_agrees,
-        commutators_vanish=commutators_vanish,
+        verdict=c.verdict,
+        tensor_obstruction=FieldVector.from_indices(spec, c.tensor_obstruction),
+        witness=FieldElement(spec, c.witness) if c.witness is not None else None,
+        entrywise_agrees=c.entrywise_agrees,
+        commutators_vanish=c.commutators_vanish,
         kind=kind,
     )
 
@@ -119,6 +149,75 @@ def clone_obstruction(phi: FieldVector, psi: FieldVector) -> CloneClassification
 def delete_obstruction(phi: FieldVector, psi: FieldVector) -> CloneClassification:
     """Same tensor equation as cloning; invertibility alone forces it."""
     return _classify(phi, psi, "delete")
+
+
+def _index_vectors(order: int, dim: int) -> Iterator[IndexVector]:
+    """Every state of length dim as an index tuple, in ``FieldSpec.elements`` order."""
+    return itertools.product(range(order), repeat=dim)
+
+
+def _scan_guard(order: int, dim: int) -> None:
+    """Refuse more than ``_MAX_SCAN_PAIRS`` pairs before anything is allocated."""
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
+    if os.environ.get("GQT_GUARD_OVERRIDE") == "1":
+        return
+    # (order^dim)^2 one factor at a time, so a huge dim stops early.
+    pairs = 1
+    for _ in range(2 * dim):
+        pairs *= order
+        if pairs > _MAX_SCAN_PAIRS:
+            raise TooLargeError(
+                f"scan guard: GF({order})^{dim} has more than {_MAX_SCAN_PAIRS} state pairs; "
+                "set GQT_GUARD_OVERRIDE=1"
+            )
+
+
+def _vector_json(spec: FieldSpec, v: IndexVector) -> list:
+    return [list(spec.coeffs_of(i)) for i in v]
+
+
+def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
+    """Classify every (phi, psi) pair of states of length dim.
+
+    kind is "clone" or "delete".  The report counts the verdicts and keeps
+    the first pair of each as a sample witness; an entrywise check that
+    disagrees with the tensor obstruction raises ``InvariantError``.
+    """
+    if kind not in ("clone", "delete"):
+        raise ValueError(f"kind must be 'clone' or 'delete', got {kind!r}")
+    _scan_guard(spec.order, dim)
+    counts: Dict[str, int] = {}
+    sample_witnesses: Dict[str, dict] = {}
+    pairs = 0
+    for a in _index_vectors(spec.order, dim):
+        for b in _index_vectors(spec.order, dim):
+            c = _classify_indices(spec, a, b)
+            pairs += 1
+            key = c.verdict.value
+            counts[key] = counts.get(key, 0) + 1
+            if key not in sample_witnesses:
+                sample_witnesses[key] = {
+                    "phi": _vector_json(spec, a),
+                    "psi": _vector_json(spec, b),
+                    "obstruction_vanishes": not any(c.tensor_obstruction),
+                }
+            if not c.entrywise_agrees:
+                raise InvariantError(
+                    f"entrywise check disagrees with the {kind} obstruction "
+                    f"for phi={_vector_json(spec, a)}, psi={_vector_json(spec, b)}"
+                )
+    report = {
+        "kind": kind,
+        "field": spec.to_json(),
+        "dim": dim,
+        "pairs": pairs,
+        "counts": counts,
+        "sample_witnesses": sample_witnesses,
+    }
+    if kind == "clone":
+        report["f2_special_case"] = f2_orthogonal_special_case()
+    return report
 
 
 def f2_orthogonal_special_case(max_order: int = 9) -> dict:

@@ -195,3 +195,61 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--csv", "--deterministic"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["field", "--p", "3", "--element", "zz"], "Parse"),
+    (["field", "--p", "3", "--element", "1,x"], "Parse"),
+    (["field", "--p", "3", "--k", "1", "--element", "t"], "Parse"),
+    (["field", "--p", "3", "--modulus", "1,x"], "Parse"),
+    (["teleport", "--p", "3", "--alpha", "q", "--beta", "1", "--seed", "0"], "Parse"),
+    (["theory", "--i", "0", "--m", "2", "--pp", "3"], "Parse"),
+    (["noclone", "scan", "--p", "5", "--dim", "4"], "TooLarge"),
+])
+def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    code, report = run_json(capsys, argv + ["--deterministic"])
+    assert code == 1
+    assert report["error"]["type"] == error
+
+
+@pytest.mark.parametrize("dim", ["0", "-1", "x"])
+def test_scan_dim_below_one_is_usage_error(capsys, dim):
+    with pytest.raises(SystemExit) as exc:
+        run(["noclone", "scan", "--p", "3", "--dim", dim, "--deterministic"])
+    assert exc.value.code == 2
+
+
+# Malformed or out-of-range arguments across the subcommands.  An exception
+# escaping ``run`` is what ``gqt`` prints as a traceback.
+MALFORMED = [
+    "field --p 3 --element zz", "field --p 3 --element 1,x", "field --p 3 --element t^",
+    "field --p 3 --k 1 --element t", "field --p 3 --modulus 1,x", "field --p 3 --modulus 1,,1",
+    "field --p 3 --modulus 1,1", "field --p 3 --modulus 2,0,1", "field --p 4", "field --p 1",
+    "field --p 3 --k 0", "field --p 3 --k -1", "field --p x",
+    "theory --i 0 --m 2 --pp 3", "theory --i 1 --m 0 --pp 3", "theory --i 1 --m 2 --pp 4",
+    "teleport --p 3 --alpha q --beta 1 --seed 0", "teleport --p 3 --alpha 1 --beta zz --seed 0",
+    "teleport --p 3 --alpha 0 --beta 0 --seed 0",
+    "sdc --p 3 --message 2", "sdc --p 3 --message 0101",
+    "kernel enumerate --p 2 --dim 0", "kernel enumerate --p 2 --k 3",
+    "verify --p 2 --dim 0 --seed 0", "verify --p 3 --k 1 --seed 0",
+    "geocode encode --p 2 --seed 5 --state q;1;1;0", "geocode encode --p 2 --seed 5 --state 1;0",
+    "geocode encode --p 2 --seed 5 --state 0;0;0;0", "geocode roundtrip --p 3 --k 1 --seed 0",
+    "geocode decode --p 2 --seed 5 --bitstream zz",
+    "noclone scan --p 3 --dim -1", "nodelete scan --p 2 --dim 0", "noclone scan --p 5 --dim 4",
+    "nodelete scan --p 3 --dim 1000000000",
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED)
+def test_malformed_arguments_never_escape(capsys, monkeypatch, line):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    try:
+        code = run(line.split(" ") + ["--deterministic"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "type" in json.loads(out)["error"]
+    assert "Traceback" not in err

@@ -1,8 +1,9 @@
 """Byte-level behaviour contract for the CLI jobs.
 
 The files under ``tests/golden/`` were recorded from ``gqt`` before the
-kernel, and later the transport path, moved onto integer indices: the q=2
-outputs in full, the q=3 outputs as SHA-256 digests in ``q3.sha256``.
+kernel, later the transport path and then the no-go scan moved onto
+integer indices: the q=2 outputs in full, the q=3 outputs as SHA-256
+digests in ``q3.sha256``.
 Every job runs in-process with ``--deterministic --out`` and must
 reproduce those bytes exactly.
 """
@@ -37,6 +38,9 @@ JOBS = {
         f"sdc_{msg}": {q: ["sdc", "--message", msg] for q in qs}
         for msg, qs in (("00", (2, 3)), ("01", (2, 3)), ("10", (3,)), ("11", (3,)))
     },
+    "noclone_scan": {q: ["noclone", "scan"] for q in (2, 3)},
+    "nodelete_scan": {q: ["nodelete", "scan"] for q in (2, 3)},
+    "noclone_scan_dim3": {2: ["noclone", "scan", "--dim", "3"]},
 }
 SUFFIX = {"kernel_enumerate_csv": ".csv"}
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-import gqt.cli
 import gqt.field
+import gqt.nogo
 import gqt.protocols
 from gqt.cli import run
 from gqt.errors import GQTError, InvariantError
@@ -21,12 +21,12 @@ def test_invariant_error_is_a_domain_error():
 
 
 def test_nogo_scan_invariant_failure_is_json_exit_1(monkeypatch, capsys):
-    real = gqt.cli.clone_obstruction
+    real = gqt.nogo._classify_indices
 
-    def disagreeing(phi, psi):
-        return replace(real(phi, psi), entrywise_agrees=False)
+    def disagreeing(spec, a, b):
+        return real(spec, a, b)._replace(entrywise_agrees=False)
 
-    monkeypatch.setattr(gqt.cli, "clone_obstruction", disagreeing)
+    monkeypatch.setattr(gqt.nogo, "_classify_indices", disagreeing)
     code = run(["noclone", "scan", "--p", "2", "--deterministic"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)

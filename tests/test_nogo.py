@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from gqt.errors import DimensionMismatchError, NotUnitaryError
+import gqt.nogo
+from gqt.errors import DimensionMismatchError, NotUnitaryError, TooLargeError
 from gqt.field import build_field
 from gqt.linalg import FieldMatrix, FieldVector, random_unitary, standard_form, tensor
 from gqt.nogo import (
     CloneVerdict,
+    _classify_indices,
     clone_obstruction,
     delete_obstruction,
     f2_orthogonal_special_case,
     permutation_clone_check,
+    scan,
 )
 
 
@@ -160,3 +163,72 @@ def test_permutation_clone_dimension_checks(gf4):
                                 FieldVector(gf4, [1, 0]))
     with pytest.raises(DimensionMismatchError):
         permutation_clone_check(ident2, [], FieldVector(gf4, [1, 0]))
+
+
+def _object_classification(phi, psi):
+    """The classification in FieldElement arithmetic, independent of the index core."""
+    n = len(phi)
+    obstruction = [phi[i] * psi[j] + psi[i] * phi[j] for i in range(n) for j in range(n)]
+    entrywise_zero = all(
+        (phi[i] * psi[j] + psi[i] * phi[j]).is_zero() for i in range(n) for j in range(n))
+    obstruction_zero = all(e.is_zero() for e in obstruction)
+    commutators = all(
+        (phi[i] * phi[j] - phi[j] * phi[i]).is_zero() for i in range(n) for j in range(n))
+    witness = None
+    if phi.is_zero() or psi.is_zero():
+        verdict = CloneVerdict.ZERO_STATE
+    else:
+        lead = next(i for i in range(n) if not phi[i].is_zero())
+        rho = psi[lead] / phi[lead]
+        if not rho.is_zero() and phi.scale(rho) == psi:
+            witness = rho.index
+            verdict = (CloneVerdict.SAME_RAY_CHAR2 if phi.spec.p == 2
+                       else CloneVerdict.SAME_RAY_CHAR_ODD)
+        else:
+            verdict = CloneVerdict.INDEPENDENT
+    return (verdict, tuple(e.index for e in obstruction), witness,
+            entrywise_zero == obstruction_zero, commutators)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_index_core_matches_object_arithmetic(p):
+    """Verdict, obstruction, witness, entrywise agreement and commutators, every pair."""
+    spec = build_field(p, 2)
+    for phi in all_vectors(spec, 2):
+        for psi in all_vectors(spec, 2):
+            expected = _object_classification(phi, psi)
+            assert tuple(_classify_indices(spec, phi.indices(), psi.indices())) == expected
+            c = clone_obstruction(phi, psi)
+            witness = c.witness.index if c.witness is not None else None
+            assert (c.verdict, c.tensor_obstruction.indices(), witness,
+                    c.entrywise_agrees, c.commutators_vanish) == expected
+
+
+def _no_vectors(order, dim):
+    raise AssertionError("the scan allocated states before checking its bound")
+
+
+@pytest.mark.parametrize("p,dim", [(5, 4), (3, 4), (2, 11), (2, 10 ** 9)])
+def test_scan_bound_comes_before_any_state(monkeypatch, p, dim):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(gqt.nogo, "_index_vectors", _no_vectors)
+    with pytest.raises(TooLargeError):
+        scan(build_field(p, 2), dim, "clone")
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_scan_rejects_empty_states(monkeypatch, gf4, dim):
+    monkeypatch.setattr(gqt.nogo, "_index_vectors", _no_vectors)
+    with pytest.raises(DimensionMismatchError):
+        scan(gf4, dim, "clone")
+
+
+def test_scan_bound_keeps_desk_scale_and_override_lifts_it(monkeypatch, gf4):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    gqt.nogo._scan_guard(25, 2)  # p=5: 390,625 pairs
+    gqt.nogo._scan_guard(9, 3)  # p=3, dim 3: 531,441 pairs
+    monkeypatch.setattr(gqt.nogo, "_MAX_SCAN_PAIRS", 255)
+    with pytest.raises(TooLargeError):
+        scan(gf4, 2, "clone")
+    monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
+    assert scan(gf4, 2, "clone")["pairs"] == 256
