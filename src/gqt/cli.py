@@ -27,7 +27,7 @@ from .geocode import (
     parse_bitstream,
     roundtrip_sweep,
 )
-from .kernel import enumerate_kernel, unitary_escapes, verify_one_or_all
+from .kernel import enumerate_kernel, enumeration_guard, unitary_escapes, verify_one_or_all
 from .linalg import FieldVector, standard_form
 from .nogo import scan
 from .protocols import sdc_transcript, teleport, teleport_char2
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = p.add_subparsers(dest="kernel_command", required=True)
     ke = ksub.add_parser("enumerate", help="enumerate points and lines")
     _add_field_args(ke)
-    ke.add_argument("--dim", type=int, default=4)
+    ke.add_argument("--dim", type=_positive, default=4)
     ke.add_argument("--unsafe-size", action="store_true",
                     help="override the desk-scale enumeration guard")
     ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="axioms: one-or-all, degrees, unitary action")
     _add_field_args(p)
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--dim", type=_positive, default=4)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
     p.add_argument("--unsafe-size", action="store_true")
@@ -184,17 +184,21 @@ def _cmd_theory(args) -> dict:
     return theory_coordinates(args.i, args.m, args.pp).to_json()
 
 
+def _standard_geometry(spec, args):
+    """The kernel of the standard form, guarded before the form is built."""
+    enumeration_guard(spec, args.dim, args.unsafe_size)
+    return enumerate_kernel(standard_form(spec, args.dim), override=args.unsafe_size)
+
+
 def _cmd_kernel_enumerate(args):
     """The JSON report, or the CSV catalog text with ``--csv``."""
-    spec = _field_from_args(args)
-    geom = enumerate_kernel(standard_form(spec, args.dim), override=args.unsafe_size)
+    geom = _standard_geometry(_field_from_args(args), args)
     return geom.to_csv() if args.csv else geom.to_json()
 
 
 def _cmd_verify(args) -> dict:
     spec = _field_from_args(args)
-    form = standard_form(spec, args.dim)
-    geom = enumerate_kernel(form, override=args.unsafe_size)
+    geom = _standard_geometry(spec, args)
     ooa = verify_one_or_all(geom)
     escapes = unitary_escapes(geom, args.seed, args.samples)
     degrees = sorted({len(geom.incidence[i]) for i in range(len(geom.points))})

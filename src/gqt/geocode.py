@@ -4,9 +4,13 @@ Alice and Bob share three pairwise disjoint kernel lines and a unitary.
 A non-self-orthogonal state is encoded as the three intersection points
 of its polar plane's curve with the shared lines, pushed through the
 unitary; decoding inverts the unitary, spans the plane through the three
-points and takes its polar point.  Encoding and decoding run on element
-index tuples; points become ``ProjectivePoint`` objects only where the
-public functions hand them over.
+points and takes its polar point.
+
+Every stage has an index-level core that works on element-index rays and
+field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
+``_bits_to_rays`` and ``_decode_rays``.  ``roundtrip_sweep`` runs each
+trial through these cores alone; the public functions convert to and
+from ``FieldVector``/``ProjectivePoint`` objects at their edges.
 
 Transport carries the bitstream over the super-dense channel.  Each field
 gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
@@ -18,16 +22,19 @@ lookups instead of a run of the protocol.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateSpanError,
+    DependentBasisError,
+    DimensionMismatchError,
     ExhaustedSearchError,
     MalformedBitstreamError,
     NotKernelPointError,
+    NotUniqueError,
     SelfOrthogonalStateError,
 )
 from .field import FieldSpec
@@ -35,15 +42,14 @@ from .kernel import (
     KernelGeometry,
     ProjectivePoint,
     Ray,
+    _curve,
     _matvec,
+    _meet,
     _mul_rows,
     _normalize_ray,
-    hermitian_curve,
-    is_self_orthogonal,
-    polar_point,
-    unique_meet,
+    _polar,
 )
-from .linalg import FieldMatrix, FieldVector, _rref, random_unitary
+from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
 from .protocols import sdc_decode, sdc_encode, sdc_messages
 
 SERIALIZATION_VERSION = 1
@@ -51,13 +57,23 @@ SERIALIZATION_VERSION = 1
 
 @dataclass
 class GeoParams:
-    """Shared parameters: three disjoint line indices and a unitary."""
+    """Shared parameters: three disjoint line indices and a unitary.
+
+    The mul-table rows of ``eta`` and ``eta_inverse`` are built once, on
+    construction, for the index-level cores.
+    """
 
     geom: KernelGeometry
     line_indices: Tuple[int, int, int]
     eta: FieldMatrix
     eta_inverse: FieldMatrix
     seed: int
+    _eta_rows: list = field(init=False, repr=False, compare=False)
+    _eta_inverse_rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._eta_rows = _mul_rows(self.eta)
+        self._eta_inverse_rows = _mul_rows(self.eta_inverse)
 
     def to_json(self) -> dict:
         return {
@@ -107,45 +123,66 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
     )
 
 
-def _spans_plane(rays: Sequence[Ray], spec: FieldSpec) -> bool:
-    return len(_rref([list(r) for r in rays], spec)[1]) >= 3
+def _point(spec: FieldSpec, ray: Ray) -> ProjectivePoint:
+    return ProjectivePoint(FieldVector.from_indices(spec, ray))
 
 
-def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
-    """Three curve points on the shared lines, pushed through the unitary."""
+def _encode_ray(state: Ray, params: GeoParams) -> Tuple[Ray, Ray, Ray]:
+    """``geo_encode`` on element indices: the three transported, normalized rays."""
     geom = params.geom
     spec = geom.spec
-    if is_self_orthogonal(state, geom.form):
+    row = geom.form._row(state)
+    if _pair(row, state, spec) == 0:
         raise SelfOrthogonalStateError("state must not be self-orthogonal")
-    curve = hermitian_curve(ProjectivePoint(state), geom)
-    meets = [unique_meet(geom.lines[li], curve, geom).ray for li in params.line_indices]
-    if not _spans_plane(meets, spec):
+    curve = _curve(row, geom)
+    meets = [geom.rays[_meet(geom.lines[li], curve)] for li in params.line_indices]
+    if len(_rref([list(m) for m in meets], spec)[1]) < 3:
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
     add, _, _, mul, inv, _ = spec.tables()
-    eta = _mul_rows(params.eta)
-    transported = tuple(
-        ProjectivePoint(FieldVector.from_indices(spec, _normalize_ray(_matvec(eta, m, add), mul, inv)))
-        for m in meets
-    )
-    bits = serialize_points(transported, spec)
-    return GeoCiphertext(points=transported, bitstream=bits)
+    return tuple(_normalize_ray(_matvec(params._eta_rows, m, add), mul, inv) for m in meets)
+
+
+def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
+    """``geo_decode`` on normalized element-index rays: the recovered ray."""
+    geom = params.geom
+    spec = geom.spec
+    for r in rays:
+        if r not in geom._point_index:
+            raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
+    add, _, _, mul, inv, _ = spec.tables()
+    pulled = [_matvec(params._eta_inverse_rows, r, add) for r in rays]
+    rank, polar = _polar([geom.form._row(v) for v in pulled], geom.form)
+    if rank < 3:
+        raise DegenerateSpanError("ciphertext points do not span a plane")
+    if rank < len(pulled):
+        raise DependentBasisError("basis vectors are linearly dependent")
+    if len(polar) != 1:
+        raise NotUniqueError(f"polar has dimension {len(polar)}, expected a point")
+    return _normalize_ray(tuple(polar[0]), mul, inv)
+
+
+def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
+    """Three curve points on the shared lines, pushed through the unitary."""
+    dim = params.geom.form.dim
+    if len(state) != dim:
+        raise DimensionMismatchError(
+            f"form has dim {dim}, got vectors of length {len(state)}, {len(state)}"
+        )
+    spec = params.geom.spec
+    rays = _encode_ray(state.indices(), params)
+    return GeoCiphertext(points=tuple(_point(spec, r) for r in rays),
+                         bitstream=_rays_to_bits(rays, spec))
 
 
 def geo_decode(ct: GeoCiphertext, params: GeoParams) -> ProjectivePoint:
     """Invert the unitary, span the plane, return its polar point."""
-    geom = params.geom
-    spec = geom.spec
+    spec = params.geom.spec
     for p in ct.points:
-        if not geom.contains(p):
+        if p.spec != spec:
             raise NotKernelPointError(f"{p!r} is not a kernel point")
-    add = spec.tables().add
-    eta_inverse = _mul_rows(params.eta_inverse)
-    pulled = [_matvec(eta_inverse, p.ray, add) for p in ct.points]
-    if not _spans_plane(pulled, spec):
-        raise DegenerateSpanError("ciphertext points do not span a plane")
-    return polar_point([FieldVector.from_indices(spec, r) for r in pulled], geom.form)
+    return _point(spec, _decode_rays([p.ray for p in ct.points], params))
 
 
 # --- bit serialization and transport ------------------------------------------------
@@ -154,44 +191,62 @@ def _bits_per_coeff(p: int) -> int:
     return max(1, (p - 1).bit_length())
 
 
+@lru_cache(maxsize=None)
+def _element_bits(spec: FieldSpec) -> Tuple[Tuple[str, ...], Mapping[str, int]]:
+    """Serialized bits of every element of ``spec`` (by index), and back.
+
+    An element is its coefficients, low degree first, each in
+    ``_bits_per_coeff(p)`` bits.
+    """
+    width = _bits_per_coeff(spec.p)
+    words = tuple("".join(format(c, f"0{width}b") for c in spec.coeffs_of(n))
+                  for n in range(spec.order))
+    return words, MappingProxyType({w: n for n, w in enumerate(words)})
+
+
+def _rays_to_bits(rays: Sequence[Ray], spec: FieldSpec) -> str:
+    words = _element_bits(spec)[0]
+    return "".join(words[x] for r in rays for x in r)
+
+
+def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
+    """``deserialize_points`` on element indices: normalized rays."""
+    width = _bits_per_coeff(spec.p)
+    per_entry = spec.k * width
+    per_point = dim * per_entry
+    if not bits or len(bits) % per_point != 0 or not set(bits) <= {"0", "1"}:
+        raise MalformedBitstreamError(
+            f"bitstream length must be a positive multiple of {per_point}"
+        )
+    index = _element_bits(spec)[1]
+    rays = []
+    for start in range(0, len(bits), per_point):
+        ray = []
+        for pos in range(start, start + per_point, per_entry):
+            word = bits[pos:pos + per_entry]
+            if word not in index:
+                c = next(c for c in (int(word[i:i + width], 2) for i in range(0, per_entry, width))
+                         if c >= spec.p)
+                raise MalformedBitstreamError(f"coefficient {c} out of range for p={spec.p}")
+            ray.append(index[word])
+        lead = next((x for x in ray if x), 0)
+        if not lead:
+            raise MalformedBitstreamError("decoded point is the zero vector")
+        if lead != 1:
+            s = spec.inv_i(lead)
+            ray = [spec.mul_i(s, x) for x in ray]
+        rays.append(tuple(ray))
+    return rays
+
+
 def serialize_points(points: Sequence[ProjectivePoint], spec: FieldSpec) -> str:
     """Fixed-width bits: coordinates in order, coefficients little-endian."""
-    width = _bits_per_coeff(spec.p)
-    bits = []
-    for point in points:
-        for entry in point.coords.entries:
-            for c in entry.coeffs:
-                bits.append(format(c, f"0{width}b"))
-    return "".join(bits)
+    return _rays_to_bits([p.ray for p in points], spec)
 
 
 def deserialize_points(bits: str, spec: FieldSpec, dim: int) -> List[ProjectivePoint]:
     """Inverse of serialize_points; validates widths and coefficient range."""
-    width = _bits_per_coeff(spec.p)
-    per_point = dim * spec.k * width
-    if not bits or len(bits) % per_point != 0 or any(b not in "01" for b in bits):
-        raise MalformedBitstreamError(
-            f"bitstream length must be a positive multiple of {per_point}"
-        )
-    points = []
-    for start in range(0, len(bits), per_point):
-        chunk = bits[start:start + per_point]
-        entries = []
-        pos = 0
-        for _ in range(dim):
-            coeffs = []
-            for _ in range(spec.k):
-                c = int(chunk[pos:pos + width], 2)
-                if c >= spec.p:
-                    raise MalformedBitstreamError(f"coefficient {c} out of range for p={spec.p}")
-                coeffs.append(c)
-                pos += width
-            entries.append(spec.element(coeffs))
-        vec = FieldVector(spec, entries)
-        if vec.is_zero():
-            raise MalformedBitstreamError("decoded point is the zero vector")
-        points.append(ProjectivePoint(vec))
-    return points
+    return [_point(spec, r) for r in _bits_to_rays(bits, spec, dim)]
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -232,13 +287,25 @@ def _sdc_codebook(spec: FieldSpec) -> Tuple[Mapping[str, Ray], Mapping[Ray, str]
     return MappingProxyType(words), MappingProxyType(readings)
 
 
-def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[ProjectivePoint]]:
-    """Push every chunk of the bitstream through the super-dense channel.
+def _transmit_bits(bits: str, spec: FieldSpec) -> str:
+    """The bits read back after every chunk crossed the super-dense channel.
 
     Characteristic 2 carries one bit per Bell use (messages 00/01), other
     characteristics two bits; odd tails are padded with a zero bit that is
     stripped on receipt.
     """
+    words, readings = _sdc_codebook(spec)
+    per_use = 1 if spec.p == 2 else 2
+    padded = bits + "0" * (-len(bits) % per_use)
+    # A chunk is sent as the message that ends in it (char 2: 0b).
+    return "".join(
+        readings[words[padded[i:i + per_use].rjust(2, "0")]][-per_use:]
+        for i in range(0, len(padded), per_use)
+    )[:len(bits)]
+
+
+def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[ProjectivePoint]]:
+    """Push every chunk of the bitstream through the super-dense channel."""
     if not ct.points:
         raise MalformedBitstreamError("empty ciphertext")
     bits = ct.bitstream
@@ -246,17 +313,9 @@ def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[Projecti
         raise MalformedBitstreamError("empty bitstream")
     if not set(bits) <= {"0", "1"}:
         raise MalformedBitstreamError("bitstream holds characters other than 0 and 1")
-    words, readings = _sdc_codebook(spec)
-    per_use = 1 if spec.p == 2 else 2
-    padded = bits + "0" * (-len(bits) % per_use)
-    # A chunk is sent as the message that ends in it (char 2: 0b).
-    received_bits = "".join(
-        readings[words[padded[i:i + per_use].rjust(2, "0")]][-per_use:]
-        for i in range(0, len(padded), per_use)
-    )[:len(bits)]
+    received_bits = _transmit_bits(bits, spec)
     dim = len(ct.points[0].coords)
-    points = deserialize_points(received_bits, spec, dim)
-    return received_bits, points
+    return received_bits, deserialize_points(received_bits, spec, dim)
 
 
 @dataclass
@@ -280,12 +339,15 @@ class RoundTripReport:
 
 
 def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripReport:
-    """Seeded random non-self-orthogonal states through the full pipeline."""
+    """Seeded random non-self-orthogonal states through the full pipeline.
+
+    Every trial runs the index-level cores end to end: encode, serialize,
+    transmit, deserialize and decode; objects are built only for witnesses.
+    """
     geom = params.geom
     spec = geom.spec
-    form = geom.form
     rng = random.Random(seed)
-    dim = form.dim
+    dim = geom.form.dim
     order = spec.order
     _, _, _, mul, inv, _ = spec.tables()
     successes = 0
@@ -297,27 +359,27 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
         ray = tuple(rng.randrange(order) for _ in range(dim))
         if not any(ray):
             continue
-        vec = FieldVector.from_indices(spec, ray)
-        if is_self_orthogonal(vec, form):
+        try:
+            sent = _encode_ray(ray, params)
+        except SelfOrthogonalStateError:
             skipped += 1
             continue
-        done += 1
-        try:
-            ct = geo_encode(vec, params)
         except DegenerateSpanError:
+            done += 1
             degenerate += 1
-            witnesses.append({"state": vec.to_json(), "failure": "DegenerateSpan"})
+            witnesses.append({"state": FieldVector.from_indices(spec, ray).to_json(),
+                              "failure": "DegenerateSpan"})
             continue
-        _, received = geo_transmit(ct, spec)
-        recovered = geo_decode(GeoCiphertext(points=tuple(received), bitstream=ct.bitstream),
-                               params)
-        if recovered.ray == _normalize_ray(ray, mul, inv):
+        done += 1
+        bits = _transmit_bits(_rays_to_bits(sent, spec), spec)
+        recovered = _decode_rays(_bits_to_rays(bits, spec, dim), params)
+        if recovered == _normalize_ray(ray, mul, inv):
             successes += 1
         else:
             witnesses.append({
-                "state": vec.to_json(),
+                "state": FieldVector.from_indices(spec, ray).to_json(),
                 "failure": "Mismatch",
-                "recovered": recovered.to_json(),
+                "recovered": _point(spec, recovered).to_json(),
             })
     return RoundTripReport(
         trials=trials,

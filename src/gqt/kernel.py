@@ -164,7 +164,8 @@ class KernelGeometry:
         return buf.getvalue()
 
 
-def _guard(spec: FieldSpec, dim: int, override: bool) -> None:
+def enumeration_guard(spec: FieldSpec, dim: int, override: bool = False) -> None:
+    """Refuse a desk-scale-breaking enumeration before anything is built."""
     if override or os.environ.get("GQT_GUARD_OVERRIDE") == "1":
         return
     if dim > _MAX_DIM or (spec.q or spec.order) > _MAX_Q:
@@ -213,7 +214,7 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
     dim = f.dim
-    _guard(spec, dim, override)
+    enumeration_guard(spec, dim, override)
     add, _, _, mul, inv, frob = spec.tables()
     gram = _mul_rows(f.gram)
 
@@ -339,20 +340,25 @@ def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
     return FieldVector.from_indices(f.spec, _functional(v, f))
 
 
-def polar_of_subspace(basis: Sequence[FieldVector], f: HermitianForm) -> List[FieldVector]:
-    """Basis of the intersection of the polar hyperplanes of a subspace.
+def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]:
+    """Rank and polar of a subspace, from its polar rows conj(v) G as element indices.
 
-    One row reduction of the polar hyperplanes' coefficient rows gives both
-    their rank (the basis must be independent) and their common null space.
+    G is nondegenerate, so one row reduction gives both: the rank of the
+    rows is the rank of the subspace, and their null space is its polar.
     """
+    reduced, pivots = _rref([list(r) for r in rows], f.spec)
+    return len(pivots), _null_basis(reduced, pivots, f.dim, f.spec)
+
+
+def polar_of_subspace(basis: Sequence[FieldVector], f: HermitianForm) -> List[FieldVector]:
+    """Basis of the intersection of the polar hyperplanes of a subspace."""
     basis = list(basis)
     if not basis:
         raise DependentBasisError("empty basis")
-    rows = [list(_functional(v, f)) for v in basis]
-    rows, pivots = _rref(rows, f.spec)
-    if len(pivots) < len(basis):
+    rank, polar = _polar([_functional(v, f) for v in basis], f)
+    if rank < len(basis):
         raise DependentBasisError("basis vectors are linearly dependent")
-    return [FieldVector.from_indices(f.spec, v) for v in _null_basis(rows, pivots, f.dim, f.spec)]
+    return [FieldVector.from_indices(f.spec, v) for v in polar]
 
 
 def polar_point(basis: Sequence[FieldVector], f: HermitianForm) -> ProjectivePoint:
@@ -434,29 +440,40 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     )
 
 
-def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:
-    """Kernel points in the polar plane of a non-self-orthogonal point.
-
-    One polar row conj(x) G is paired with x (the self-orthogonality test)
-    and with every kernel ray.
-    """
+def _curve(row: Ray, geom: KernelGeometry) -> List[int]:
+    """Indices of the kernel points whose rays pair to zero with a polar row."""
     add, _, _, mul, _, _ = geom.spec.tables()
-    row = geom.form._row(x.ray)
-    if _pair(row, x.ray, geom.spec) == 0:
-        raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
     # Pair all rays at once, one coordinate column at a time.
     values = [0] * len(geom.rays)
     for k, c in enumerate(row):
         if c:
             m = mul[c]
             values = [add[a][m[r[k]]] for a, r in zip(values, geom.rays)]
-    return [p for p, value in zip(geom.points, values) if not value]
+    return [i for i, value in enumerate(values) if not value]
+
+
+def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:
+    """Kernel points in the polar plane of a non-self-orthogonal point.
+
+    One polar row conj(x) G is paired with x (the self-orthogonality test)
+    and with every kernel ray.
+    """
+    row = geom.form._row(x.ray)
+    if _pair(row, x.ray, geom.spec) == 0:
+        raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
+    return [geom.points[i] for i in _curve(row, geom)]
+
+
+def _meet(line: FrozenSet[int], curve: Iterable[int]) -> int:
+    """Index of the single kernel point on both a line and a curve (as indices)."""
+    common = line.intersection(curve)
+    if len(common) != 1:
+        raise NotUniqueError(f"line meets curve in {len(common)} points, expected 1")
+    return next(iter(common))
 
 
 def unique_meet(line: FrozenSet[int], curve: Sequence[ProjectivePoint],
                 geom: KernelGeometry) -> ProjectivePoint:
     """The single common point of a kernel line and a Hermitian curve."""
-    common = sorted(line.intersection(map(geom.index_of, curve)))
-    if len(common) != 1:
-        raise NotUniqueError(f"line meets curve in {len(common)} points, expected 1")
-    return geom.points[common[0]]
+    rays = {p.ray for p in curve if p.spec == geom.spec}
+    return geom.points[_meet(line, (i for i in line if geom.rays[i] in rays))]

@@ -8,7 +8,9 @@ is reflexive: conj(<x,y>) = <y,x>.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Tuple, Union
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateFormError,
@@ -343,6 +345,7 @@ class HermitianForm:
         self.spec = spec
         self.gram = gram
         self.dim = gram.nrows
+        self._gram = tuple(tuple(row) for row in gram.indices())
 
     def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
         if len(x) != self.dim or len(y) != self.dim:
@@ -355,14 +358,14 @@ class HermitianForm:
         """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
         if len(x) != self.dim:
             raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
-        spec = self.spec
+        add_i, mul_i = self.spec.add_i, self.spec.mul_i
         row = [0] * self.dim
-        for xi, grow in zip(x, self.gram.rows):
+        for xi, grow in zip(x, self._gram):
             if xi:
-                c = spec.frob_i(xi)
+                c = self.spec.frob_i(xi)
                 for j, g in enumerate(grow):
-                    if g.index:
-                        row[j] = spec.add_i(row[j], spec.mul_i(c, g.index))
+                    if g:
+                        row[j] = add_i(row[j], mul_i(c, g))
         return tuple(row)
 
     def is_standard(self) -> bool:
@@ -405,25 +408,35 @@ def is_unitary(u: FieldMatrix, f: HermitianForm) -> bool:
 _PRODUCT_LENGTH = 16
 
 
-def _norm_one_elements(spec: FieldSpec) -> List[FieldElement]:
-    out = [x for x in spec.elements() if not x.is_zero() and x.norm() == spec.one]
-    return out
+class _UnitaryTables(NamedTuple):
+    """Field-only tables of the unitary sampler, in draw order."""
+
+    norm_one: Tuple[FieldElement, ...]  # nonzero x with norm(x) = 1
+    units: Tuple[Tuple[FieldElement, FieldElement], ...]  # norm(a) + norm(c) = 1
+    norm_inverse: Mapping[int, FieldElement]  # subfield s != 0 -> first mu, norm(mu) = 1/s
 
 
-def _unit_vectors_2(spec: FieldSpec) -> List[Tuple[FieldElement, FieldElement]]:
-    """All (a, c) with norm(a) + norm(c) = 1; first columns of 2x2 unitaries."""
-    one = spec.one
-    return [
-        (a, c)
-        for a in spec.elements()
-        for c in spec.elements()
-        if a.norm() + c.norm() == one
-    ]
+@lru_cache(maxsize=None)
+def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
+    """The sampler's tables of ``spec``, built on first use and shared."""
+    elements = list(spec.elements())
+    norms = [x.norm() for x in elements]
+    norm_inverse: Dict[int, FieldElement] = {}
+    for s in norms[1:]:
+        if s.index not in norm_inverse:
+            inv_s = s.inverse()
+            norm_inverse[s.index] = next(mu for mu, n in zip(elements, norms) if n == inv_s)
+    return _UnitaryTables(
+        norm_one=tuple(x for x, n in zip(elements, norms) if not x.is_zero() and n == spec.one),
+        units=tuple((a, c) for a, na in zip(elements, norms) for c, nc in zip(elements, norms)
+                    if na + nc == spec.one),
+        norm_inverse=MappingProxyType(norm_inverse),
+    )
 
 
 def _random_block_unitary(spec: FieldSpec, rng: random.Random,
                           units: Sequence[Tuple[FieldElement, FieldElement]],
-                          norm_inverse: dict) -> Tuple[FieldElement, ...]:
+                          norm_inverse: Mapping[int, FieldElement]) -> Tuple[FieldElement, ...]:
     """Random 2x2 unitary (standard form) as (a, b, c, d), columns (a,c),(b,d)."""
     a, c = rng.choice(units)
     # (conj(c), -conj(a)) is orthogonal to (a, c); rescale it to unit length.
@@ -444,19 +457,7 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
         raise NotUnitaryError("random_unitary supports only the standard form")
     spec, n = f.spec, f.dim
     rng = random.Random(seed)
-    norm_one = _norm_one_elements(spec)
-    units = _unit_vectors_2(spec) if n >= 2 else []
-    # For each subfield value s != 0, one mu with norm(mu) = 1/s.
-    norm_inverse = {}
-    for x in spec.elements():
-        if x.is_zero():
-            continue
-        s = x.norm()
-        inv_s = s.inverse()
-        for mu in spec.elements():
-            if mu.norm() == inv_s:
-                norm_inverse.setdefault(s.index, mu)
-                break
+    norm_one, units, norm_inverse = _unitary_tables(spec)
     acc = identity_matrix(spec, n)
     kinds = ["perm", "diag"] + (["block"] if n >= 2 else [])
     for _ in range(_PRODUCT_LENGTH):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gqt.cli
 from gqt.cli import run
 
 
@@ -218,6 +219,28 @@ def test_scan_dim_below_one_is_usage_error(capsys, dim):
     with pytest.raises(SystemExit) as exc:
         run(["noclone", "scan", "--p", "3", "--dim", dim, "--deterministic"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["kernel", "enumerate"], ["verify", "--seed", "0"]])
+@pytest.mark.parametrize("dim", ["0", "-1", "x"])
+def test_enumeration_dim_below_one_is_usage_error(capsys, command, dim):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--p", "2", "--dim", dim, "--deterministic"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["kernel", "enumerate"], ["verify", "--seed", "0"]])
+@pytest.mark.parametrize("args", [["--p", "2", "--dim", "400"], ["--p", "7"]])
+def test_enumeration_guard_comes_before_the_form(capsys, monkeypatch, command, args):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+
+    def no_form(spec, dim):
+        raise AssertionError("the form was built before the guard")
+
+    monkeypatch.setattr(gqt.cli, "standard_form", no_form)
+    code, report = run_json(capsys, command + args + ["--deterministic"])
+    assert code == 1
+    assert report["error"]["type"] == "TooLarge"
 
 
 # Malformed or out-of-range arguments across the subcommands.  An exception

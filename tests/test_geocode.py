@@ -1,6 +1,7 @@
 import pytest
 
 from gqt.errors import (
+    DegenerateSpanError,
     MalformedBitstreamError,
     NotKernelPointError,
     SelfOrthogonalStateError,
@@ -10,7 +11,12 @@ from gqt.field import build_field
 from gqt.geocode import (
     GeoCiphertext,
     GeoParams,
+    _bits_to_rays,
+    _decode_rays,
+    _encode_ray,
+    _rays_to_bits,
     _sdc_codebook,
+    _transmit_bits,
     agree_parameters,
     deserialize_points,
     geo_decode,
@@ -20,8 +26,15 @@ from gqt.geocode import (
     roundtrip_sweep,
     serialize_points,
 )
-from gqt.kernel import ProjectivePoint, hermitian_curve
-from gqt.linalg import FieldVector, identity_matrix, is_unitary
+from gqt.kernel import ProjectivePoint, enumerate_projective_points, hermitian_curve
+from gqt.linalg import (
+    FieldMatrix,
+    FieldVector,
+    basis_vector,
+    identity_matrix,
+    is_unitary,
+    nullspace,
+)
 from gqt.protocols import sdc_decode, sdc_encode, sdc_messages
 
 
@@ -151,22 +164,28 @@ def test_codebook_matches_sdc_protocol(p):
     assert _sdc_codebook(spec) is _sdc_codebook(spec)
 
 
-def test_transmit_returns_the_points_of_the_roundtrip_golden_job(kernel_q2, monkeypatch):
+def test_sweep_transmits_the_points_of_the_roundtrip_golden_job(gf4, kernel_q2, monkeypatch):
     # tests/golden/geocode_roundtrip_q2.json: seed 0, 200 trials, 22 degenerate
-    sent = []
+    encoded, sent = [], []
 
-    def recording_transmit(ct, spec):
-        bits, points = geo_transmit(ct, spec)
-        sent.append((ct, bits, points))
-        return bits, points
+    def recording_encode(state, params):
+        rays = _encode_ray(state, params)
+        encoded.append(rays)
+        return rays
 
-    monkeypatch.setattr(geocode, "geo_transmit", recording_transmit)
+    def recording_transmit(bits, spec):
+        received = _transmit_bits(bits, spec)
+        sent.append((bits, received))
+        return received
+
+    monkeypatch.setattr(geocode, "_encode_ray", recording_encode)
+    monkeypatch.setattr(geocode, "_transmit_bits", recording_transmit)
     report = roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0)
     assert (report.successes, report.degenerate) == (178, 22)
-    assert len(sent) == 178
-    for ct, bits, points in sent:
-        assert bits == ct.bitstream
-        assert tuple(points) == ct.points
+    assert len(encoded) == len(sent) == 178
+    for rays, (bits, received) in zip(encoded, sent):
+        assert received == bits
+        assert _bits_to_rays(received, gf4, 4) == list(rays)
 
 
 def test_transmit_rejects_non_binary_bitstream(gf4, params_q2):
@@ -186,3 +205,72 @@ def test_parse_bitstream(gf4, gf9):
     for bad in ["", "zz", "babea70", "0x1f", " 1f", "-1f", "0" * 8, "1" * 25]:
         with pytest.raises(MalformedBitstreamError):
             parse_bitstream(bad, gf4, 4)
+
+
+# --- the index-level trial against an object-level reference ---------------------
+
+
+def reference_trial(state, params, channel):
+    """One roundtrip trial on objects, from ``HermitianForm.evaluate`` alone.
+
+    Returns "DegenerateSpan", or the transported points, their bits, the
+    received bits and points, and the recovered point.  ``channel`` maps
+    each super-dense message to the message read back.
+    """
+    geom, form, spec = params.geom, params.geom.form, params.geom.spec
+    meets = []
+    for li in params.line_indices:
+        on_curve = [geom.points[i].coords for i in sorted(geom.lines[li])
+                    if form.evaluate(state, geom.points[i].coords).is_zero()]
+        assert len(on_curve) == 1
+        meets.append(on_curve[0])
+    if FieldMatrix(spec, [list(m) for m in meets]).rank() < 3:
+        return "DegenerateSpan"
+    sent = [ProjectivePoint(params.eta @ m) for m in meets]
+    width = max(1, (spec.p - 1).bit_length())
+    bits = "".join(format(c, f"0{width}b") for p in sent for e in p.coords for c in e.coeffs)
+    per_use = 1 if spec.p == 2 else 2
+    padded = bits + "0" * (-len(bits) % per_use)
+    received_bits = "".join(channel[padded[i:i + per_use].rjust(2, "0")][-per_use:]
+                            for i in range(0, len(padded), per_use))[:len(bits)]
+    per_entry = spec.k * width
+    entries = [spec.element([int(received_bits[j:j + width], 2)
+                             for j in range(i, i + per_entry, width)])
+               for i in range(0, len(received_bits), per_entry)]
+    received = [ProjectivePoint(FieldVector(spec, entries[i:i + form.dim]))
+                for i in range(0, len(entries), form.dim)]
+    pulled = [params.eta_inverse @ p.coords for p in received]
+    units = [basis_vector(spec, form.dim, j) for j in range(form.dim)]
+    functionals = FieldMatrix(spec, [[form.evaluate(v, e) for e in units] for v in pulled])
+    assert functionals.rank() == 3
+    (polar,) = nullspace(functionals)
+    return sent, bits, received_bits, received, ProjectivePoint(polar)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_index_trial_matches_object_reference(p, seed, kernel_q2, kernel_q3):
+    geom = kernel_q2 if p == 2 else kernel_q3
+    spec, form = geom.spec, geom.form
+    params = agree_parameters(geom, seed)
+    channel = {m: sdc_decode(sdc_encode(m, spec), spec) for m in sdc_messages(spec)}
+    states = [v for v in enumerate_projective_points(spec, form.dim)
+              if not form.evaluate(v, v).is_zero()]
+    assert len(states) == {2: 40, 3: 540}[p]
+    degenerate = 0
+    for state in states:
+        expected = reference_trial(state, params, channel)
+        if expected == "DegenerateSpan":
+            degenerate += 1
+            with pytest.raises(DegenerateSpanError):
+                _encode_ray(state.indices(), params)
+            continue
+        sent, bits, received_bits, received, recovered = expected
+        rays = _encode_ray(state.indices(), params)
+        assert list(rays) == [pt.ray for pt in sent]
+        assert _rays_to_bits(rays, spec) == bits
+        assert _transmit_bits(bits, spec) == received_bits == bits
+        received_rays = _bits_to_rays(received_bits, spec, form.dim)
+        assert received_rays == [pt.ray for pt in received]
+        assert _decode_rays(received_rays, params) == recovered.ray == state.indices()
+    assert 0 < degenerate < len(states)

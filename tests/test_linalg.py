@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from gqt.errors import (
 from gqt.field import build_field
 from gqt.linalg import (
     FieldMatrix,
+    _unitary_tables,
     FieldVector,
     HermitianForm,
     basis_vector,
@@ -167,6 +170,38 @@ def test_random_unitary_membership_and_determinism(form9_dim4):
         assert is_unitary(u, form9_dim4)
     assert random_unitary(form9_dim4, 77) == random_unitary(form9_dim4, 77)
     assert random_unitary(form9_dim4, 77) != random_unitary(form9_dim4, 78)
+
+
+def test_unitary_tables_are_built_once_per_field_in_draw_order():
+    spec = build_field(5, 2)
+    tables = _unitary_tables(spec)
+    assert _unitary_tables(spec) is tables
+    elements = list(spec.elements())
+    one = spec.one
+    assert tables.norm_one == tuple(x for x in elements if not x.is_zero() and x.norm() == one)
+    assert tables.units == tuple((a, c) for a in elements for c in elements
+                                 if a.norm() + c.norm() == one)
+    for x in elements[1:]:
+        s = x.norm()
+        first = next(mu for mu in elements if mu.norm() == s.inverse())
+        assert tables.norm_inverse[s.index] == first
+    assert set(tables.norm_inverse) == {x.norm().index for x in elements[1:]}
+
+
+# SHA-256 of the JSON list of random_unitary(standard_form(GF(p^2), dim), s)
+# for s in 0..19, recorded before the sampler's tables were cached per field.
+UNITARY_DRAWS = {
+    (5, 4): "e28c1fc168b7aeb0eb7b2b92dfd04a7152b3ab9988c0b607a66aa38e03872cf1",
+    (3, 2): "57ab8592522d272dac0a4c395b962327b4871f920e8828a660712256c7c88508",
+    (2, 3): "c4e368ab93cfbc0a893c383f3dc4fe44b4c25995959bd6817721bbc18f00bedc",
+}
+
+
+@pytest.mark.parametrize("p,dim", sorted(UNITARY_DRAWS))
+def test_random_unitary_draws_are_pinned(p, dim):
+    f = standard_form(build_field(p, 2), dim)
+    blob = json.dumps([random_unitary(f, s).to_json() for s in range(20)])
+    assert hashlib.sha256(blob.encode()).hexdigest() == UNITARY_DRAWS[(p, dim)]
 
 
 def test_random_unitary_rejects_nonstandard_gram(gf9):
