@@ -40,10 +40,12 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
                    help="comma-separated modulus coefficients, low degree first")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, handler) -> None:
+    """The output flags, and the handler ``run`` calls with the parsed arguments."""
     p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
     p.add_argument("--deterministic", action="store_true",
                    help="omit timestamps for byte-reproducible output")
+    p.set_defaults(handler=handler)
 
 
 def _count(text: str) -> int:
@@ -84,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     p.add_argument("--element", type=str, default=None,
                    help="element to analyze, as 't+1' or '1,1'")
-    _add_common(p)
+    _add_common(p, _cmd_field)
 
     p = sub.add_parser("theory", help="instantiate a theory lattice point (i, m, p)")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--pp", type=int, required=True, help="prime characteristic")
-    _add_common(p)
+    _add_common(p, _cmd_theory)
 
     p = sub.add_parser("kernel", help="self-orthogonal geometry")
     ksub = p.add_subparsers(dest="kernel_command", required=True)
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--unsafe-size", action="store_true",
                     help="override the desk-scale enumeration guard")
     ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
-    _add_common(ke)
+    _add_common(ke, _cmd_kernel_enumerate)
 
     p = sub.add_parser("verify", help="axioms: one-or-all, degrees, unitary action")
     _add_field_args(p)
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
     p.add_argument("--unsafe-size", action="store_true")
-    _add_common(p)
+    _add_common(p, _cmd_verify)
 
     p = sub.add_parser("teleport", help="teleport a state (alpha, beta)")
     _add_field_args(p)
@@ -116,21 +118,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=str, required=True)
     p.add_argument("--char2", action="store_true", help="use the characteristic-2 variant")
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
+    _add_common(p, _cmd_teleport)
 
     p = sub.add_parser("sdc", help="super-dense coding round trip")
     _add_field_args(p)
     p.add_argument("--message", type=str, required=True, help="two bits, e.g. 01")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, _cmd_sdc)
 
-    for name, help_text in [("noclone", "cloneability scan"), ("nodelete", "deletability scan")]:
+    for name, kind, help_text in [("noclone", "clone", "cloneability scan"),
+                                  ("nodelete", "delete", "deletability scan")]:
         p = sub.add_parser(name, help=help_text)
         nsub = p.add_subparsers(dest=f"{name}_command", required=True)
         ns = nsub.add_parser("scan", help="classify every state pair exhaustively")
         _add_field_args(ns)
         ns.add_argument("--dim", type=_positive, default=2)
-        _add_common(ns)
+        _add_common(ns, _cmd_nogo_scan)
+        ns.set_defaults(kind=kind)
 
     p = sub.add_parser("geocode", help="kernel-geometry coding scheme")
     gsub = p.add_subparsers(dest="geocode_command", required=True)
@@ -138,18 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(gr)
     gr.add_argument("--seed", type=int, required=True)
     gr.add_argument("--trials", type=_count, default=100)
-    _add_common(gr)
+    _add_common(gr, _cmd_geocode_roundtrip)
     ge = gsub.add_parser("encode", help="encode a single state")
     _add_field_args(ge)
     ge.add_argument("--state", type=str, required=True,
                     help="semicolon-separated coordinates, e.g. '1;0;t;t+1'")
     ge.add_argument("--seed", type=int, required=True)
-    _add_common(ge)
+    _add_common(ge, _cmd_geocode_encode)
     gd = gsub.add_parser("decode", help="decode a hex/bit ciphertext")
     _add_field_args(gd)
     gd.add_argument("--bitstream", type=str, required=True)
     gd.add_argument("--seed", type=int, required=True)
-    _add_common(gd)
+    _add_common(gd, _cmd_geocode_decode)
 
     return parser
 
@@ -232,8 +236,8 @@ def _cmd_sdc(args) -> dict:
     return sdc_transcript(args.message, spec, args.seed).to_json()
 
 
-def _cmd_nogo_scan(args, kind: str) -> dict:
-    return scan(_field_from_args(args), args.dim, kind)
+def _cmd_nogo_scan(args) -> dict:
+    return scan(_field_from_args(args), args.dim, args.kind)
 
 
 def _geo_params(args):
@@ -280,44 +284,20 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "field":
-            report = _cmd_field(args)
-        elif args.command == "theory":
-            report = _cmd_theory(args)
-        elif args.command == "kernel":
-            report = _cmd_kernel_enumerate(args)
-        elif args.command == "verify":
-            report = _cmd_verify(args)
-        elif args.command == "teleport":
-            report = _cmd_teleport(args)
-        elif args.command == "sdc":
-            report = _cmd_sdc(args)
-        elif args.command == "noclone":
-            report = _cmd_nogo_scan(args, "clone")
-        elif args.command == "nodelete":
-            report = _cmd_nogo_scan(args, "delete")
-        elif args.command == "geocode":
-            handler = {
-                "roundtrip": _cmd_geocode_roundtrip,
-                "encode": _cmd_geocode_encode,
-                "decode": _cmd_geocode_decode,
-            }[args.geocode_command]
-            report = handler(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        report = args.handler(args)
     except GQTError as exc:
         payload = json.dumps({"error": exc.to_json()}, indent=2)
-        _emit(payload, getattr(args, "out", None))
+        _emit(payload, args.out)
         return 1
 
     if isinstance(report, str):  # kernel catalog as CSV
         _emit(report, args.out)
         return 0
 
-    if not getattr(args, "deterministic", False):
+    if not args.deterministic:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     payload = json.dumps(report, indent=2)
-    _emit(payload, getattr(args, "out", None))
+    _emit(payload, args.out)
     return 0
 
 

@@ -2,11 +2,14 @@
 
 Elements are indexed by integers: the element with coefficient vector
 (c0, c1, ..., c_{k-1}) (little-endian in the generator ``t``) has index
-c0 + c1*p + ... + c_{k-1}*p^(k-1).  For orders up to ``_TABLE_LIMIT``
-every operation is a table lookup: addition, subtraction, negation and
-multiplication (``order x order`` tables), inverse and conjugation
-(``order`` entries).  The hot loops of the kernel geometry read these
-tables directly.  Larger orders fall back to polynomial arithmetic.
+c0 + c1*p + ... + c_{k-1}*p^(k-1).  Every field is built with full
+lookup tables, so every operation is a table lookup: addition,
+subtraction, negation and multiplication (``order x order`` tables),
+inverse and conjugation (``order`` entries).  Multiplication comes from
+the log/antilog tables of a primitive element g, a*b = g^(log a + log b),
+the construction of ``galois`` (M. Hostetter,
+github.com/mhostetter/galois).  Orders above ``_TABLE_LIMIT`` are refused
+before anything is built.
 
 When the extension degree k is even the field carries the conjugation
 x -> x^q with q = p^(k/2); the fixed subfield has order q, and a
@@ -34,7 +37,7 @@ from .errors import (
     TooLargeError,
 )
 
-# Orders up to this bound get full arithmetic tables.
+# Largest field order; every field gets full arithmetic tables.
 _TABLE_LIMIT = 4096
 
 
@@ -144,18 +147,32 @@ def parse_coefficients(text: str) -> List[int]:
 _TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*(?:\*\s*)?(t(?:\^(\d+))?)?\s*$")
 
 
+def _check_prime(p: int) -> None:
+    """Refuse p above ``_TABLE_LIMIT`` before the primality test, then a non-prime p."""
+    if p > _TABLE_LIMIT:
+        raise TooLargeError(f"characteristic {p} exceeds the field order limit {_TABLE_LIMIT}")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+
+
 class FieldSpec:
     """GF(p^k) with a fixed monic irreducible modulus.
 
     Immutable after construction; all arithmetic goes through integer
-    element indices internally.
+    element indices and the lookup tables built here.
     """
 
     def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        # Bound the order before any search or table: p first (so the
+        # primality test stays cheap), then p^k one factor at a time.
+        _check_prime(p)
         if k < 1:
             raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+        order = 1
+        for _ in range(k):
+            order *= p
+            if order > _TABLE_LIMIT:
+                raise TooLargeError(f"GF({p}^{k}) has order above the limit {_TABLE_LIMIT}")
         if modulus is None:
             modulus = _first_irreducible(p, k)
         else:
@@ -169,21 +186,21 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.modulus = tuple(modulus)
-        self.order = p ** k
+        self.order = order
         self.q = p ** (k // 2) if k % 2 == 0 else None
 
-        self._coeffs = [self._digits(n) for n in range(self.order)]
+        self._coeffs = [self._digits(n) for n in range(order)]
         self._build_tables()
         self._subfield = None
         self._kappa_index = None
         if self.q is not None:
             qq = self.q
-            self._subfield = frozenset(n for n in range(self.order) if self.frob_i(n) == n)
+            self._subfield = frozenset(n for n in range(order) if self.frob_i(n) == n)
             if len(self._subfield) != qq:
                 raise InvariantError(
                     f"fixed field of x -> x^{qq} has {len(self._subfield)} elements, expected {qq}"
                 )
-            self._kappa_index = next(n for n in range(self.order) if n not in self._subfield)
+            self._kappa_index = next(n for n in range(order) if n not in self._subfield)
 
     # -- construction-time helpers --
 
@@ -200,98 +217,79 @@ class FieldSpec:
             n = n * self.p + (c % self.p)
         return n
 
+    def _powers(self, g: int) -> List[int]:
+        """g^0, g^1, ... up to the last power before 1 recurs, by polynomial products."""
+        out, x = [], 1
+        while x != 1 or not out:
+            out.append(x)
+            x = self._index_of(_poly_mod(_poly_mul(self._coeffs[x], self._coeffs[g], self.p),
+                                         self.modulus, self.p))
+        return out
+
     def _build_tables(self) -> None:
-        """Fill the arithmetic tables (see ``FieldTables``); ``None`` above ``_TABLE_LIMIT``."""
-        p, order = self.p, self.order
-        self._add = self._sub = self._neg = self._mul = self._inv = self._frob = None
-        if order > _TABLE_LIMIT:  # pragma: no cover - beyond desk scale
-            return
-        coeffs = self._coeffs
-        # Addition is digit-wise mod p: extend the table one top digit at a time.
-        add, w = [[0]], 1
+        """Fill the arithmetic tables (see ``FieldTables``)."""
+        p, order, n = self.p, self.order, self.order - 1
+        # Addition is digit-wise mod p: extend the table one top digit at a
+        # time; entries come from one list of ints, so the tables share them.
+        ints, add, w = list(range(order)), [[0]], 1
         for _ in range(self.k):
-            add = [[x + w * ((at + bt) % p) for bt in range(p) for x in add[a]]
+            tops = [ints[w * s:w * (s + 1)] for s in range(p)]
+            add = [[y for bt in range(p) for y in map(tops[(at + bt) % p].__getitem__, add[a])]
                    for at in range(p) for a in range(w)]
             w *= p
-        self._add = add
-        self._neg = [row.index(0) for row in add]
-        self._sub = [list(map(row.__getitem__, self._neg)) for row in add]
-        mul = [[0] * order for _ in range(order)]
-        for a in range(order):
-            ca = _poly_trim(coeffs[a])
-            for b in range(a, order):
-                cb = _poly_trim(coeffs[b])
-                prod = _poly_mod(_poly_mul(ca, cb, p), self.modulus, p)
-                v = self._index_of(prod + (0,) * (self.k - len(prod)))
-                mul[a][b] = v
-                mul[b][a] = v
-        self._mul = mul
-        inv = [0] * order
-        for a in range(1, order):
-            inv[a] = mul[a].index(1)
-        self._inv = inv
-        if self.q is not None:
-            self._frob = [self.pow_i(a, self.q) for a in range(order)]
+        neg = [row.index(0) for row in add]
+        # The first element whose powers reach every unit is primitive; its
+        # powers are the antilog table, and a*b = g^(log a + log b).
+        exp = next(e for e in map(self._powers, range(1, order)) if len(e) == n)
+        log = [0] * order
+        for i, x in enumerate(exp):
+            log[x] = i
+        logs, exp2 = log[1:], exp + exp
+        self._exp, self._log = exp, log
+        self._tables = FieldTables(
+            add=add,
+            sub=[list(map(row.__getitem__, neg)) for row in add],
+            neg=neg,
+            mul=[[0] * order] + [[0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs],
+            inv=[0] + [exp[-la % n] for la in logs],
+            frob=None if self.q is None else [0] + [exp[la * self.q % n] for la in logs],
+        )
+        self._add, self._sub, self._neg, self._mul, self._inv, self._frob = self._tables
 
     # -- index-level arithmetic (used by hot loops) --
 
     def tables(self) -> FieldTables:
         """The full lookup tables, for loops that work on element indices."""
-        if self._mul is None:  # pragma: no cover - beyond desk scale
-            raise TooLargeError(
-                f"GF({self.p}^{self.k}) has order {self.order} > {_TABLE_LIMIT}: no lookup tables"
-            )
-        return FieldTables(self._add, self._sub, self._neg, self._mul, self._inv, self._frob)
+        return self._tables
 
     def add_i(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        return self._index_of([(x + y) % self.p for x, y in zip(ca, cb)])
+        return self._add[a][b]
 
     def neg_i(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._index_of([(-x) % self.p for x in self._coeffs[a]])
+        return self._neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
-        if self._sub is not None:
-            return self._sub[a][b]
-        ca, cb = self._coeffs[a], self._coeffs[b]
-        return self._index_of([(x - y) % self.p for x, y in zip(ca, cb)])
+        return self._sub[a][b]
 
     def mul_i(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        prod = _poly_mul(_poly_trim(self._coeffs[a]), _poly_trim(self._coeffs[b]), self.p)
-        prod = _poly_mod(prod, self.modulus, self.p)
-        return self._index_of(prod + (0,) * (self.k - len(prod)))
+        return self._mul[a][b]
 
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow_i(a, self.order - 2)  # pragma: no cover - beyond desk scale
+        return self._inv[a]
 
     def pow_i(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv_i(a), -e
-        result = 1  # the index of one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_i(result, base)
-            base = self.mul_i(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise DivisionByZeroError("inverse of zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def frob_i(self, a: int) -> int:
-        if self.q is None:
+        if self._frob is None:
             raise NoInvolutionError(f"GF({self.p}^{self.k}) has odd degree, no conjugation")
-        if self._frob is not None:
-            return self._frob[a]
-        return self.pow_i(a, self.q)
+        return self._frob[a]
 
     # -- public element constructors --
 
@@ -379,9 +377,6 @@ class FieldSpec:
             raise NoInvolutionError("no distinguished subfield for odd degree")
         for n in sorted(self._subfield):
             yield FieldElement(self, n)
-
-    def in_subfield_i(self, n: int) -> bool:
-        return self._subfield is not None and n in self._subfield
 
     def coeffs_of(self, n: int) -> tuple:
         return self._coeffs[n]
@@ -566,8 +561,7 @@ class TheoryDescriptor:
 
 def theory_coordinates(i: int, m: int, p: int) -> TheoryDescriptor:
     """Instantiate the theory at lattice point (i, m, p): GF(p^2i), dim m."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    _check_prime(p)
     if i < 1 or m < 1:
         raise ParseError(f"i and m must be positive, got i={i}, m={m}")
     field = build_field(p, 2 * i)

@@ -136,7 +136,7 @@ def _encode_ray(state: Ray, params: GeoParams) -> Tuple[Ray, Ray, Ray]:
         raise SelfOrthogonalStateError("state must not be self-orthogonal")
     curve = _curve(row, geom)
     meets = [geom.rays[_meet(geom.lines[li], curve)] for li in params.line_indices]
-    if len(_rref([list(m) for m in meets], spec)[1]) < 3:
+    if len(_rref(meets, spec)[1]) < 3:
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
@@ -219,6 +219,7 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
             f"bitstream length must be a positive multiple of {per_point}"
         )
     index = _element_bits(spec)[1]
+    _, _, _, mul, inv, _ = spec.tables()
     rays = []
     for start in range(0, len(bits), per_point):
         ray = []
@@ -229,13 +230,9 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
                          if c >= spec.p)
                 raise MalformedBitstreamError(f"coefficient {c} out of range for p={spec.p}")
             ray.append(index[word])
-        lead = next((x for x in ray if x), 0)
-        if not lead:
+        if not any(ray):
             raise MalformedBitstreamError("decoded point is the zero vector")
-        if lead != 1:
-            s = spec.inv_i(lead)
-            ray = [spec.mul_i(s, x) for x in ray]
-        rays.append(tuple(ray))
+        rays.append(_normalize_ray(tuple(ray), mul, inv))
     return rays
 
 

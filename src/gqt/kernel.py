@@ -79,28 +79,19 @@ class ProjectivePoint:
         return self.coords.to_json()
 
 
+Ray = Tuple[int, ...]
+
+
 def normalize_ray(v: FieldVector) -> FieldVector:
     """Scale so the leftmost nonzero coordinate is 1."""
-    lead = next((e for e in v.entries if not e.is_zero()), None)
-    if lead is None:
-        raise ZeroVectorError("the zero vector spans no ray")
-    if lead == v.spec.one:
-        return v
-    return v.scale(lead.inverse())
+    _, _, _, mul, inv, _ = v.spec.tables()
+    return FieldVector.from_indices(v.spec, _normalize_ray(v.indices(), mul, inv))
 
 
 def enumerate_projective_points(spec: FieldSpec, dim: int) -> Iterator[FieldVector]:
     """All normalized rays of PG(dim-1, order), deterministic order."""
-    elements = list(spec.elements())
-    one, zero = spec.one, spec.zero
-    for lead in range(dim):
-        prefix = [zero] * lead + [one]
-        free = dim - lead - 1
-        for tail in itertools.product(elements, repeat=free):
-            yield FieldVector(spec, prefix + list(tail))
-
-
-Ray = Tuple[int, ...]
+    for ray in _index_rays(spec.order, dim):
+        yield FieldVector.from_indices(spec, ray)
 
 
 def is_self_orthogonal(v: FieldVector, f: HermitianForm) -> bool:
@@ -176,7 +167,7 @@ def enumeration_guard(spec: FieldSpec, dim: int, override: bool = False) -> None
 
 
 def _index_rays(order: int, dim: int) -> Iterator[Ray]:
-    """Normalized rays as index tuples, in ``enumerate_projective_points`` order."""
+    """Normalized rays as index tuples: leading 1, then every tail in index order."""
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(order), repeat=dim - lead - 1):
@@ -184,7 +175,7 @@ def _index_rays(order: int, dim: int) -> Iterator[Ray]:
 
 
 def _normalize_ray(w: Ray, mul: List[List[int]], inv: List[int]) -> Ray:
-    """Index-tuple version of ``normalize_ray``: the leading entry becomes 1."""
+    """Scale element indices w so that the leading nonzero entry becomes 1."""
     for x in w:
         if x:
             if x == 1:
@@ -207,7 +198,7 @@ def _matvec(rows: Sequence[Sequence[List[int]]], v: Ray, add: List[List[int]]) -
 
 def _mul_rows(m: FieldMatrix) -> List[List[List[int]]]:
     mul = m.spec.tables().mul
-    return [[mul[e.index] for e in row] for row in m.rows]
+    return [[mul[e] for e in row] for row in m.indices()]
 
 
 def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry:
@@ -346,7 +337,7 @@ def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]
     G is nondegenerate, so one row reduction gives both: the rank of the
     rows is the rank of the subspace, and their null space is its polar.
     """
-    reduced, pivots = _rref([list(r) for r in rows], f.spec)
+    reduced, pivots = _rref(rows, f.spec)
     return len(pivots), _null_basis(reduced, pivots, f.dim, f.spec)
 
 

@@ -26,28 +26,36 @@ from .field import FieldElement, FieldSpec
 
 
 class FieldVector:
-    """Fixed-length vector of field elements."""
+    """Fixed-length vector of field elements, stored as element indices."""
 
-    __slots__ = ("spec", "entries")
+    __slots__ = ("spec", "_indices")
 
     def __init__(self, spec: FieldSpec, entries: Sequence[FieldElement]):
-        entries = tuple(spec.parse(e) for e in entries)
-        if not entries:
-            raise DimensionMismatchError("vectors must have length >= 1")
-        self.spec = spec
-        self.entries = entries
+        self._set(spec, tuple(spec.parse(e).index for e in entries))
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, indices: Iterable[int]) -> "FieldVector":
         """The vector whose entries have the given element indices."""
-        return cls(spec, [FieldElement(spec, i) for i in indices])
+        v = cls.__new__(cls)
+        v._set(spec, tuple(indices))
+        return v
+
+    def _set(self, spec: FieldSpec, indices: Tuple[int, ...]) -> None:
+        if not indices:
+            raise DimensionMismatchError("vectors must have length >= 1")
+        self.spec = spec
+        self._indices = indices
 
     def indices(self) -> Tuple[int, ...]:
         """The element indices of the entries."""
-        return tuple(e.index for e in self.entries)
+        return self._indices
+
+    @property
+    def entries(self) -> Tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, i) for i in self._indices)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._indices)
 
     def __getitem__(self, i: int) -> FieldElement:
         return self.entries[i]
@@ -59,32 +67,37 @@ class FieldVector:
         return (
             isinstance(other, FieldVector)
             and self.spec == other.spec
-            and self.entries == other.entries
+            and self._indices == other._indices
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.k, tuple(e.index for e in self.entries)))
+        return hash((self.spec.p, self.spec.k, self._indices))
 
     def __add__(self, other: "FieldVector") -> "FieldVector":
         self._check(other)
-        return FieldVector(self.spec, [a + b for a, b in zip(self.entries, other.entries)])
+        add = self.spec.tables().add
+        return FieldVector.from_indices(self.spec, [
+            add[a][b] for a, b in zip(self._indices, other._indices)])
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
         self._check(other)
-        return FieldVector(self.spec, [a - b for a, b in zip(self.entries, other.entries)])
+        sub = self.spec.tables().sub
+        return FieldVector.from_indices(self.spec, [
+            sub[a][b] for a, b in zip(self._indices, other._indices)])
 
     def __neg__(self) -> "FieldVector":
-        return FieldVector(self.spec, [-a for a in self.entries])
+        return FieldVector.from_indices(self.spec, map(self.spec.tables().neg.__getitem__,
+                                                       self._indices))
 
     def scale(self, c: Union[FieldElement, int, str]) -> "FieldVector":
-        c = self.spec.parse(c)
-        return FieldVector(self.spec, [a * c for a in self.entries])
+        row = self.spec.tables().mul[self.spec.parse(c).index]
+        return FieldVector.from_indices(self.spec, map(row.__getitem__, self._indices))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self._indices)
 
     def conj(self) -> "FieldVector":
-        return FieldVector(self.spec, [e.conj() for e in self.entries])
+        return FieldVector.from_indices(self.spec, map(self.spec.frob_i, self._indices))
 
     def _check(self, other: "FieldVector") -> None:
         if self.spec != other.spec:
@@ -96,60 +109,70 @@ class FieldVector:
         return "vec(" + ", ".join(str(e) for e in self.entries) + ")"
 
     def to_json(self) -> list:
-        return [list(e.coeffs) for e in self.entries]
+        return [list(self.spec.coeffs_of(i)) for i in self._indices]
 
 
 class FieldMatrix:
-    """Rectangular matrix of field elements, stored row-major."""
+    """Rectangular matrix of field elements, stored row-major as element indices."""
 
-    __slots__ = ("spec", "rows")
+    __slots__ = ("spec", "_rows")
 
     def __init__(self, spec: FieldSpec, rows: Sequence[Sequence[FieldElement]]):
-        rows = tuple(tuple(spec.parse(e) for e in row) for row in rows)
+        self._set(spec, tuple(tuple(spec.parse(e).index for e in row) for row in rows))
+
+    @classmethod
+    def from_indices(cls, spec: FieldSpec, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
+        """The matrix whose entries have the given element indices."""
+        m = cls.__new__(cls)
+        m._set(spec, tuple(map(tuple, rows)))
+        return m
+
+    def _set(self, spec: FieldSpec, rows: Tuple[Tuple[int, ...], ...]) -> None:
         if not rows or not rows[0]:
             raise DimensionMismatchError("matrices must be nonempty")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DimensionMismatchError("ragged rows")
         self.spec = spec
-        self.rows = rows
+        self._rows = rows
 
-    @classmethod
-    def from_indices(cls, spec: FieldSpec, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
-        """The matrix whose entries have the given element indices."""
-        return cls(spec, [[FieldElement(spec, i) for i in row] for row in rows])
+    def indices(self) -> Tuple[Tuple[int, ...], ...]:
+        """The element indices of the entries, row by row."""
+        return self._rows
 
-    def indices(self) -> List[List[int]]:
-        """The element indices of the entries, as fresh row lists."""
-        return [[e.index for e in row] for row in self.rows]
+    @property
+    def rows(self) -> Tuple[Tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(self.spec, i) for i in row) for row in self._rows)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self._rows[0])
 
     def __getitem__(self, ij: Tuple[int, int]) -> FieldElement:
-        return self.rows[ij[0]][ij[1]]
+        return FieldElement(self.spec, self._rows[ij[0]][ij[1]])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
             and self.spec == other.spec
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.k,
-                     tuple(tuple(e.index for e in r) for r in self.rows)))
+        return hash((self.spec.p, self.spec.k, self._rows))
 
     def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
+        if self.spec != other.spec:
+            raise FieldMismatchError("matrices over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError("shape mismatch")
-        return FieldMatrix(self.spec, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
+        add = self.spec.tables().add
+        return FieldMatrix.from_indices(self.spec, [
+            [add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
         ])
 
     def __matmul__(self, other: Union["FieldMatrix", FieldVector]):
@@ -158,23 +181,24 @@ class FieldMatrix:
             if self.ncols != len(other):
                 raise DimensionMismatchError(f"{self.ncols} cols vs vector length {len(other)}")
             v = other.indices()
-            return FieldVector.from_indices(spec, [_pair(row, v, spec) for row in self.indices()])
+            return FieldVector.from_indices(spec, [_pair(row, v, spec) for row in self._rows])
         if self.ncols != other.nrows:
             raise DimensionMismatchError(f"{self.ncols} cols vs {other.nrows} rows")
-        cols = list(zip(*other.indices()))
+        cols = list(zip(*other._rows))
         return FieldMatrix.from_indices(spec, [
-            [_pair(row, col, spec) for col in cols] for row in self.indices()
+            [_pair(row, col, spec) for col in cols] for row in self._rows
         ])
 
     def scale(self, c: Union[FieldElement, int, str]) -> "FieldMatrix":
-        c = self.spec.parse(c)
-        return FieldMatrix(self.spec, [[e * c for e in row] for row in self.rows])
+        m = self.spec.tables().mul[self.spec.parse(c).index]
+        return FieldMatrix.from_indices(self.spec, [map(m.__getitem__, row) for row in self._rows])
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, list(zip(*self.rows)))
+        return FieldMatrix.from_indices(self.spec, zip(*self._rows))
 
     def conj(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, [[e.conj() for e in row] for row in self.rows])
+        return FieldMatrix.from_indices(self.spec, [map(self.spec.frob_i, row)
+                                                    for row in self._rows])
 
     def conj_transpose(self) -> "FieldMatrix":
         return self.conj().transpose()
@@ -183,13 +207,13 @@ class FieldMatrix:
         return self.nrows == self.ncols
 
     def rank(self) -> int:
-        return len(_rref(self.indices(), self.spec)[1])
+        return len(_rref(self._rows, self.spec)[1])
 
     def inverse(self) -> "FieldMatrix":
         if not self.is_square():
             raise NotSquareError("only square matrices are invertible")
         n = self.nrows
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.indices())]
+        aug = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self._rows)]
         reduced, pivots = _rref(aug, self.spec)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
@@ -199,42 +223,42 @@ class FieldMatrix:
         return "mat[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
     def to_json(self) -> list:
-        return [[list(e.coeffs) for e in row] for row in self.rows]
+        coeffs_of = self.spec.coeffs_of
+        return [[list(coeffs_of(i)) for i in row] for row in self._rows]
 
 
 def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
     """The index of sum_i a_i b_i, for element indices a and b."""
-    add_i, mul_i = spec.add_i, spec.mul_i
+    add, _, _, mul, _, _ = spec.tables()
     acc = 0
     for x, y in zip(a, b):
-        acc = add_i(acc, mul_i(x, y))
+        acc = add[acc][mul[x][y]]
     return acc
 
 
-def _rref(rows: List[List[int]], spec: FieldSpec) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form of a matrix of element indices, in place.
+def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence[int]], List[int]]:
+    """Reduced row echelon form of a matrix of element indices.
 
-    Returns the reduced rows and the pivot columns.  Arithmetic goes
-    through ``spec.sub_i``/``mul_i``/``inv_i``, so every field order works,
-    with or without lookup tables.  Callers holding ``FieldMatrix`` or
-    ``FieldVector`` objects convert at their edges.
+    Returns the reduced rows (a new list; the input is not changed) and
+    the pivot columns.  A matrix with no rows has rank 0.  Callers holding
+    ``FieldMatrix`` or ``FieldVector`` objects convert at their edges.
     """
-    sub_i, mul_i = spec.sub_i, spec.mul_i
+    _, sub, _, mul, inv, _ = spec.tables()
+    rows = list(rows)
     nrows = len(rows)
-    ncols = len(rows[0])
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = spec.inv_i(rows[r][c])
-        top = rows[r] = [mul_i(e, inv) for e in rows[r]]
+        top = rows[r] = list(map(mul[inv[rows[r][c]]].__getitem__, rows[r]))
         for i in range(nrows):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [sub_i(a, mul_i(f, b)) for a, b in zip(rows[i], top)]
+                m = mul[f]
+                rows[i] = [sub[a][m[b]] for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -242,13 +266,14 @@ def _rref(rows: List[List[int]], spec: FieldSpec) -> Tuple[List[List[int]], List
     return rows, pivots
 
 
-def _null_basis(rows: List[List[int]], pivots: Sequence[int], ncols: int,
+def _null_basis(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,
                 spec: FieldSpec) -> List[List[int]]:
     """Canonical null-space basis of a reduced matrix, as index lists.
 
     One vector per free column: 1 there, minus the column's entries at the
     pivot coordinates, 0 elsewhere.
     """
+    neg = spec.tables().neg
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -256,14 +281,9 @@ def _null_basis(rows: List[List[int]], pivots: Sequence[int], ncols: int,
         v = [0] * ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = spec.neg_i(rows[r][fc])
+            v[pc] = neg[rows[r][fc]]
         basis.append(v)
     return basis
-
-
-def rref(m: FieldMatrix) -> Tuple[FieldMatrix, Tuple[int, ...]]:
-    rows, pivots = _rref(m.indices(), m.spec)
-    return FieldMatrix.from_indices(m.spec, rows), tuple(pivots)
 
 
 def nullspace(m: FieldMatrix) -> List[FieldVector]:
@@ -287,13 +307,12 @@ def solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix.from_indices(a.spec, [row[n:] for row in rows[:n]])
 
 
+def _identity(n: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def identity_matrix(spec: FieldSpec, n: int) -> FieldMatrix:
-    one, zero = spec.one, spec.zero
-    return FieldMatrix(spec, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def zero_vector(spec: FieldSpec, n: int) -> FieldVector:
-    return FieldVector(spec, [spec.zero] * n)
+    return FieldMatrix.from_indices(spec, _identity(n))
 
 
 def basis_vector(spec: FieldSpec, n: int, i: int) -> FieldVector:
@@ -302,8 +321,7 @@ def basis_vector(spec: FieldSpec, n: int, i: int) -> FieldVector:
 
 def _kron(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
     """The index tuple of a (x) b = (a_0 b_0, a_0 b_1, ...), for element indices a and b."""
-    mul_i = spec.mul_i
-    return tuple([mul_i(x, y) for x in a for y in b])
+    return tuple([row[y] for row in map(spec.tables().mul.__getitem__, a) for y in b])
 
 
 def tensor(a, b):
@@ -345,7 +363,7 @@ class HermitianForm:
         self.spec = spec
         self.gram = gram
         self.dim = gram.nrows
-        self._gram = tuple(tuple(row) for row in gram.indices())
+        self._gram = gram.indices()
 
     def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
         if len(x) != self.dim or len(y) != self.dim:
@@ -358,14 +376,14 @@ class HermitianForm:
         """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
         if len(x) != self.dim:
             raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
-        add_i, mul_i = self.spec.add_i, self.spec.mul_i
+        add, _, _, mul, _, frob = self.spec.tables()
         row = [0] * self.dim
         for xi, grow in zip(x, self._gram):
             if xi:
-                c = self.spec.frob_i(xi)
+                m = mul[frob[xi]]
                 for j, g in enumerate(grow):
                     if g:
-                        row[j] = add_i(row[j], mul_i(c, g))
+                        row[j] = add[row[j]][m[g]]
         return tuple(row)
 
     def is_standard(self) -> bool:
@@ -409,41 +427,40 @@ _PRODUCT_LENGTH = 16
 
 
 class _UnitaryTables(NamedTuple):
-    """Field-only tables of the unitary sampler, in draw order."""
+    """Field-only tables of the unitary sampler, in draw order, as element indices."""
 
-    norm_one: Tuple[FieldElement, ...]  # nonzero x with norm(x) = 1
-    units: Tuple[Tuple[FieldElement, FieldElement], ...]  # norm(a) + norm(c) = 1
-    norm_inverse: Mapping[int, FieldElement]  # subfield s != 0 -> first mu, norm(mu) = 1/s
+    norm_one: Tuple[int, ...]  # nonzero x with norm(x) = 1
+    units: Tuple[Tuple[int, int], ...]  # norm(a) + norm(c) = 1
+    norm_inverse: Mapping[int, int]  # subfield s != 0 -> first mu, norm(mu) = 1/s
 
 
 @lru_cache(maxsize=None)
 def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
     """The sampler's tables of ``spec``, built on first use and shared."""
-    elements = list(spec.elements())
-    norms = [x.norm() for x in elements]
-    norm_inverse: Dict[int, FieldElement] = {}
+    add, _, _, mul, inv, frob = spec.tables()
+    norms = [mul[x][frob[x]] for x in range(spec.order)]
+    norm_inverse: Dict[int, int] = {}
     for s in norms[1:]:
-        if s.index not in norm_inverse:
-            inv_s = s.inverse()
-            norm_inverse[s.index] = next(mu for mu, n in zip(elements, norms) if n == inv_s)
+        if s not in norm_inverse:
+            norm_inverse[s] = norms.index(inv[s])
     return _UnitaryTables(
-        norm_one=tuple(x for x, n in zip(elements, norms) if not x.is_zero() and n == spec.one),
-        units=tuple((a, c) for a, na in zip(elements, norms) for c, nc in zip(elements, norms)
-                    if na + nc == spec.one),
+        norm_one=tuple(x for x in range(1, spec.order) if norms[x] == 1),
+        units=tuple((a, c) for a, na in enumerate(norms) for c, nc in enumerate(norms)
+                    if add[na][nc] == 1),
         norm_inverse=MappingProxyType(norm_inverse),
     )
 
 
 def _random_block_unitary(spec: FieldSpec, rng: random.Random,
-                          units: Sequence[Tuple[FieldElement, FieldElement]],
-                          norm_inverse: Mapping[int, FieldElement]) -> Tuple[FieldElement, ...]:
-    """Random 2x2 unitary (standard form) as (a, b, c, d), columns (a,c),(b,d)."""
+                          units: Sequence[Tuple[int, int]],
+                          norm_inverse: Mapping[int, int]) -> Tuple[int, int, int, int]:
+    """Random 2x2 unitary (standard form) as indices (a, b, c, d), columns (a,c),(b,d)."""
+    add, _, neg, mul, _, frob = spec.tables()
     a, c = rng.choice(units)
     # (conj(c), -conj(a)) is orthogonal to (a, c); rescale it to unit length.
-    b0, d0 = c.conj(), -(a.conj())
-    s = b0.norm() + d0.norm()
-    mu = norm_inverse[s.index]
-    return (a, b0 * mu, c, d0 * mu)
+    b0, d0 = frob[c], neg[frob[a]]
+    mu = norm_inverse[add[mul[b0][frob[b0]]][mul[d0][frob[d0]]]]
+    return (a, mul[b0][mu], c, mul[d0][mu])
 
 
 def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
@@ -451,38 +468,34 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
 
     Generators: coordinate permutations, diagonals of norm-1 scalars, and
     two-coordinate block unitaries.  Only the standard (identity-Gram) form
-    is supported; the sampler makes no uniformity claim.
+    is supported; the sampler makes no uniformity claim.  Each generator
+    acts on the rows of the product so far.
     """
     if not f.is_standard():
         raise NotUnitaryError("random_unitary supports only the standard form")
     spec, n = f.spec, f.dim
+    add, _, _, mul, _, _ = spec.tables()
     rng = random.Random(seed)
     norm_one, units, norm_inverse = _unitary_tables(spec)
-    acc = identity_matrix(spec, n)
+    rows = _identity(n)
     kinds = ["perm", "diag"] + (["block"] if n >= 2 else [])
     for _ in range(_PRODUCT_LENGTH):
         kind = rng.choice(kinds)
         if kind == "perm":
+            # row i of the permutation matrix has its 1 in column perm[i]
             perm = list(range(n))
             rng.shuffle(perm)
-            g = FieldMatrix(spec, [
-                [spec.one if j == perm[i] else spec.zero for j in range(n)]
-                for i in range(n)
-            ])
+            rows = [rows[j] for j in perm]
         elif kind == "diag":
-            g = FieldMatrix(spec, [
-                [rng.choice(norm_one) if i == j else spec.zero for j in range(n)]
-                for i in range(n)
-            ])
+            scales = [mul[rng.choice(norm_one)] for _ in range(n)]
+            rows = [[m[x] for x in row] for m, row in zip(scales, rows)]
         else:
             i, j = sorted(rng.sample(range(n), 2))
             a, b, c, d = _random_block_unitary(spec, rng, units, norm_inverse)
-            g = identity_matrix(spec, n)
-            rows = [list(r) for r in g.rows]
-            rows[i][i], rows[i][j] = a, b
-            rows[j][i], rows[j][j] = c, d
-            g = FieldMatrix(spec, rows)
-        acc = g @ acc
+            ri, rj = rows[i], rows[j]
+            rows[i] = [add[mul[a][x]][mul[b][y]] for x, y in zip(ri, rj)]
+            rows[j] = [add[mul[c][x]][mul[d][y]] for x, y in zip(ri, rj)]
+    acc = FieldMatrix.from_indices(spec, rows)
     if not is_unitary(acc, f):
         raise NotUnitaryError("sampler produced a non-unitary matrix")  # pragma: no cover
     return acc

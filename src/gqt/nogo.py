@@ -4,13 +4,14 @@ A cloning (or deleting) operator forces phi (x) psi + psi (x) phi = 0,
 which over a field vanishes only when a state is zero or, in
 characteristic 2, when the two states lie on the same ray.  The
 entrywise condition a_i b_j = -b_i a_j is evaluated alongside the tensor
-and the two must agree.  Commutators [a_i, a_j] are evaluated as well;
-over commutative scalars they are identically zero, which documents the
-general division-ring statement without fake arithmetic.
+and the two must agree.  Commutators [a_i, a_j] are evaluated as well,
+once per field: they vanish for every state exactly when the field's
+multiplication table is symmetric, which documents the general
+division-ring statement without fake arithmetic.
 
-One core, ``_classify_indices``, works on element-index tuples;
-``clone_obstruction``/``delete_obstruction`` convert at their edges and
-``scan`` streams index tuples through it.
+One core, ``_classify_indices``, works on element-index tuples and the
+field tables; ``clone_obstruction``/``delete_obstruction`` convert at
+their edges and ``scan`` streams index tuples through it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -81,27 +83,25 @@ class IndexClassification(NamedTuple):
     commutators_vanish: bool
 
 
-def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexClassification:
-    """Classify the pair (phi, psi) given by the element indices a and b.
+@lru_cache(maxsize=None)
+def _commutators_vanish(spec: FieldSpec) -> bool:
+    """Whether every commutator xy - yx of ``spec`` is zero: its mul table is symmetric."""
+    mul = spec.tables().mul
+    return all(row[b] == mul[b][a] for a, row in enumerate(mul) for b in range(a))
 
-    Arithmetic goes through ``spec.add_i``/``sub_i``/``mul_i``/``inv_i``,
-    so every field order works, with or without lookup tables.
-    """
-    add_i, sub_i, mul_i = spec.add_i, spec.sub_i, spec.mul_i
-    obstruction = tuple(map(add_i, _kron(a, b, spec), _kron(b, a, spec)))
+
+def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexClassification:
+    """Classify the pair (phi, psi) given by the element indices a and b."""
+    add, _, _, mul, inv, _ = spec.tables()
+    obstruction = tuple([add[x][y] for x, y in zip(_kron(a, b, spec), _kron(b, a, spec))])
 
     # entrywise reading of the same equation: a_i b_j = -b_i a_j
     entrywise_zero = not any(
-        add_i(mul_i(ai, bj), mul_i(bi, aj))
+        add[mul[ai][bj]][mul[bi][aj]]
         for ai, bi in zip(a, b)
         for aj, bj in zip(a, b)
     )
     entrywise_agrees = entrywise_zero == (not any(obstruction))
-
-    # commutators of the first state's entries; always zero over a field
-    commutators_vanish = not any(
-        sub_i(mul_i(ai, aj), mul_i(aj, ai)) for ai in a for aj in a
-    )
 
     witness = None
     if not any(a) or not any(b):
@@ -110,8 +110,9 @@ def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexC
         # rho with psi = phi * rho, read off the lead coordinate of phi;
         # rho = 0 fails the check since psi is nonzero
         lead = next(i for i, ai in enumerate(a) if ai)
-        rho = mul_i(b[lead], spec.inv_i(a[lead]))
-        if all(mul_i(ai, rho) == bi for ai, bi in zip(a, b)):
+        rho = mul[b[lead]][inv[a[lead]]]
+        m = mul[rho]
+        if all(m[ai] == bi for ai, bi in zip(a, b)):
             witness = rho
             verdict = (
                 CloneVerdict.SAME_RAY_CHAR2
@@ -121,7 +122,8 @@ def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexC
         else:
             verdict = CloneVerdict.INDEPENDENT
 
-    return IndexClassification(verdict, obstruction, witness, entrywise_agrees, commutators_vanish)
+    return IndexClassification(verdict, obstruction, witness, entrywise_agrees,
+                               _commutators_vanish(spec))
 
 
 def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:

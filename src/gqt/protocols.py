@@ -52,9 +52,8 @@ def gate_zx(spec: FieldSpec) -> FieldMatrix:
 
 def anti_diagonal(spec: FieldSpec, n: int) -> FieldMatrix:
     """n x n permutation with 1's on the anti-diagonal (index reversal)."""
-    one, zero = spec.one, spec.zero
-    return FieldMatrix(spec, [
-        [one if j == n - 1 - i else zero for j in range(n)] for i in range(n)
+    return FieldMatrix.from_indices(spec, [
+        [int(j == n - 1 - i) for j in range(n)] for i in range(n)
     ])
 
 
@@ -102,8 +101,8 @@ def decompose_in_basis(state: FieldVector, basis: Sequence[FieldVector]) -> List
     m = total // d
     # state reshaped to d x m; solve B @ R = M with B columns = basis vectors
     nb = len(basis)
-    aug = [[b[i].index for b in basis] + [e.index for e in state.entries[i * m:(i + 1) * m]]
-           for i in range(d)]
+    columns, s = [b.indices() for b in basis], state.indices()
+    aug = [[b[i] for b in columns] + list(s[i * m:(i + 1) * m]) for i in range(d)]
     rows, pivots = _rref(aug, spec)
     if any(p >= nb for p in pivots):
         raise NotInSpanError("state component lies outside the span of the basis")
@@ -201,41 +200,7 @@ def teleport(alpha, beta, spec: FieldSpec, seed: int,
         raise Char2NotSupportedError(
             "characteristic 2 collapses the Bell basis; use teleport_char2"
         )
-    alpha, beta = spec.parse(alpha), spec.parse(beta)
-    if alpha.is_zero() and beta.is_zero():
-        raise ZeroStateError("input state must be nonzero")
-    tr = ProtocolTranscript(
-        protocol="teleport",
-        spec=spec,
-        inputs={"alpha": alpha.to_json(), "beta": beta.to_json()},
-        seed=seed,
-    )
-    phi = FieldVector(spec, [alpha, beta])
-    shared = bell_state(spec)
-    system = tensor(phi, shared)
-    tr.record("input", phi)
-    tr.record("joint", system)
-
-    basis = bell_basis(spec)
-    vectors = [v for _, v in basis]
-    if branch is None:
-        idx, residual = measure_modal(system, vectors, seed)
-    else:
-        residuals = decompose_in_basis(system, vectors)
-        idx, residual = branch, residuals[branch]
-        if residual.is_zero():
-            raise ZeroStateError(f"branch {branch} is impossible for this input")
-    label = basis[idx][0]
-    # each branch carries an explicit 1/2 factor; strip it before correcting
-    residual = residual.scale(spec.from_int(2))
-    tr.branch_index, tr.branch_label = idx, label
-    tr.classical_message, correction = _BELL_TABLE[label]
-    tr.record(f"bob_pre_correction[{label}]", residual)
-    tr.correction = correction
-    final = _GATES[correction](spec) @ residual
-    tr.final_state = final
-    tr.record("bob_final", final)
-    return tr
+    return _teleport("teleport", alpha, beta, spec, seed, branch)
 
 
 def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
@@ -243,30 +208,38 @@ def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
     """Characteristic-2 teleportation via the doubled entangled resource."""
     if spec.p != 2:
         raise NotChar2Error("this variant requires characteristic 2")
+    return _teleport("teleport_char2", alpha, beta, spec, seed, branch)
+
+
+def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
+              branch: Optional[int]) -> ProtocolTranscript:
+    """The one teleportation body: joint state, Bell measurement, correction.
+
+    Odd characteristic shares one Bell state.  Characteristic 2 adds the
+    anti-diagonal image of the psi+ resource, checks the joint state
+    against phi+ (x) (a,b) + psi+ (x) (b,a), and reports one message bit.
+    """
     alpha, beta = spec.parse(alpha), spec.parse(beta)
     if alpha.is_zero() and beta.is_zero():
         raise ZeroStateError("input state must be nonzero")
     tr = ProtocolTranscript(
-        protocol="teleport_char2",
+        protocol=protocol,
         spec=spec,
         inputs={"alpha": alpha.to_json(), "beta": beta.to_json()},
         seed=seed,
     )
+    char2 = spec.p == 2
     phi = FieldVector(spec, [alpha, beta])
-    b = bell_state(spec)
-    b_tilde = FieldVector(spec, [0, 1, 1, 0])
-    rev = anti_diagonal(spec, 8)
-    system = tensor(phi, b) + (rev @ tensor(phi, b_tilde))
+    system = tensor(phi, bell_state(spec))
+    if char2:
+        system = system + (anti_diagonal(spec, 8) @ tensor(phi, FieldVector(spec, [0, 1, 1, 0])))
     tr.record("input", phi)
     tr.record("joint", system)
 
-    # internal identity check: phi+ (x) (a,b) + psi+ (x) (b,a)
-    basis = bell_basis(spec)  # [phi+, psi+]
-    expected = tensor(basis[0][1], FieldVector(spec, [alpha, beta])) + \
-        tensor(basis[1][1], FieldVector(spec, [beta, alpha]))
-    if system != expected:
+    basis = bell_basis(spec)  # char 2: [phi+, psi+]
+    if char2 and system != (tensor(basis[0][1], phi)
+                            + tensor(basis[1][1], FieldVector(spec, [beta, alpha]))):
         raise InvariantError("char-2 joint-state identity failed")
-
     vectors = [v for _, v in basis]
     if branch is None:
         idx, residual = measure_modal(system, vectors, seed)
@@ -276,14 +249,16 @@ def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
         if residual.is_zero():
             raise ZeroStateError(f"branch {branch} is impossible for this input")
     label = basis[idx][0]
+    if not char2:
+        # each branch carries an explicit 1/2 factor; strip it before correcting
+        residual = residual.scale(spec.from_int(2))
     tr.branch_index, tr.branch_label = idx, label
-    message, correction = _BELL_TABLE[label]
-    tr.classical_message = message[1]  # phi+ and psi+ differ in the second bit only
+    message, tr.correction = _BELL_TABLE[label]
+    # in characteristic 2, phi+ and psi+ differ in the second bit only
+    tr.classical_message = message[1] if char2 else message
     tr.record(f"bob_pre_correction[{label}]", residual)
-    tr.correction = correction
-    final = _GATES[correction](spec) @ residual
-    tr.final_state = final
-    tr.record("bob_final", final)
+    tr.final_state = _GATES[tr.correction](spec) @ residual
+    tr.record("bob_final", tr.final_state)
     return tr
 
 

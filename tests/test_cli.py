@@ -206,6 +206,10 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     (["teleport", "--p", "3", "--alpha", "q", "--beta", "1", "--seed", "0"], "Parse"),
     (["theory", "--i", "0", "--m", "2", "--pp", "3"], "Parse"),
     (["noclone", "scan", "--p", "5", "--dim", "4"], "TooLarge"),
+    (["field", "--p", "2", "--k", "13"], "TooLarge"),
+    (["theory", "--i", "7", "--m", "1", "--pp", "2"], "TooLarge"),
+    (["field", "--p", "10007"], "TooLarge"),
+    (["field", "--p", "1", "--k", "1000000000"], "NotPrime"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
@@ -261,6 +265,9 @@ MALFORMED = [
     "geocode decode --p 2 --seed 5 --bitstream zz",
     "noclone scan --p 3 --dim -1", "nodelete scan --p 2 --dim 0", "noclone scan --p 5 --dim 4",
     "nodelete scan --p 3 --dim 1000000000",
+    "field --p 2 --k 13", "field --p 2 --k 1000000", "field --p 10007",
+    "field --p 0 --k 1000000000", "field --p 1 --k 1000000000", "theory --i 7 --m 1 --pp 2", "theory --i 1 --m 1 --pp 10007",
+    "kernel enumerate --p 2 --k 14", "noclone scan --p 4099 --k 1",
 ]
 
 

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gqt.field
 from gqt.errors import (
     DegreeMismatchError,
     DivisionByZeroError,
     NoInvolutionError,
     NotPrimeError,
     ReducibleModulusError,
+    TooLargeError,
 )
-from gqt.field import build_field, is_prime, theory_coordinates
+from gqt.field import FieldSpec, build_field, is_prime, theory_coordinates
 
 
 def test_gf4_default_modulus(gf4):
@@ -109,7 +111,7 @@ def test_tables_match_coefficient_arithmetic(p, k):
             assert t.frob[a] == spec.pow_i(a, spec.q)
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 1), (5, 2), (2, 3)])
 def test_field_axioms_exhaustive(p, k):
     spec = build_field(p, k)
     idx = range(spec.order)
@@ -214,3 +216,49 @@ def test_distributivity_random_gf9(a, b, c):
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+# Field construction is bounded: no test builds an order above 1024.
+
+@pytest.mark.parametrize("make", [
+    lambda: FieldSpec(2, 13),
+    lambda: FieldSpec(4099, 1),
+    lambda: build_field(2, 10 ** 9),
+    lambda: FieldSpec(2, 13, [1] * 14),
+    lambda: theory_coordinates(7, 1, 2),
+])
+def test_order_above_the_table_limit_is_too_large(make):
+    with pytest.raises(TooLargeError):
+        make()
+
+
+@pytest.mark.parametrize("p", [0, 1, -3])
+def test_non_prime_below_the_limit_fails_before_the_degree_is_read(p):
+    # the order loop runs only after the prime check, so a huge k costs nothing
+    with pytest.raises(NotPrimeError):
+        FieldSpec(p, 10 ** 9)
+
+
+def test_order_bound_comes_before_any_search(monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("ran before the order bound")
+
+    monkeypatch.setattr(gqt.field, "_first_irreducible", not_reached)
+    monkeypatch.setattr(gqt.field, "_is_irreducible", not_reached)
+    with pytest.raises(TooLargeError):
+        FieldSpec(2, 13)
+    with pytest.raises(TooLargeError):
+        FieldSpec(3, 8, [1] * 9)
+    # a characteristic above the limit is refused before the primality test
+    monkeypatch.setattr(gqt.field, "is_prime", not_reached)
+    for p in (4099, 10 ** 30 + 57):
+        with pytest.raises(TooLargeError):
+            FieldSpec(p, 1)
+        with pytest.raises(TooLargeError):
+            theory_coordinates(1, 1, p)
+
+
+def test_largest_tested_field_has_full_tables():
+    t = FieldSpec(2, 10).tables()
+    assert len(t.mul) == len(t.inv) == len(t.add) == 1024
+    assert all(t.mul[a][t.inv[a]] == 1 and t.inv[t.inv[a]] == a for a in range(1, 1024))

@@ -118,6 +118,12 @@ def test_transmit_rejects_empty(gf4):
         geo_transmit(GeoCiphertext(points=(), bitstream=""), gf4)
 
 
+def test_decode_of_an_empty_ciphertext_is_a_domain_error(params_q2):
+    # no points span no plane: rank 0, not an IndexError from the reduction
+    with pytest.raises(DegenerateSpanError):
+        geo_decode(GeoCiphertext(points=(), bitstream=""), params_q2)
+
+
 def test_decode_rejects_tampered_point(gf4, params_q2):
     state = FieldVector(gf4, [1, 0, 0, 0])
     ct = geo_encode(state, params_q2)

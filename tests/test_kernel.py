@@ -131,6 +131,30 @@ def test_closed_form_counts_q4():
     assert all(len(line) == q ** 2 + 1 for line in geom.lines)
 
 
+def hermitian_variety_points(n, q):
+    """|H(n, q^2)| = (q^(n+1) + (-1)^n)(q^n - (-1)^n) / (q^2 - 1) (Bose & Chakravarti 1966)."""
+    return (q ** (n + 1) + (-1) ** n) * (q ** n - (-1) ** n) // (q * q - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_counts_dim3(p):
+    # H(2, q^2) is the Hermitian curve: q^3 + 1 points, no totally isotropic line
+    q = p
+    geom = enumerate_kernel(standard_form(build_field(p, 2), 3))
+    assert len(geom.points) == hermitian_variety_points(2, q) == q ** 3 + 1 == {2: 9, 3: 28}[q]
+    assert geom.lines == ()
+
+
+def test_closed_form_counts_dim5_q2():
+    # H(4, 4): (q^5 + 1)(q^2 + 1) points and (q^5 + 1)(q^3 + 1) lines of q^2 + 1 points
+    q = 2
+    geom = enumerate_kernel(standard_form(build_field(2, 2), 5), override=True)
+    assert len(geom.points) == hermitian_variety_points(4, q) == 165
+    assert len(geom.lines) == (q ** 5 + 1) * (q ** 3 + 1) == 297
+    assert all(len(line) == q ** 2 + 1 for line in geom.lines)
+    assert hermitian_variety_points(3, q) == (q ** 2 + 1) * (q ** 3 + 1)  # the dim-4 count
+
+
 @pytest.mark.parametrize("fix", ["q2", "q3"])
 def test_unitary_escapes_zero(fix, kernel_q2, kernel_q3):
     geom = kernel_q2 if fix == "q2" else kernel_q3

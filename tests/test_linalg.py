@@ -20,6 +20,7 @@ from gqt.errors import (
 from gqt.field import build_field
 from gqt.linalg import (
     FieldMatrix,
+    _rref,
     _unitary_tables,
     FieldVector,
     HermitianForm,
@@ -178,13 +179,15 @@ def test_unitary_tables_are_built_once_per_field_in_draw_order():
     assert _unitary_tables(spec) is tables
     elements = list(spec.elements())
     one = spec.one
-    assert tables.norm_one == tuple(x for x in elements if not x.is_zero() and x.norm() == one)
-    assert tables.units == tuple((a, c) for a in elements for c in elements
+    # The tables hold element indices.
+    assert tables.norm_one == tuple(x.index for x in elements
+                                    if not x.is_zero() and x.norm() == one)
+    assert tables.units == tuple((a.index, c.index) for a in elements for c in elements
                                  if a.norm() + c.norm() == one)
     for x in elements[1:]:
         s = x.norm()
         first = next(mu for mu in elements if mu.norm() == s.inverse())
-        assert tables.norm_inverse[s.index] == first
+        assert tables.norm_inverse[s.index] == first.index
     assert set(tables.norm_inverse) == {x.norm().index for x in elements[1:]}
 
 
@@ -229,6 +232,14 @@ def test_inverse_and_nullspace(gf9):
     assert len(basis) == 3
     for v in basis:
         assert (row @ v).is_zero()
+
+
+def test_rref_of_no_rows_has_rank_zero(gf9):
+    assert _rref([], gf9) == ([], [])
+    rows = ((2, 1), (1, 2))  # the first row is twice the second
+    reduced, pivots = _rref(rows, gf9)
+    assert reduced[0] == [1, 2] and not any(reduced[1]) and pivots == [0]
+    assert rows == ((2, 1), (1, 2))  # the input is not changed
 
 
 @st.composite
