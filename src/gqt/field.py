@@ -3,11 +3,11 @@
 Elements are indexed by integers: the element with coefficient vector
 (c0, c1, ..., c_{k-1}) (little-endian in the generator ``t``) has index
 c0 + c1*p + ... + c_{k-1}*p^(k-1).  Every field is built with full
-lookup tables, so every operation is a table lookup: addition,
-subtraction, negation and multiplication (``order x order`` tables),
-inverse and conjugation (``order`` entries).  Multiplication comes from
-the log/antilog tables of a primitive element g, a*b = g^(log a + log b),
-the construction of ``galois`` (M. Hostetter,
+lookup tables, so every operation is a table lookup: addition and
+multiplication (``order x order`` tables), negation, inverse and
+conjugation (``order`` entries); a - b is a + (-b).  Multiplication comes
+from the log/antilog tables of a primitive element g,
+a*b = g^(log a + log b), the construction of ``galois`` (M. Hostetter,
 github.com/mhostetter/galois).  Orders above ``_TABLE_LIMIT`` are refused
 before anything is built.
 
@@ -77,17 +77,14 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple:
-    """Remainder of a modulo the monic polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(_poly_trim(a)) - 1 >= dm:
-        a = list(_poly_trim(a))
-        shift = len(a) - 1 - dm
-        lead = a[-1]
-        for i, mi in enumerate(m):
-            a[i + shift] = (a[i + shift] - lead * mi) % p
-        a = a[:-1]
-    return _poly_trim(a)
+    """Remainder of a modulo the monic polynomial m, clearing one top coefficient per step."""
+    a, dm = list(a), len(m) - 1
+    for top in range(len(a) - 1, dm - 1, -1):
+        lead, shift = a[top], top - dm
+        if lead:
+            for i, mi in enumerate(m):
+                a[i + shift] = (a[i + shift] - lead * mi) % p
+    return _poly_trim(a[:dm])
 
 
 def _monic_polys(p: int, deg: int) -> Iterator[tuple]:
@@ -123,13 +120,12 @@ def _first_irreducible(p: int, k: int) -> tuple:
 class FieldTables(NamedTuple):
     """Lookup tables of one field, indexed by element index.
 
-    ``add``, ``sub`` and ``mul`` are read ``table[a][b]``; ``neg``, ``inv``
+    ``add`` and ``mul`` are read ``table[a][b]``; ``neg``, ``inv``
     and ``frob`` are read ``table[a]``.  ``inv[0]`` is a placeholder 0 and
     ``frob`` is ``None`` for odd extension degrees.
     """
 
     add: List[List[int]]
-    sub: List[List[int]]
     neg: List[int]
     mul: List[List[int]]
     inv: List[int]
@@ -248,13 +244,12 @@ class FieldSpec:
         self._exp, self._log = exp, log
         self._tables = FieldTables(
             add=add,
-            sub=[list(map(row.__getitem__, neg)) for row in add],
             neg=neg,
             mul=[[0] * order] + [[0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs],
             inv=[0] + [exp[-la % n] for la in logs],
             frob=None if self.q is None else [0] + [exp[la * self.q % n] for la in logs],
         )
-        self._add, self._sub, self._neg, self._mul, self._inv, self._frob = self._tables
+        self._add, self._neg, self._mul, self._inv, self._frob = self._tables
 
     # -- index-level arithmetic (used by hot loops) --
 
@@ -269,7 +264,7 @@ class FieldSpec:
         return self._neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
-        return self._sub[a][b]
+        return self._add[a][self._neg[b]]
 
     def mul_i(self, a: int, b: int) -> int:
         return self._mul[a][b]
@@ -315,10 +310,6 @@ class FieldSpec:
             raise NoInvolutionError("kappa requires an even extension degree")
         return FieldElement(self, self._kappa_index)
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
         if len(coeffs) > self.k:
             trimmed = _poly_mod(tuple(c % self.p for c in coeffs), self.modulus, self.p)
@@ -348,10 +339,11 @@ class FieldSpec:
             if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
                 raise ParseError(f"cannot parse field element term {term!r}")
             coef_s, t_part, exp_s = m.group(1), m.group(2), m.group(3)
-            coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
-            exp = 0
-            if t_part:
-                exp = int(exp_s) if exp_s else 1
+            try:  # int() refuses text beyond the interpreter's digit limit
+                coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
+                exp = int(exp_s) if exp_s else (1 if t_part else 0)
+            except ValueError:
+                raise ParseError(f"number too long in field element term {term[:20]!r}") from None
             if exp >= self.k:
                 raise ParseError(f"exponent {exp} exceeds degree {self.k - 1} in {text!r}")
             coeffs[exp] = (coeffs[exp] + coef) % self.p

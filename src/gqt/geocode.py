@@ -140,7 +140,7 @@ def _encode_ray(state: Ray, params: GeoParams) -> Tuple[Ray, Ray, Ray]:
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
-    add, _, _, mul, inv, _ = spec.tables()
+    add, _, mul, inv, _ = spec.tables()
     return tuple(_normalize_ray(_matvec(params._eta_rows, m, add), mul, inv) for m in meets)
 
 
@@ -151,7 +151,7 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
     for r in rays:
         if r not in geom._point_index:
             raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
-    add, _, _, mul, inv, _ = spec.tables()
+    add, _, mul, inv, _ = spec.tables()
     pulled = [_matvec(params._eta_inverse_rows, r, add) for r in rays]
     rank, polar = _polar([geom.form._row(v) for v in pulled], geom.form)
     if rank < 3:
@@ -165,11 +165,6 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
 
 def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
     """Three curve points on the shared lines, pushed through the unitary."""
-    dim = params.geom.form.dim
-    if len(state) != dim:
-        raise DimensionMismatchError(
-            f"form has dim {dim}, got vectors of length {len(state)}, {len(state)}"
-        )
     spec = params.geom.spec
     rays = _encode_ray(state.indices(), params)
     return GeoCiphertext(points=tuple(_point(spec, r) for r in rays),
@@ -211,6 +206,8 @@ def _rays_to_bits(rays: Sequence[Ray], spec: FieldSpec) -> str:
 
 def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
     """``deserialize_points`` on element indices: normalized rays."""
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     width = _bits_per_coeff(spec.p)
     per_entry = spec.k * width
     per_point = dim * per_entry
@@ -219,7 +216,7 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
             f"bitstream length must be a positive multiple of {per_point}"
         )
     index = _element_bits(spec)[1]
-    _, _, _, mul, inv, _ = spec.tables()
+    _, _, mul, inv, _ = spec.tables()
     rays = []
     for start in range(0, len(bits), per_point):
         ray = []
@@ -346,7 +343,7 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     rng = random.Random(seed)
     dim = geom.form.dim
     order = spec.order
-    _, _, _, mul, inv, _ = spec.tables()
+    _, _, mul, inv, _ = spec.tables()
     successes = 0
     degenerate = 0
     skipped = 0

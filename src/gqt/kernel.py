@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tup
 
 from .errors import (
     DependentBasisError,
-    DimensionMismatchError,
     InvariantError,
     NotKernelPointError,
     NotUniqueError,
@@ -84,7 +83,7 @@ Ray = Tuple[int, ...]
 
 def normalize_ray(v: FieldVector) -> FieldVector:
     """Scale so the leftmost nonzero coordinate is 1."""
-    _, _, _, mul, inv, _ = v.spec.tables()
+    _, _, mul, inv, _ = v.spec.tables()
     return FieldVector.from_indices(v.spec, _normalize_ray(v.indices(), mul, inv))
 
 
@@ -201,41 +200,45 @@ def _mul_rows(m: FieldMatrix) -> List[List[List[int]]]:
     return [[mul[e] for e in row] for row in m.indices()]
 
 
+def _zero_pairings(row: Ray, cols: Sequence[Sequence[int]], spec: FieldSpec) -> List[int]:
+    """Positions j where a nonzero polar row pairs to zero with ray j.
+
+    Ray j is (cols[0][j], cols[1][j], ...); all rays are paired at once, one
+    coordinate column at a time.
+    """
+    add, _, mul, _, _ = spec.tables()
+    values = None
+    for c, col in zip(row, cols):
+        if c:
+            m = mul[c]
+            values = ([m[y] for y in col] if values is None
+                      else [add[a][m[y]] for a, y in zip(values, col)])
+    return [j for j, value in enumerate(values) if not value]
+
+
 def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry:
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
     dim = f.dim
     enumeration_guard(spec, dim, override)
-    add, _, _, mul, inv, frob = spec.tables()
-    gram = _mul_rows(f.gram)
+    add, _, mul, inv, _ = spec.tables()
 
-    # Self-orthogonal rays, with G v kept for the pair test.
+    # Self-orthogonal rays v, <v, v> = 0, with their polar rows conj(v) G.
     rays: List[Ray] = []
-    gvs: List[Ray] = []
+    rows: List[Ray] = []
     for v in _index_rays(spec.order, dim):
-        gv = _matvec(gram, v, add)
-        acc = 0
-        for x, y in zip(v, gv):
-            acc = add[acc][mul[frob[x]][y]]
-        if acc == 0:
+        row = f._row(v)
+        if _pair(row, v, spec) == 0:
             rays.append(v)
-            gvs.append(gv)
+            rows.append(row)
     n = len(rays)
     ray_index = {r: i for i, r in enumerate(rays)}
 
-    # <p_i, p_j> = sum_k conj(p_i)_k (G p_j)_k, for all j > i at once.
-    cols = [[gv[k] for gv in gvs] for k in range(dim)]
+    # <p_i, p_j> pairs the polar row of p_i with p_j, for all j > i at once.
+    cols = [[r[k] for r in rays] for k in range(dim)]
     adjacency: List[List[int]] = [[] for _ in range(n)]  # ascending
-    for i, u in enumerate(rays):
-        values = None
-        for k, x in enumerate(u):
-            if not x:
-                continue
-            m = mul[frob[x]]
-            col = cols[k][i + 1:]
-            values = ([m[y] for y in col] if values is None
-                      else [add[a][m[y]] for a, y in zip(values, col)])
-        later = [j for j, value in enumerate(values, i + 1) if not value]
+    for i, row in enumerate(rows):
+        later = [j + i + 1 for j in _zero_pairings(row, [col[i + 1:] for col in cols], spec)]
         adjacency[i] += later
         for j in later:
             adjacency[j].append(i)
@@ -286,7 +289,7 @@ def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     kernel point, two images coincide, or the mapped lines differ from the
     lines.
     """
-    add, _, _, mul, inv, _ = geom.spec.tables()
+    add, _, mul, inv, _ = geom.spec.tables()
     line_set = set(geom.lines)
     escapes = 0
     for s in range(samples):
@@ -317,18 +320,11 @@ def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> b
 
 # --- polarity -----------------------------------------------------------------
 
-def _functional(v: FieldVector, f: HermitianForm) -> Ray:
-    """``polar_hyperplane`` as element indices."""
-    if v.is_zero():
-        raise ZeroVectorError("the polar of the zero vector is undefined")
-    if len(v) != f.dim:
-        raise DimensionMismatchError("vector length does not match the form")
-    return f._row(v.indices())
-
-
 def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
     """Coefficients c with pi(v) = {w : sum c_i w_i = 0}; c = conj(v) gram."""
-    return FieldVector.from_indices(f.spec, _functional(v, f))
+    if v.is_zero():
+        raise ZeroVectorError("the polar of the zero vector is undefined")
+    return FieldVector.from_indices(f.spec, f._row(v.indices()))
 
 
 def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]:
@@ -346,7 +342,7 @@ def polar_of_subspace(basis: Sequence[FieldVector], f: HermitianForm) -> List[Fi
     basis = list(basis)
     if not basis:
         raise DependentBasisError("empty basis")
-    rank, polar = _polar([_functional(v, f) for v in basis], f)
+    rank, polar = _polar([polar_hyperplane(v, f).indices() for v in basis], f)
     if rank < len(basis):
         raise DependentBasisError("basis vectors are linearly dependent")
     return [FieldVector.from_indices(f.spec, v) for v in polar]
@@ -433,14 +429,8 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
 
 def _curve(row: Ray, geom: KernelGeometry) -> List[int]:
     """Indices of the kernel points whose rays pair to zero with a polar row."""
-    add, _, _, mul, _, _ = geom.spec.tables()
-    # Pair all rays at once, one coordinate column at a time.
-    values = [0] * len(geom.rays)
-    for k, c in enumerate(row):
-        if c:
-            m = mul[c]
-            values = [add[a][m[r[k]]] for a, r in zip(values, geom.rays)]
-    return [i for i, value in enumerate(values) if not value]
+    cols = [[r[k] for r in geom.rays] for k in range(geom.form.dim)]
+    return _zero_pairings(row, cols, geom.spec)
 
 
 def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:

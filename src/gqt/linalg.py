@@ -80,10 +80,7 @@ class FieldVector:
             add[a][b] for a, b in zip(self._indices, other._indices)])
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
-        self._check(other)
-        sub = self.spec.tables().sub
-        return FieldVector.from_indices(self.spec, [
-            sub[a][b] for a, b in zip(self._indices, other._indices)])
+        return self + -other
 
     def __neg__(self) -> "FieldVector":
         return FieldVector.from_indices(self.spec, map(self.spec.tables().neg.__getitem__,
@@ -229,7 +226,7 @@ class FieldMatrix:
 
 def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
     """The index of sum_i a_i b_i, for element indices a and b."""
-    add, _, _, mul, _, _ = spec.tables()
+    add, _, mul, _, _ = spec.tables()
     acc = 0
     for x, y in zip(a, b):
         acc = add[acc][mul[x][y]]
@@ -243,7 +240,7 @@ def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence
     the pivot columns.  A matrix with no rows has rank 0.  Callers holding
     ``FieldMatrix`` or ``FieldVector`` objects convert at their edges.
     """
-    _, sub, _, mul, inv, _ = spec.tables()
+    add, neg, mul, inv, _ = spec.tables()
     rows = list(rows)
     nrows = len(rows)
     pivots: List[int] = []
@@ -257,8 +254,8 @@ def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence
         for i in range(nrows):
             f = rows[i][c]
             if i != r and f:
-                m = mul[f]
-                rows[i] = [sub[a][m[b]] for a, b in zip(rows[i], top)]
+                m = mul[neg[f]]
+                rows[i] = [add[a][m[b]] for a, b in zip(rows[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -290,21 +287,6 @@ def nullspace(m: FieldMatrix) -> List[FieldVector]:
     """Canonical basis of {x : m @ x = 0}."""
     rows, pivots = _rref(m.indices(), m.spec)
     return [FieldVector.from_indices(m.spec, v) for v in _null_basis(rows, pivots, m.ncols, m.spec)]
-
-
-def solve(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Solve a @ x = b exactly; requires a consistent system with full column rank."""
-    if a.nrows != b.nrows:
-        raise DimensionMismatchError("row counts differ")
-    aug = [ra + rb for ra, rb in zip(a.indices(), b.indices())]
-    rows, pivots = _rref(aug, a.spec)
-    n = a.ncols
-    if any(p >= n for p in pivots):
-        raise SingularMatrixError("inconsistent system")
-    if len(pivots) < n:
-        raise SingularMatrixError("underdetermined system")
-    # Full column rank: pivot r sits in column r.
-    return FieldMatrix.from_indices(a.spec, [row[n:] for row in rows[:n]])
 
 
 def _identity(n: int) -> List[List[int]]:
@@ -376,7 +358,7 @@ class HermitianForm:
         """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
         if len(x) != self.dim:
             raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
-        add, _, _, mul, _, frob = self.spec.tables()
+        add, _, mul, _, frob = self.spec.tables()
         row = [0] * self.dim
         for xi, grow in zip(x, self._gram):
             if xi:
@@ -437,7 +419,7 @@ class _UnitaryTables(NamedTuple):
 @lru_cache(maxsize=None)
 def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
     """The sampler's tables of ``spec``, built on first use and shared."""
-    add, _, _, mul, inv, frob = spec.tables()
+    add, _, mul, inv, frob = spec.tables()
     norms = [mul[x][frob[x]] for x in range(spec.order)]
     norm_inverse: Dict[int, int] = {}
     for s in norms[1:]:
@@ -451,30 +433,18 @@ def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
     )
 
 
-def _random_block_unitary(spec: FieldSpec, rng: random.Random,
-                          units: Sequence[Tuple[int, int]],
-                          norm_inverse: Mapping[int, int]) -> Tuple[int, int, int, int]:
-    """Random 2x2 unitary (standard form) as indices (a, b, c, d), columns (a,c),(b,d)."""
-    add, _, neg, mul, _, frob = spec.tables()
-    a, c = rng.choice(units)
-    # (conj(c), -conj(a)) is orthogonal to (a, c); rescale it to unit length.
-    b0, d0 = frob[c], neg[frob[a]]
-    mu = norm_inverse[add[mul[b0][frob[b0]]][mul[d0][frob[d0]]]]
-    return (a, mul[b0][mu], c, mul[d0][mu])
-
-
 def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
     """Seeded product of generators; always post-verified against the form.
 
     Generators: coordinate permutations, diagonals of norm-1 scalars, and
-    two-coordinate block unitaries.  Only the standard (identity-Gram) form
-    is supported; the sampler makes no uniformity claim.  Each generator
-    acts on the rows of the product so far.
+    two-coordinate block unitaries [[a, b], [c, d]].  Only the standard
+    (identity-Gram) form is supported; the sampler makes no uniformity
+    claim.  Each generator acts on the rows of the product so far.
     """
     if not f.is_standard():
         raise NotUnitaryError("random_unitary supports only the standard form")
     spec, n = f.spec, f.dim
-    add, _, _, mul, _, _ = spec.tables()
+    add, neg, mul, _, frob = spec.tables()
     rng = random.Random(seed)
     norm_one, units, norm_inverse = _unitary_tables(spec)
     rows = _identity(n)
@@ -491,7 +461,11 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
             rows = [[m[x] for x in row] for m, row in zip(scales, rows)]
         else:
             i, j = sorted(rng.sample(range(n), 2))
-            a, b, c, d = _random_block_unitary(spec, rng, units, norm_inverse)
+            a, c = rng.choice(units)
+            # (conj(c), -conj(a)) is orthogonal to (a, c); rescale it to unit length.
+            b, d = frob[c], neg[frob[a]]
+            mu = norm_inverse[add[mul[b][frob[b]]][mul[d][frob[d]]]]
+            b, d = mul[b][mu], mul[d][mu]
             ri, rj = rows[i], rows[j]
             rows[i] = [add[mul[a][x]][mul[b][y]] for x, y in zip(ri, rj)]
             rows[j] = [add[mul[c][x]][mul[d][y]] for x, y in zip(ri, rj)]

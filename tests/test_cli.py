@@ -210,6 +210,10 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     (["theory", "--i", "7", "--m", "1", "--pp", "2"], "TooLarge"),
     (["field", "--p", "10007"], "TooLarge"),
     (["field", "--p", "1", "--k", "1000000000"], "NotPrime"),
+    # numbers beyond the interpreter's int-from-text digit limit
+    (["field", "--p", "3", "--element", "1" * 5000], "Parse"),
+    (["field", "--p", "3", "--element", "t^" + "1" * 5000], "Parse"),
+    (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "1" * 5000 + ";1;0;0"], "Parse"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
@@ -268,6 +272,10 @@ MALFORMED = [
     "field --p 2 --k 13", "field --p 2 --k 1000000", "field --p 10007",
     "field --p 0 --k 1000000000", "field --p 1 --k 1000000000", "theory --i 7 --m 1 --pp 2", "theory --i 1 --m 1 --pp 10007",
     "kernel enumerate --p 2 --k 14", "noclone scan --p 4099 --k 1",
+] + [
+    pytest.param(line.replace("<5000 ones>", "1" * 5000), id=line)
+    for line in ["field --p 3 --element <5000 ones>", "field --p 3 --element t^<5000 ones>",
+                 "geocode encode --p 2 --seed 5 --state <5000 ones>;1;0;0"]
 ]
 
 

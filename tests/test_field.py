@@ -102,7 +102,7 @@ def test_tables_match_coefficient_arithmetic(p, k):
         for b in range(spec.order):
             cb = spec.coeffs_of(b)
             assert t.add[a][b] == index([x + y for x, y in zip(ca, cb)])
-            assert t.sub[a][b] == index([x - y for x, y in zip(ca, cb)])
+            assert spec.sub_i(a, b) == index([x - y for x, y in zip(ca, cb)])
         if a:
             assert t.mul[a][t.inv[a]] == 1
         if spec.q is None:
@@ -198,6 +198,24 @@ def test_element_text_roundtrip(gf9):
         assert gf9.from_string(str(x)) == x
     assert gf9.from_string("2*t+1").coeffs == (1, 2)
     assert gf9.parse([1, 2]) == gf9.from_string("2*t + 1")
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+@given(data=st.data())
+def test_from_string_inverts_str(p, k, data):
+    spec = build_field(p, k)
+    x = spec.from_index(data.draw(st.integers(0, spec.order - 1)))
+    assert spec.from_string(str(x)) == x
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3)])
+def test_element_reduces_a_long_coefficient_list(p, k):
+    # one reduction pass: 20,000 coefficients, the sum of t^i for i < 20,000
+    spec = build_field(p, k)
+    total = spec.zero
+    for i in range(20000):
+        total = total + spec.gen ** i
+    assert spec.element([1] * 20000) == total
 
 
 def test_json_encoding(gf4):

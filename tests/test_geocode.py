@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gqt.errors import (
     DegenerateSpanError,
+    DimensionMismatchError,
+    GQTError,
     MalformedBitstreamError,
     NotKernelPointError,
     SelfOrthogonalStateError,
@@ -101,6 +105,14 @@ def test_serialize_roundtrip(kernel_q2, kernel_q3):
         assert deserialize_points(bits, spec, geom.form.dim) == list(pts)
 
 
+@given(data=st.data())
+def test_deserialize_inverts_serialize(kernel_q2, kernel_q3, data):
+    geom = data.draw(st.sampled_from([kernel_q2, kernel_q3]))
+    picks = data.draw(st.lists(st.integers(0, len(geom.points) - 1), min_size=1, max_size=6))
+    pts = [geom.points[i] for i in picks]
+    assert deserialize_points(serialize_points(pts, geom.spec), geom.spec, geom.form.dim) == pts
+
+
 def test_deserialize_malformed(gf4, gf9):
     with pytest.raises(MalformedBitstreamError):
         deserialize_points("", gf4, 4)
@@ -111,6 +123,9 @@ def test_deserialize_malformed(gf4, gf9):
     # GF(9) coefficients use 2 bits but must stay below 3
     with pytest.raises(MalformedBitstreamError):
         deserialize_points("11" * 8, gf9, 4)
+    for dim in (0, -1):
+        with pytest.raises(DimensionMismatchError):
+            deserialize_points("0101", gf4, dim)
 
 
 def test_transmit_rejects_empty(gf4):
@@ -211,6 +226,31 @@ def test_parse_bitstream(gf4, gf9):
     for bad in ["", "zz", "babea70", "0x1f", " 1f", "-1f", "0" * 8, "1" * 25]:
         with pytest.raises(MalformedBitstreamError):
             parse_bitstream(bad, gf4, 4)
+
+
+@given(data=st.data())
+def test_parse_bitstream_reads_back_the_hex_of_three_points(gf4, gf9, data):
+    spec = data.draw(st.sampled_from([gf4, gf9]))
+    width = 3 * 4 * spec.k * (1 if spec.p == 2 else 2)
+    bits = data.draw(st.text(alphabet="01", min_size=width, max_size=width))
+    text = f"{int(bits, 2):0{(width + 3) // 4}x}"  # as ``geocode encode`` prints it
+    assert parse_bitstream(text, spec, 4) == bits
+    assert parse_bitstream(text.lstrip("0") or "0", spec, 4) == bits
+    assert parse_bitstream(bits, spec, 4) == bits
+
+
+_BITSTREAM_TEXT = st.one_of(st.text(max_size=60), st.text(alphabet="01", max_size=100),
+                            st.text(alphabet="0123456789abcdefABCDEF", max_size=14))
+
+
+@given(text=_BITSTREAM_TEXT, dim=st.integers(-2, 5))
+def test_bitstream_text_raises_only_domain_errors(gf4, gf9, text, dim):
+    for spec in (gf4, gf9):
+        for read in (deserialize_points, parse_bitstream):
+            try:
+                read(text, spec, dim)
+            except GQTError:
+                pass
 
 
 # --- the index-level trial against an object-level reference ---------------------

@@ -180,6 +180,12 @@ def test_empty_kernel_dim1(gf4):
     assert geom.lines == ()
 
 
+def test_curve_over_an_empty_kernel_is_empty(gf4):
+    # the column pairing runs over zero rays
+    geom = enumerate_kernel(standard_form(gf4, 1))
+    assert hermitian_curve(ProjectivePoint(FieldVector(gf4, [1])), geom) == []
+
+
 def test_enumeration_guard():
     gf49 = build_field(7, 2)
     with pytest.raises(TooLargeError):

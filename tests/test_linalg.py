@@ -125,6 +125,17 @@ def test_is_unitary_examples(gf4, form4_dim2):
     assert not is_unitary(FieldMatrix(gf4, [[1, 1], [0, 1]]), form4_dim2)
 
 
+def test_vector_subtraction(gf4, gf9):
+    u = FieldVector(gf9, ["t", 1, 0])
+    v = FieldVector(gf9, [1, "2*t", "t+1"])
+    assert u - v == FieldVector(gf9, [a - b for a, b in zip(u, v)])
+    assert (u - v) + v == u and u - u == FieldVector(gf9, [0, 0, 0])
+    with pytest.raises(DimensionMismatchError):
+        u - FieldVector(gf9, [1, 1])
+    with pytest.raises(FieldMismatchError):
+        u - FieldVector(gf4, [1, 1, 1])
+
+
 def test_tensor_examples(gf4):
     assert tensor(identity_matrix(gf4, 2), identity_matrix(gf4, 2)) == identity_matrix(gf4, 4)
     v = tensor(FieldVector(gf4, [1, 0]), FieldVector(gf4, [0, 1]))

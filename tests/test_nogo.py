@@ -100,7 +100,7 @@ def test_delete_obstruction_matches_clone(gf9):
 
 
 def test_f2_special_case():
-    report = f2_orthogonal_special_case(max_order=9)
+    report = f2_orthogonal_special_case()
     assert report["holds_only_in_f2"]
     orders = [r["order"] for r in report["fields"]]
     assert orders == sorted(orders) and 2 in orders and max(orders) == 9
