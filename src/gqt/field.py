@@ -38,7 +38,7 @@ from .errors import (
 )
 
 # Largest field order; every field gets full arithmetic tables.
-_TABLE_LIMIT = 4096
+_TABLE_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -345,7 +345,8 @@ class FieldSpec:
             except ValueError:
                 raise ParseError(f"number too long in field element term {term[:20]!r}") from None
             if exp >= self.k:
-                raise ParseError(f"exponent {exp} exceeds degree {self.k - 1} in {text!r}")
+                raise ParseError(f"exponent exceeds degree {self.k - 1} in field element term "
+                                 f"{term[:20]!r}")
             coeffs[exp] = (coeffs[exp] + coef) % self.p
         return self.element(coeffs)
 

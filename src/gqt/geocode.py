@@ -22,7 +22,7 @@ lookups instead of a run of the protocol.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -43,13 +43,11 @@ from .kernel import (
     ProjectivePoint,
     Ray,
     _curve,
-    _matvec,
     _meet,
-    _mul_rows,
     _normalize_ray,
     _polar,
 )
-from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
+from .linalg import FieldMatrix, FieldVector, _matvec, _pair, _rref, random_unitary
 from .protocols import sdc_decode, sdc_encode, sdc_messages
 
 SERIALIZATION_VERSION = 1
@@ -57,23 +55,13 @@ SERIALIZATION_VERSION = 1
 
 @dataclass
 class GeoParams:
-    """Shared parameters: three disjoint line indices and a unitary.
-
-    The mul-table rows of ``eta`` and ``eta_inverse`` are built once, on
-    construction, for the index-level cores.
-    """
+    """Shared parameters: three disjoint line indices and a unitary."""
 
     geom: KernelGeometry
     line_indices: Tuple[int, int, int]
     eta: FieldMatrix
     eta_inverse: FieldMatrix
     seed: int
-    _eta_rows: list = field(init=False, repr=False, compare=False)
-    _eta_inverse_rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._eta_rows = _mul_rows(self.eta)
-        self._eta_inverse_rows = _mul_rows(self.eta_inverse)
 
     def to_json(self) -> dict:
         return {
@@ -140,8 +128,8 @@ def _encode_ray(state: Ray, params: GeoParams) -> Tuple[Ray, Ray, Ray]:
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
-    add, _, mul, inv, _ = spec.tables()
-    return tuple(_normalize_ray(_matvec(params._eta_rows, m, add), mul, inv) for m in meets)
+    _, _, mul, inv, _ = spec.tables()
+    return tuple(_normalize_ray(_matvec(params.eta.indices(), m, spec), mul, inv) for m in meets)
 
 
 def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
@@ -151,8 +139,8 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
     for r in rays:
         if r not in geom._point_index:
             raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
-    add, _, mul, inv, _ = spec.tables()
-    pulled = [_matvec(params._eta_inverse_rows, r, add) for r in rays]
+    _, _, mul, inv, _ = spec.tables()
+    pulled = [_matvec(params.eta_inverse.indices(), r, spec) for r in rays]
     rank, polar = _polar([geom.form._row(v) for v in pulled], geom.form)
     if rank < 3:
         raise DegenerateSpanError("ciphertext points do not span a plane")
@@ -253,6 +241,8 @@ def parse_bitstream(text: str, spec: FieldSpec, dim: int) -> str:
     string is always longer than the hex of the same points, so text of
     exactly that many 0s and 1s is bits and anything shorter is hex.
     """
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
     width = 3 * dim * spec.k * _bits_per_coeff(spec.p)
     if len(text) == width and set(text) <= {"0", "1"}:
         return text

@@ -32,9 +32,9 @@ from .errors import (
 )
 from .field import FieldSpec
 from .linalg import (
-    FieldMatrix,
     FieldVector,
     HermitianForm,
+    _matvec,
     _null_basis,
     _pair,
     _rref,
@@ -184,22 +184,6 @@ def _normalize_ray(w: Ray, mul: List[List[int]], inv: List[int]) -> Ray:
     raise ZeroVectorError("the zero vector spans no ray")
 
 
-def _matvec(rows: Sequence[Sequence[List[int]]], v: Ray, add: List[List[int]]) -> Ray:
-    """Matrix-vector product; ``rows[r][c]`` is the mul-table row of entry (r, c)."""
-    out = []
-    for row in rows:
-        acc = 0
-        for m, x in zip(row, v):
-            acc = add[acc][m[x]]
-        out.append(acc)
-    return tuple(out)
-
-
-def _mul_rows(m: FieldMatrix) -> List[List[List[int]]]:
-    mul = m.spec.tables().mul
-    return [[mul[e] for e in row] for row in m.indices()]
-
-
 def _zero_pairings(row: Ray, cols: Sequence[Sequence[int]], spec: FieldSpec) -> List[int]:
     """Positions j where a nonzero polar row pairs to zero with ray j.
 
@@ -289,12 +273,13 @@ def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     kernel point, two images coincide, or the mapped lines differ from the
     lines.
     """
-    add, _, mul, inv, _ = geom.spec.tables()
+    spec = geom.spec
+    _, _, mul, inv, _ = spec.tables()
     line_set = set(geom.lines)
     escapes = 0
     for s in range(samples):
-        u = _mul_rows(random_unitary(geom.form, seed + s))
-        image = [geom._point_index.get(_normalize_ray(_matvec(u, r, add), mul, inv))
+        u = random_unitary(geom.form, seed + s).indices()
+        image = [geom._point_index.get(_normalize_ray(_matvec(u, r, spec), mul, inv))
                  for r in geom.rays]
         if None in image or len(set(image)) != len(geom.rays):
             escapes += 1

@@ -177,8 +177,7 @@ class FieldMatrix:
         if isinstance(other, FieldVector):
             if self.ncols != len(other):
                 raise DimensionMismatchError(f"{self.ncols} cols vs vector length {len(other)}")
-            v = other.indices()
-            return FieldVector.from_indices(spec, [_pair(row, v, spec) for row in self._rows])
+            return FieldVector.from_indices(spec, _matvec(self._rows, other.indices(), spec))
         if self.ncols != other.nrows:
             raise DimensionMismatchError(f"{self.ncols} cols vs {other.nrows} rows")
         cols = list(zip(*other._rows))
@@ -231,6 +230,18 @@ def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
     for x, y in zip(a, b):
         acc = add[acc][mul[x][y]]
     return acc
+
+
+def _matvec(rows: Sequence[Sequence[int]], v: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
+    """The index tuple of the matrix-vector product, for element indices rows and v."""
+    add, _, mul, _, _ = spec.tables()
+    out = []
+    for row in rows:
+        acc = 0
+        for x, y in zip(row, v):
+            acc = add[acc][mul[x][y]]
+        out.append(acc)
+    return tuple(out)
 
 
 def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence[int]], List[int]]:
@@ -345,7 +356,6 @@ class HermitianForm:
         self.spec = spec
         self.gram = gram
         self.dim = gram.nrows
-        self._gram = gram.indices()
 
     def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
         if len(x) != self.dim or len(y) != self.dim:
@@ -360,7 +370,7 @@ class HermitianForm:
             raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
         add, _, mul, _, frob = self.spec.tables()
         row = [0] * self.dim
-        for xi, grow in zip(x, self._gram):
+        for xi, grow in zip(x, self.gram.indices()):
             if xi:
                 m = mul[frob[xi]]
                 for j, g in enumerate(grow):

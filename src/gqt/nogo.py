@@ -2,16 +2,17 @@
 
 A cloning (or deleting) operator forces phi (x) psi + psi (x) phi = 0,
 which over a field vanishes only when a state is zero or, in
-characteristic 2, when the two states lie on the same ray.  The
-entrywise condition a_i b_j = -b_i a_j is evaluated alongside the tensor
-and the two must agree.  Commutators [a_i, a_j] are evaluated as well,
-once per field: they vanish for every state exactly when the field's
-multiplication table is symmetric, which documents the general
-division-ring statement without fake arithmetic.
+characteristic 2, when the two states lie on the same ray.
+Commutators [a_i, a_j] are evaluated once per field: they vanish for
+every state exactly when the field's multiplication table is symmetric,
+which documents the general division-ring statement without fake
+arithmetic.
 
 One core, ``_classify_indices``, works on element-index tuples and the
-field tables; ``clone_obstruction``/``delete_obstruction`` convert at
-their edges and ``scan`` streams index tuples through it.
+field tables; ``scan`` streams index tuples through it.
+``clone_obstruction``/``delete_obstruction`` convert at their edges and
+also read the entrywise condition a_i b_j = -(b_i a_j) in element
+arithmetic, which must agree with the tensor.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
-    InvariantError,
     NotUnitaryError,
     TooLargeError,
 )
@@ -73,16 +73,6 @@ class CloneClassification:
         }
 
 
-class IndexClassification(NamedTuple):
-    """``CloneClassification`` on element indices, without the kind."""
-
-    verdict: CloneVerdict
-    tensor_obstruction: IndexVector
-    witness: Optional[int]
-    entrywise_agrees: bool
-    commutators_vanish: bool
-
-
 @lru_cache(maxsize=None)
 def _commutators_vanish(spec: FieldSpec) -> bool:
     """Whether every commutator xy - yx of ``spec`` is zero: its mul table is symmetric."""
@@ -90,19 +80,16 @@ def _commutators_vanish(spec: FieldSpec) -> bool:
     return all(row[b] == mul[b][a] for a, row in enumerate(mul) for b in range(a))
 
 
-def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexClassification:
-    """Classify the pair (phi, psi) given by the element indices a and b."""
+def _classify_indices(
+    spec: FieldSpec, a: IndexVector, b: IndexVector
+) -> Tuple[CloneVerdict, IndexVector, Optional[int]]:
+    """Classify the pair (phi, psi) given by the element indices a and b.
+
+    Returns the verdict, the tensor obstruction phi (x) psi + psi (x) phi
+    and the witness rho with psi = phi * rho (None off one ray).
+    """
     add, _, mul, inv, _ = spec.tables()
     obstruction = tuple([add[x][y] for x, y in zip(_kron(a, b, spec), _kron(b, a, spec))])
-
-    # entrywise reading of the same equation: a_i b_j = -b_i a_j
-    entrywise_zero = not any(
-        add[mul[ai][bj]][mul[bi][aj]]
-        for ai, bi in zip(a, b)
-        for aj, bj in zip(a, b)
-    )
-    entrywise_agrees = entrywise_zero == (not any(obstruction))
-
     witness = None
     if not any(a) or not any(b):
         verdict = CloneVerdict.ZERO_STATE
@@ -122,8 +109,7 @@ def _classify_indices(spec: FieldSpec, a: IndexVector, b: IndexVector) -> IndexC
         else:
             verdict = CloneVerdict.INDEPENDENT
 
-    return IndexClassification(verdict, obstruction, witness, entrywise_agrees,
-                               _commutators_vanish(spec))
+    return verdict, obstruction, witness
 
 
 def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:
@@ -132,13 +118,16 @@ def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassificat
     if len(phi) != len(psi):
         raise DimensionMismatchError("states of different lengths")
     spec = phi.spec
-    c = _classify_indices(spec, phi.indices(), psi.indices())
+    verdict, obstruction, witness = _classify_indices(spec, phi.indices(), psi.indices())
+    # entrywise reading of the same equation: a_i b_j = -(b_i a_j)
+    pairs = list(zip(phi, psi))
+    entrywise_zero = all(ai * bj == -(bi * aj) for ai, bi in pairs for aj, bj in pairs)
     return CloneClassification(
-        verdict=c.verdict,
-        tensor_obstruction=FieldVector.from_indices(spec, c.tensor_obstruction),
-        witness=FieldElement(spec, c.witness) if c.witness is not None else None,
-        entrywise_agrees=c.entrywise_agrees,
-        commutators_vanish=c.commutators_vanish,
+        verdict=verdict,
+        tensor_obstruction=FieldVector.from_indices(spec, obstruction),
+        witness=FieldElement(spec, witness) if witness is not None else None,
+        entrywise_agrees=entrywise_zero == (not any(obstruction)),
+        commutators_vanish=_commutators_vanish(spec),
         kind=kind,
     )
 
@@ -175,16 +164,11 @@ def _scan_guard(order: int, dim: int) -> None:
             )
 
 
-def _vector_json(spec: FieldSpec, v: IndexVector) -> list:
-    return [list(spec.coeffs_of(i)) for i in v]
-
-
 def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
     """Classify every (phi, psi) pair of states of length dim.
 
     kind is "clone" or "delete".  The report counts the verdicts and keeps
-    the first pair of each as a sample witness; an entrywise check that
-    disagrees with the tensor obstruction raises ``InvariantError``.
+    the first pair of each as a sample witness.
     """
     if kind not in ("clone", "delete"):
         raise ValueError(f"kind must be 'clone' or 'delete', got {kind!r}")
@@ -194,21 +178,16 @@ def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
     pairs = 0
     for a in _index_vectors(spec.order, dim):
         for b in _index_vectors(spec.order, dim):
-            c = _classify_indices(spec, a, b)
+            verdict, obstruction, _ = _classify_indices(spec, a, b)
             pairs += 1
-            key = c.verdict.value
+            key = verdict.value
             counts[key] = counts.get(key, 0) + 1
             if key not in sample_witnesses:
                 sample_witnesses[key] = {
-                    "phi": _vector_json(spec, a),
-                    "psi": _vector_json(spec, b),
-                    "obstruction_vanishes": not any(c.tensor_obstruction),
+                    "phi": FieldVector.from_indices(spec, a).to_json(),
+                    "psi": FieldVector.from_indices(spec, b).to_json(),
+                    "obstruction_vanishes": not any(obstruction),
                 }
-            if not c.entrywise_agrees:
-                raise InvariantError(
-                    f"entrywise check disagrees with the {kind} obstruction "
-                    f"for phi={_vector_json(spec, a)}, psi={_vector_json(spec, b)}"
-                )
     report = {
         "kind": kind,
         "field": spec.to_json(),

@@ -214,12 +214,23 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     (["field", "--p", "3", "--element", "1" * 5000], "Parse"),
     (["field", "--p", "3", "--element", "t^" + "1" * 5000], "Parse"),
     (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "1" * 5000 + ";1;0;0"], "Parse"),
+    # orders just above the table limit
+    (["field", "--p", "2", "--k", "11"], "TooLarge"),
+    (["field", "--p", "1031"], "TooLarge"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
     code, report = run_json(capsys, argv + ["--deterministic"])
     assert code == 1
     assert report["error"]["type"] == error
+
+
+def test_exponent_error_quotes_a_bounded_part_of_the_term(capsys):
+    code = run(["field", "--p", "3", "--element", "t^" + "9" * 4000, "--deterministic"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "Parse"
+    assert len(out.encode()) < 200
 
 
 @pytest.mark.parametrize("dim", ["0", "-1", "x"])

@@ -244,6 +244,9 @@ def test_is_prime():
     lambda: build_field(2, 10 ** 9),
     lambda: FieldSpec(2, 13, [1] * 14),
     lambda: theory_coordinates(7, 1, 2),
+    lambda: FieldSpec(2, 11),
+    lambda: FieldSpec(1031, 1),
+    lambda: theory_coordinates(6, 1, 2),
 ])
 def test_order_above_the_table_limit_is_too_large(make):
     with pytest.raises(TooLargeError):

@@ -226,6 +226,9 @@ def test_parse_bitstream(gf4, gf9):
     for bad in ["", "zz", "babea70", "0x1f", " 1f", "-1f", "0" * 8, "1" * 25]:
         with pytest.raises(MalformedBitstreamError):
             parse_bitstream(bad, gf4, 4)
+    for dim in (0, -1):
+        with pytest.raises(DimensionMismatchError):
+            parse_bitstream("", gf4, dim)
 
 
 @given(data=st.data())
@@ -251,6 +254,38 @@ def test_bitstream_text_raises_only_domain_errors(gf4, gf9, text, dim):
                 read(text, spec, dim)
             except GQTError:
                 pass
+
+
+@st.composite
+def _ciphertexts(draw, geoms):
+    """0-5 points over GF(2), GF(4) or GF(9) of dimension 1-5, kernel points or not."""
+    points = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            points.append(draw(st.sampled_from(draw(st.sampled_from(geoms)).points)))
+            continue
+        spec = build_field(*draw(st.sampled_from([(2, 1), (2, 2), (3, 2)])))
+        dim = draw(st.integers(1, 5))
+        ray = draw(st.lists(st.integers(0, spec.order - 1), min_size=dim, max_size=dim)
+                   .filter(any))
+        points.append(ProjectivePoint(FieldVector.from_indices(spec, ray)))
+    bitstream = draw(st.one_of(st.text(max_size=40), st.text(alphabet="01", max_size=120)))
+    return GeoCiphertext(points=tuple(points), bitstream=bitstream)
+
+
+@given(data=st.data())
+def test_ciphertext_objects_raise_only_domain_errors(params_q2, params_q3, data):
+    ct = data.draw(_ciphertexts([params_q2.geom, params_q3.geom]))
+    for params in (params_q2, params_q3):
+        try:
+            geo_decode(ct, params)
+        except GQTError:
+            pass
+    for spec in (build_field(2, 1), params_q2.geom.spec, params_q3.geom.spec):
+        try:
+            geo_transmit(ct, spec)
+        except GQTError:
+            pass
 
 
 # --- the index-level trial against an object-level reference ---------------------

@@ -13,6 +13,7 @@ from gqt.errors import GQTError, InvariantError
 from gqt.field import FieldSpec, build_field
 from gqt.kernel import collinear
 from gqt.linalg import FieldVector
+from gqt.nogo import CloneVerdict
 
 
 def test_invariant_error_is_a_domain_error():
@@ -20,17 +21,17 @@ def test_invariant_error_is_a_domain_error():
     assert InvariantError("x").to_json() == {"type": "Invariant", "message": "x"}
 
 
-def test_nogo_scan_invariant_failure_is_json_exit_1(monkeypatch, capsys):
-    real = gqt.nogo._classify_indices
+def test_entrywise_reading_is_computed_apart_from_the_obstruction(monkeypatch):
+    # a zero phi makes every a_i b_j and b_i a_j zero, whatever the core returns
+    def nonzero_obstruction(spec, a, b):
+        return CloneVerdict.ZERO_STATE, (1,) * (len(a) * len(b)), None
 
-    def disagreeing(spec, a, b):
-        return real(spec, a, b)._replace(entrywise_agrees=False)
-
-    monkeypatch.setattr(gqt.nogo, "_classify_indices", disagreeing)
-    code = run(["noclone", "scan", "--p", "2", "--deterministic"])
-    assert code == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["error"]["type"] == "Invariant"
+    spec = build_field(2, 2)
+    phi, psi = FieldVector(spec, [0, 0]), FieldVector(spec, [1, "t"])
+    assert gqt.nogo.clone_obstruction(phi, psi).entrywise_agrees is True
+    monkeypatch.setattr(gqt.nogo, "_classify_indices", nonzero_obstruction)
+    assert gqt.nogo.clone_obstruction(phi, psi).entrywise_agrees is False
+    assert gqt.nogo.delete_obstruction(phi, psi).entrywise_agrees is False
 
 
 def test_teleport_char2_invariant_failure(monkeypatch, capsys):
