@@ -4,7 +4,8 @@ Alice and Bob share three pairwise disjoint kernel lines and a unitary.
 A non-self-orthogonal state is encoded as the three intersection points
 of its polar plane's curve with the shared lines, pushed through the
 unitary; decoding inverts the unitary, spans the plane through the three
-points and takes its polar point.
+points and takes its polar point.  The unitary permutes the kernel
+points; ``GeoParams`` tabulates that permutation once, both ways.
 
 Every stage has an index-level core that works on element-index rays and
 field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
@@ -22,7 +23,7 @@ lookups instead of a run of the protocol.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -35,6 +36,7 @@ from .errors import (
     MalformedBitstreamError,
     NotKernelPointError,
     NotUniqueError,
+    NotUnitaryError,
     SelfOrthogonalStateError,
 )
 from .field import FieldSpec
@@ -42,12 +44,12 @@ from .kernel import (
     KernelGeometry,
     ProjectivePoint,
     Ray,
-    _curve,
+    _image,
     _meet,
     _normalize_ray,
     _polar,
 )
-from .linalg import FieldMatrix, FieldVector, _matvec, _pair, _rref, random_unitary
+from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
 from .protocols import sdc_decode, sdc_encode, sdc_messages
 
 SERIALIZATION_VERSION = 1
@@ -55,13 +57,23 @@ SERIALIZATION_VERSION = 1
 
 @dataclass
 class GeoParams:
-    """Shared parameters: three disjoint line indices and a unitary."""
+    """Shared lines and unitary; ``_push``/``_pull`` map kernel point indices by eta/eta^-1."""
 
     geom: KernelGeometry
     line_indices: Tuple[int, int, int]
     eta: FieldMatrix
     eta_inverse: FieldMatrix
     seed: int
+    _push: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pull: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        push = _image(self.eta.indices(), self.geom)
+        pull = _image(self.eta_inverse.indices(), self.geom)
+        if None in push or None in pull or any(pull[j] != i for i, j in enumerate(push)):
+            raise NotUnitaryError("eta and eta_inverse must permute the kernel points, "
+                                  "each undoing the other")
+        self._push, self._pull = tuple(push), tuple(pull)
 
     def to_json(self) -> dict:
         return {
@@ -119,32 +131,34 @@ def _encode_ray(state: Ray, params: GeoParams) -> Tuple[Ray, Ray, Ray]:
     """``geo_encode`` on element indices: the three transported, normalized rays."""
     geom = params.geom
     spec = geom.spec
+    rays = geom.rays
     row = geom.form._row(state)
     if _pair(row, state, spec) == 0:
         raise SelfOrthogonalStateError("state must not be self-orthogonal")
-    curve = _curve(row, geom)
-    meets = [geom.rays[_meet(geom.lines[li], curve)] for li in params.line_indices]
-    if len(_rref(meets, spec)[1]) < 3:
+    # Each meet among its line's points only; the push table moves it through eta.
+    meets = [_meet(line, [i for i in line if _pair(row, rays[i], spec) == 0])
+             for line in (geom.lines[li] for li in params.line_indices)]
+    if len(_rref([rays[m] for m in meets], spec)[1]) < 3:
         raise DegenerateSpanError(
             "the three intersection points do not span a plane"
         )
-    _, _, mul, inv, _ = spec.tables()
-    return tuple(_normalize_ray(_matvec(params.eta.indices(), m, spec), mul, inv) for m in meets)
+    return tuple(rays[params._push[m]] for m in meets)
 
 
 def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
     """``geo_decode`` on normalized element-index rays: the recovered ray."""
     geom = params.geom
     spec = geom.spec
-    for r in rays:
-        if r not in geom._point_index:
-            raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
+    indices = [geom._point_index.get(r) for r in rays]
+    if None in indices:
+        r = rays[indices.index(None)]
+        raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
     _, _, mul, inv, _ = spec.tables()
-    pulled = [_matvec(params.eta_inverse.indices(), r, spec) for r in rays]
-    rank, polar = _polar([geom.form._row(v) for v in pulled], geom.form)
+    # Pull back by index and read the polar rows the geometry keeps.
+    rank, polar = _polar([geom.rows[params._pull[i]] for i in indices], geom.form)
     if rank < 3:
         raise DegenerateSpanError("ciphertext points do not span a plane")
-    if rank < len(pulled):
+    if rank < len(rays):
         raise DependentBasisError("basis vectors are linearly dependent")
     if len(polar) != 1:
         raise NotUniqueError(f"polar has dimension {len(polar)}, expected a point")

@@ -19,7 +19,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     DependentBasisError,
@@ -101,7 +101,8 @@ def is_self_orthogonal(v: FieldVector, f: HermitianForm) -> bool:
 class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
-    ``rays`` holds each point's element indices, in point order.
+    ``rays`` holds each point's element indices, in point order, and
+    ``rows`` each point's polar row conj(v) G.
     """
 
     form: HermitianForm
@@ -109,6 +110,7 @@ class KernelGeometry:
     lines: Tuple[FrozenSet[int], ...]
     incidence: Dict[int, FrozenSet[int]]
     rays: Tuple[Ray, ...]
+    rows: Tuple[Ray, ...]
     _point_index: Dict[Ray, int] = field(default_factory=dict)
     _adjacency: Tuple[FrozenSet[int], ...] = ()
 
@@ -259,28 +261,30 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
         lines=sorted_lines,
         incidence={i: frozenset(s) for i, s in incidence.items()},
         rays=tuple(rays),
+        rows=tuple(rows),
         _point_index=ray_index,
         _adjacency=tuple(frozenset(s) for s in adjacency),
     )
 
 
+def _image(u: Sequence[Ray], geom: KernelGeometry) -> List[Optional[int]]:
+    """Per kernel ray r, the kernel index of the ray of u r (u as index rows), or None."""
+    spec = geom.spec
+    _, _, mul, inv, _ = spec.tables()
+    images = [_matvec(u, r, spec) for r in geom.rays]
+    return [geom._point_index.get(_normalize_ray(w, mul, inv)) if any(w) else None for w in images]
+
+
 def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     """How many of ``samples`` seeded unitaries fail to permute points and lines.
 
-    Unitary ``s`` is ``random_unitary(geom.form, seed + s)``.  Each point is
-    mapped by an index-level matrix-vector product, normalized, and looked
-    up among the kernel rays; a unitary escapes when some image is not a
-    kernel point, two images coincide, or the mapped lines differ from the
-    lines.
+    Unitary ``s`` is ``random_unitary(geom.form, seed + s)``; it escapes when
+    some point's ``_image`` is None, two coincide, or the mapped lines differ.
     """
-    spec = geom.spec
-    _, _, mul, inv, _ = spec.tables()
     line_set = set(geom.lines)
     escapes = 0
     for s in range(samples):
-        u = random_unitary(geom.form, seed + s).indices()
-        image = [geom._point_index.get(_normalize_ray(_matvec(u, r, spec), mul, inv))
-                 for r in geom.rays]
+        image = _image(random_unitary(geom.form, seed + s).indices(), geom)
         if None in image or len(set(image)) != len(geom.rays):
             escapes += 1
             continue
@@ -412,12 +416,6 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     )
 
 
-def _curve(row: Ray, geom: KernelGeometry) -> List[int]:
-    """Indices of the kernel points whose rays pair to zero with a polar row."""
-    cols = [[r[k] for r in geom.rays] for k in range(geom.form.dim)]
-    return _zero_pairings(row, cols, geom.spec)
-
-
 def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:
     """Kernel points in the polar plane of a non-self-orthogonal point.
 
@@ -427,7 +425,8 @@ def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[Projective
     row = geom.form._row(x.ray)
     if _pair(row, x.ray, geom.spec) == 0:
         raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
-    return [geom.points[i] for i in _curve(row, geom)]
+    cols = [[r[k] for r in geom.rays] for k in range(geom.form.dim)]
+    return [geom.points[i] for i in _zero_pairings(row, cols, geom.spec)]
 
 
 def _meet(line: FrozenSet[int], curve: Iterable[int]) -> int:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from gqt.errors import (
     GQTError,
     MalformedBitstreamError,
     NotKernelPointError,
+    NotUnitaryError,
     SelfOrthogonalStateError,
 )
 from gqt import geocode
@@ -30,7 +33,13 @@ from gqt.geocode import (
     roundtrip_sweep,
     serialize_points,
 )
-from gqt.kernel import ProjectivePoint, enumerate_projective_points, hermitian_curve
+from gqt.kernel import (
+    ProjectivePoint,
+    enumerate_projective_points,
+    hermitian_curve,
+    normalize_ray,
+    unique_meet,
+)
 from gqt.linalg import (
     FieldMatrix,
     FieldVector,
@@ -38,6 +47,7 @@ from gqt.linalg import (
     identity_matrix,
     is_unitary,
     nullspace,
+    random_unitary,
 )
 from gqt.protocols import sdc_decode, sdc_encode, sdc_messages
 
@@ -354,4 +364,60 @@ def test_index_trial_matches_object_reference(p, seed, kernel_q2, kernel_q3):
         received_rays = _bits_to_rays(received_bits, spec, form.dim)
         assert received_rays == [pt.ray for pt in received]
         assert _decode_rays(received_rays, params) == recovered.ray == state.indices()
+    assert 0 < degenerate < len(states)
+
+
+def test_hand_made_non_unitary_eta_is_refused(gf4, params_q2):
+    # the shear sends kernel points off the surface; with it geo_encode
+    # emitted non-kernel points and a sweep aborted with NotKernelPoint
+    shear = FieldMatrix(gf4, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert not is_unitary(shear, params_q2.geom.form)
+    u = random_unitary(params_q2.geom.form, 3)
+    zero = FieldMatrix(gf4, [[0] * 4] * 4)
+    for eta, eta_inverse in [(shear, shear.inverse()), (u, identity_matrix(gf4, 4)),
+                             (u, zero), (zero, u)]:
+        with pytest.raises(NotUnitaryError):
+            GeoParams(geom=params_q2.geom, line_indices=params_q2.line_indices,
+                      eta=eta, eta_inverse=eta_inverse, seed=params_q2.seed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_eta_permutes_the_kernel_points(p, seed, kernel_q2, kernel_q3):
+    geom = kernel_q2 if p == 2 else kernel_q3
+    params = agree_parameters(geom, seed)
+    push, pull = params._push, params._pull
+    n = len(geom.points)
+    assert sorted(push) == list(range(n))
+    for i, point in enumerate(geom.points):
+        image = normalize_ray(params.eta @ point.coords)
+        assert geom.points[push[i]].coords == image
+    # U(V, phi) preserves the polar space: lines go onto lines
+    assert {frozenset(push[i] for i in line) for line in geom.lines} == set(geom.lines)
+    assert all(pull[push[i]] == i and push[pull[i]] == i for i in range(n))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_encode_matches_the_object_route(p, seed, kernel_q2, kernel_q3):
+    # independent route: the curve of the state, its unique meet with each
+    # shared line, then eta @ the point
+    geom = kernel_q2 if p == 2 else kernel_q3
+    spec, form = geom.spec, geom.form
+    params = agree_parameters(geom, seed)
+    states = [v for v in enumerate_projective_points(spec, form.dim)
+              if not form.evaluate(v, v).is_zero()]
+    if p == 3:
+        states = random.Random(seed).sample(states, 80)
+    degenerate = 0
+    for state in states:
+        curve = hermitian_curve(ProjectivePoint(state), geom)
+        meets = [unique_meet(geom.lines[li], curve, geom) for li in params.line_indices]
+        if FieldMatrix(spec, [list(m.coords) for m in meets]).rank() < 3:
+            degenerate += 1
+            with pytest.raises(DegenerateSpanError):
+                _encode_ray(state.indices(), params)
+            continue
+        expected = tuple(ProjectivePoint(params.eta @ m.coords).ray for m in meets)
+        assert _encode_ray(state.indices(), params) == expected
     assert 0 < degenerate < len(states)

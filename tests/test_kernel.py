@@ -391,3 +391,9 @@ def test_geometry_rays_index_the_points(kernel_q2, kernel_q3):
     for geom in (kernel_q2, kernel_q3):
         assert geom.rays == tuple(p.coords.indices() for p in geom.points)
         assert all(geom.index_of(p) == i for i, p in enumerate(geom.points))
+
+
+def test_geometry_rows_are_the_polar_rows_of_the_points(kernel_q2, kernel_q3):
+    for geom in (kernel_q2, kernel_q3):
+        assert geom.rows == tuple(polar_hyperplane(p.coords, geom.form).indices()
+                                  for p in geom.points)
