@@ -311,19 +311,14 @@ class FieldSpec:
         return FieldElement(self, self._kappa_index)
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        if len(coeffs) > self.k:
-            trimmed = _poly_mod(tuple(c % self.p for c in coeffs), self.modulus, self.p)
-            coeffs = trimmed + (0,) * (self.k - len(trimmed))
-        else:
-            coeffs = tuple(coeffs) + (0,) * (self.k - len(coeffs))
-        return FieldElement(self, self._index_of(coeffs))
+        return FieldElement(self, self._index_of(_poly_mod(coeffs, self.modulus, self.p)))
 
     def from_index(self, n: int) -> "FieldElement":
         return FieldElement(self, n % self.order)
 
     def from_int(self, n: int) -> "FieldElement":
-        """Image of the integer n under the prime-field embedding."""
-        return self.element((n % self.p,))
+        """Image of the integer n under the prime-field embedding; a constant is its own index."""
+        return FieldElement(self, n % self.p)
 
     def from_string(self, text: str) -> "FieldElement":
         """Parse a polynomial in t, e.g. ''t+1'', '2*t^3 + t''."""
@@ -352,7 +347,7 @@ class FieldSpec:
 
     def parse(self, value: Union[str, int, Sequence[int], "FieldElement"]) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.spec is not self and value.spec != self:
+            if value.spec != self:
                 raise FieldMismatchError("element belongs to a different field")
             return value
         if isinstance(value, str):
@@ -457,8 +452,6 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        if e < 0 and self.index == 0:
-            raise DivisionByZeroError("negative power of zero")
         return FieldElement(self.spec, self.spec.pow_i(self.index, e))
 
     def inverse(self) -> "FieldElement":

@@ -5,7 +5,7 @@ A non-self-orthogonal state is encoded as the three intersection points
 of its polar plane's curve with the shared lines, pushed through the
 unitary; decoding inverts the unitary, spans the plane through the three
 points and takes its polar point.  The unitary permutes the kernel
-points; ``GeoParams`` tabulates that permutation once, both ways.
+points; ``GeoParams`` computes that permutation once and inverts it.
 
 Every stage has an index-level core that works on element-index rays and
 field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
@@ -15,9 +15,9 @@ from ``FieldVector``/``ProjectivePoint`` objects at their edges.
 
 Transport carries the bitstream over the super-dense channel.  Each field
 gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
-themselves: the encoded Bell state of every allowed message, and the
-message ``sdc_decode`` reads back from it.  A symbol then costs two
-lookups instead of a run of the protocol.
+themselves: every chunk one Bell use carries, and the chunk read back
+after it crossed.  A chunk then costs one lookup instead of a run of the
+protocol.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateSpanError,
     DependentBasisError,
     DimensionMismatchError,
     ExhaustedSearchError,
+    FieldMismatchError,
     MalformedBitstreamError,
     NotKernelPointError,
     NotUniqueError,
@@ -44,9 +45,9 @@ from .kernel import (
     KernelGeometry,
     ProjectivePoint,
     Ray,
-    _image,
     _meet,
     _normalize_ray,
+    _permutation,
     _polar,
 )
 from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
@@ -62,18 +63,21 @@ class GeoParams:
     geom: KernelGeometry
     line_indices: Tuple[int, int, int]
     eta: FieldMatrix
-    eta_inverse: FieldMatrix
     seed: int
     _push: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _pull: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        push = _image(self.eta.indices(), self.geom)
-        pull = _image(self.eta_inverse.indices(), self.geom)
-        if None in push or None in pull or any(pull[j] != i for i, j in enumerate(push)):
-            raise NotUnitaryError("eta and eta_inverse must permute the kernel points, "
-                                  "each undoing the other")
-        self._push, self._pull = tuple(push), tuple(pull)
+        dim = self.geom.form.dim
+        if self.eta.spec != self.geom.spec:
+            raise FieldMismatchError("eta and the geometry are over different fields")
+        if (self.eta.nrows, self.eta.ncols) != (dim, dim):
+            raise DimensionMismatchError(f"eta must be {dim} x {dim}")
+        push = _permutation(self.eta.indices(), self.geom)
+        if push is None:
+            raise NotUnitaryError("eta must permute the kernel points and lines")
+        # point i goes to push[i], so sorting the points by image inverts push
+        self._push, self._pull = push, tuple(sorted(range(len(push)), key=push.__getitem__))
 
     def to_json(self) -> dict:
         return {
@@ -113,12 +117,10 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
                 break
     if len(chosen) < 3:
         raise ExhaustedSearchError("no three pairwise disjoint lines found")
-    eta = random_unitary(geom.form, rng.getrandbits(63))
     return GeoParams(
         geom=geom,
         line_indices=(chosen[0], chosen[1], chosen[2]),
-        eta=eta,
-        eta_inverse=eta.inverse(),
+        eta=random_unitary(geom.form, rng.getrandbits(63)),
         seed=seed,
     )
 
@@ -269,37 +271,31 @@ def parse_bitstream(text: str, spec: FieldSpec, dim: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _sdc_codebook(spec: FieldSpec) -> Tuple[Mapping[str, Ray], Mapping[Ray, str]]:
+def _sdc_codebook(spec: FieldSpec) -> Mapping[str, str]:
     """Super-dense code words of ``spec``, from ``sdc_encode``/``sdc_decode``.
 
-    Returns the encoded state (as element indices) of every allowed
-    message, and the message ``sdc_decode`` reads from each encoded state,
-    as read-only views since every caller shares them.
+    With n allowed messages one Bell use carries log2(n) bits, sent as the
+    message that ends in them (characteristic 2: 0b).  Maps every such
+    chunk to the chunk ``sdc_decode`` reads back, as a read-only view
+    since every caller shares it.
     """
-    words: Dict[str, Ray] = {}
-    readings: Dict[Ray, str] = {}
-    for message in sdc_messages(spec):
-        state = sdc_encode(message, spec)
-        words[message] = state.indices()
-        readings[state.indices()] = sdc_decode(state, spec)
-    return MappingProxyType(words), MappingProxyType(readings)
+    messages = sdc_messages(spec)
+    width = len(messages).bit_length() - 1
+    return MappingProxyType({m[-width:]: sdc_decode(sdc_encode(m, spec), spec)[-width:]
+                             for m in messages})
 
 
 def _transmit_bits(bits: str, spec: FieldSpec) -> str:
     """The bits read back after every chunk crossed the super-dense channel.
 
-    Characteristic 2 carries one bit per Bell use (messages 00/01), other
-    characteristics two bits; odd tails are padded with a zero bit that is
-    stripped on receipt.
+    A tail shorter than a chunk is padded with zero bits that are stripped
+    on receipt.
     """
-    words, readings = _sdc_codebook(spec)
-    per_use = 1 if spec.p == 2 else 2
-    padded = bits + "0" * (-len(bits) % per_use)
-    # A chunk is sent as the message that ends in it (char 2: 0b).
-    return "".join(
-        readings[words[padded[i:i + per_use].rjust(2, "0")]][-per_use:]
-        for i in range(0, len(padded), per_use)
-    )[:len(bits)]
+    codebook = _sdc_codebook(spec)
+    width = len(next(iter(codebook)))  # every chunk has the same width
+    padded = bits + "0" * (-len(bits) % width)
+    return "".join(codebook[padded[i:i + width]]
+                   for i in range(0, len(padded), width))[:len(bits)]
 
 
 def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[ProjectivePoint]]:

@@ -267,30 +267,31 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
     )
 
 
-def _image(u: Sequence[Ray], geom: KernelGeometry) -> List[Optional[int]]:
-    """Per kernel ray r, the kernel index of the ray of u r (u as index rows), or None."""
+def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, ...]]:
+    """The kernel index of the ray of u r for every kernel ray r (u as index rows).
+
+    None unless u maps the kernel points bijectively onto themselves and
+    the lines onto lines, as every unitary of the form does.
+    """
     spec = geom.spec
     _, _, mul, inv, _ = spec.tables()
     images = [_matvec(u, r, spec) for r in geom.rays]
-    return [geom._point_index.get(_normalize_ray(w, mul, inv)) if any(w) else None for w in images]
+    image = [geom._point_index.get(_normalize_ray(w, mul, inv)) if any(w) else None
+             for w in images]
+    if None in image or len(set(image)) != len(image):
+        return None
+    lines = {frozenset(image[i] for i in line) for line in geom.lines}
+    return tuple(image) if lines == set(geom.lines) else None
 
 
 def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     """How many of ``samples`` seeded unitaries fail to permute points and lines.
 
     Unitary ``s`` is ``random_unitary(geom.form, seed + s)``; it escapes when
-    some point's ``_image`` is None, two coincide, or the mapped lines differ.
+    its ``_permutation`` is None.
     """
-    line_set = set(geom.lines)
-    escapes = 0
-    for s in range(samples):
-        image = _image(random_unitary(geom.form, seed + s).indices(), geom)
-        if None in image or len(set(image)) != len(geom.rays):
-            escapes += 1
-            continue
-        if {frozenset(image[i] for i in line) for line in geom.lines} != line_set:
-            escapes += 1
-    return escapes
+    return sum(_permutation(random_unitary(geom.form, seed + s).indices(), geom) is None
+               for s in range(samples))
 
 
 def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> bool:

@@ -174,6 +174,8 @@ class FieldMatrix:
 
     def __matmul__(self, other: Union["FieldMatrix", FieldVector]):
         spec = self.spec
+        if other.spec != spec:
+            raise FieldMismatchError("operands over different fields")
         if isinstance(other, FieldVector):
             if self.ncols != len(other):
                 raise DimensionMismatchError(f"{self.ncols} cols vs vector length {len(other)}")
@@ -337,23 +339,19 @@ def is_hermitian_matrix(a: FieldMatrix) -> bool:
     if not a.is_square():
         raise NotSquareError("hermitian test requires a square matrix")
     if a.spec.q is None:
-        raise NoInvolutionError("hermitian test requires a field with conjugation")
+        raise NoInvolutionError("Hermitian forms need an even extension degree")
     return a.conj_transpose() == a
 
 
 class HermitianForm:
-    """Nondegenerate Hermitian form given by its Gram matrix."""
+    """Nondegenerate Hermitian form given by its Gram matrix, over the matrix's field."""
 
-    def __init__(self, spec: FieldSpec, gram: FieldMatrix):
-        if spec.q is None:
-            raise NoInvolutionError("Hermitian forms need an even extension degree")
-        if not gram.is_square():
-            raise NotSquareError("Gram matrix must be square")
+    def __init__(self, gram: FieldMatrix):
         if not is_hermitian_matrix(gram):
             raise NotHermitianError("Gram matrix is not Hermitian")
         if gram.rank() < gram.nrows:
             raise DegenerateFormError("Gram matrix is singular")
-        self.spec = spec
+        self.spec = gram.spec
         self.gram = gram
         self.dim = gram.nrows
 
@@ -382,11 +380,7 @@ class HermitianForm:
         return self.gram == identity_matrix(self.spec, self.dim)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermitianForm)
-            and self.spec == other.spec
-            and self.gram == other.gram
-        )
+        return isinstance(other, HermitianForm) and self.gram == other.gram
 
     def __repr__(self) -> str:
         return f"HermitianForm(dim={self.dim})"
@@ -399,7 +393,7 @@ def standard_form(spec: FieldSpec, dim: int) -> HermitianForm:
     """The identity-Gram form sum conj(x_i) y_i."""
     if dim < 1:
         raise DimensionMismatchError("dimension must be >= 1")
-    return HermitianForm(spec, identity_matrix(spec, dim))
+    return HermitianForm(identity_matrix(spec, dim))
 
 
 def evaluate_form(f: HermitianForm, x: FieldVector, y: FieldVector) -> FieldElement:

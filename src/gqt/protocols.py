@@ -61,23 +61,17 @@ def anti_diagonal(spec: FieldSpec, n: int) -> FieldMatrix:
 
 def bell_state(spec: FieldSpec) -> FieldVector:
     """|00> + |11>, unnormalized."""
-    return FieldVector(spec, [1, 0, 0, 1])
+    return FieldVector(spec, _BELL_TABLE["phi+"][2])
 
 
 def bell_basis(spec: FieldSpec) -> List[Tuple[str, FieldVector]]:
-    """Labeled Bell vectors; in characteristic 2 the four collapse to two."""
-    minus = spec.from_int(-1)
-    if spec.p == 2:
-        return [
-            ("phi+", FieldVector(spec, [1, 0, 0, 1])),
-            ("psi+", FieldVector(spec, [0, 1, 1, 0])),
-        ]
-    return [
-        ("phi+", FieldVector(spec, [1, 0, 0, 1])),
-        ("phi-", FieldVector(spec, [spec.one, spec.zero, spec.zero, minus])),
-        ("psi+", FieldVector(spec, [0, 1, 1, 0])),
-        ("psi-", FieldVector(spec, [spec.zero, spec.one, -spec.one, spec.zero])),
-    ]
+    """Labeled Bell vectors of the messages ``sdc_messages`` allows.
+
+    In characteristic 2 the four collapse to two: phi- = phi+, psi- = psi+.
+    """
+    messages = sdc_messages(spec)
+    return [(label, FieldVector(spec, vec))
+            for label, (message, _, vec) in _BELL_TABLE.items() if message in messages]
 
 
 # --- modal measurement --------------------------------------------------------------
@@ -167,15 +161,16 @@ class ProtocolTranscript:
 
 # --- gates and branches -----------------------------------------------------------------
 
-# The one gate/branch table: Bell label -> (two-bit message, Pauli gate), in
-# bell_basis order.  Teleportation reports the message of the measured Bell
-# vector and corrects with its gate; super-dense coding encodes a message
-# with its gate and decodes the Bell vector it lands on back to the message.
+# The one gate/branch table: Bell label -> (two-bit message, Pauli gate,
+# Bell vector), in bell_basis order.  Teleportation reports the message of
+# the measured Bell vector and corrects with its gate; super-dense coding
+# encodes a message with its gate and decodes the Bell vector it lands on
+# back to the message.
 _BELL_TABLE = {
-    "phi+": ("00", "id"),
-    "phi-": ("10", "Z"),
-    "psi+": ("01", "X"),
-    "psi-": ("11", "ZX"),
+    "phi+": ("00", "id", (1, 0, 0, 1)),
+    "phi-": ("10", "Z", (1, 0, 0, -1)),
+    "psi+": ("01", "X", (0, 1, 1, 0)),
+    "psi-": ("11", "ZX", (0, 1, -1, 0)),
 }
 
 # Pauli gate name -> its builder.
@@ -232,7 +227,8 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
     phi = FieldVector(spec, [alpha, beta])
     system = tensor(phi, bell_state(spec))
     if char2:
-        system = system + (anti_diagonal(spec, 8) @ tensor(phi, FieldVector(spec, [0, 1, 1, 0])))
+        psi = FieldVector(spec, _BELL_TABLE["psi+"][2])
+        system = system + (anti_diagonal(spec, 8) @ tensor(phi, psi))
     tr.record("input", phi)
     tr.record("joint", system)
 
@@ -253,7 +249,7 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
         # each branch carries an explicit 1/2 factor; strip it before correcting
         residual = residual.scale(spec.from_int(2))
     tr.branch_index, tr.branch_label = idx, label
-    message, tr.correction = _BELL_TABLE[label]
+    message, tr.correction, _ = _BELL_TABLE[label]
     # in characteristic 2, phi+ and psi+ differ in the second bit only
     tr.classical_message = message[1] if char2 else message
     tr.record(f"bob_pre_correction[{label}]", residual)
@@ -270,14 +266,14 @@ def sdc_messages(spec: FieldSpec) -> List[str]:
     Z acts trivially in characteristic 2, so there only the messages whose
     gate has no Z (00 and 01) stay distinguishable.
     """
-    return [msg for msg, gate in _BELL_TABLE.values() if spec.p != 2 or "Z" not in gate]
+    return [msg for msg, gate, _ in _BELL_TABLE.values() if spec.p != 2 or "Z" not in gate]
 
 
 def sdc_encode(bits: str, spec: FieldSpec) -> FieldVector:
     """Apply the two-bit gate rule to the shared Bell state."""
-    gate = next((g for msg, g in _BELL_TABLE.values() if msg == bits), None)
+    gate = next((g for msg, g, _ in _BELL_TABLE.values() if msg == bits), None)
     if gate is None:
-        messages = sorted(msg for msg, _ in _BELL_TABLE.values())
+        messages = sorted(msg for msg, _, _ in _BELL_TABLE.values())
         raise BadMessageError(f"message must be one of {messages}, got {bits!r}")
     if bits not in sdc_messages(spec):
         raise Char2MessageUnsupportedError(

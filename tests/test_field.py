@@ -218,6 +218,14 @@ def test_element_reduces_a_long_coefficient_list(p, k):
     assert spec.element([1] * 20000) == total
 
 
+def test_short_coefficient_lists_and_powers_of_zero(gf9):
+    assert gf9.element([]) == gf9.zero and gf9.element([2]) == gf9.from_int(2)
+    assert gf9.element([0, 1]) == gf9.gen and gf9.element((1, -1)) == gf9.from_string("1 - t")
+    assert gf9.zero ** 0 == gf9.one and gf9.zero ** 3 == gf9.zero
+    with pytest.raises(DivisionByZeroError):
+        gf9.zero ** -1
+
+
 def test_json_encoding(gf4):
     assert gf4.to_json() == {"p": 2, "k": 2, "modulus": [1, 1, 1]}
     assert (gf4.gen + 1).to_json() == {"coeffs": [1, 1]}

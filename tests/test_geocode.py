@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gqt.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
+    FieldMismatchError,
     GQTError,
     MalformedBitstreamError,
     NotKernelPointError,
@@ -65,7 +66,7 @@ def params_q3(kernel_q3):
 def identity_params(params):
     ident = identity_matrix(params.geom.spec, params.geom.form.dim)
     return GeoParams(geom=params.geom, line_indices=params.line_indices,
-                     eta=ident, eta_inverse=ident, seed=params.seed)
+                     eta=ident, seed=params.seed)
 
 
 def test_agree_parameters_deterministic_and_disjoint(kernel_q2, params_q2):
@@ -183,15 +184,16 @@ def test_sweep_deterministic(params_q2):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_codebook_matches_sdc_protocol(p):
+    # one Bell use carries the last bit of 00/01 in characteristic 2, else two bits
     spec = build_field(p, 2)
-    words, readings = _sdc_codebook(spec)
+    codebook = _sdc_codebook(spec)
     messages = sdc_messages(spec)
-    assert sorted(words) == sorted(messages) == (["00", "01"] if p == 2 else
-                                                 ["00", "01", "10", "11"])
+    width = 1 if p == 2 else 2
+    assert sorted(messages) == (["00", "01"] if p == 2 else ["00", "01", "10", "11"])
+    assert sorted(codebook) == sorted(m[-width:] for m in messages)
     for message in messages:
-        encoded = sdc_encode(message, spec)
-        assert words[message] == encoded.indices()
-        assert readings[words[message]] == sdc_decode(encoded, spec) == message
+        read = sdc_decode(sdc_encode(message, spec), spec)
+        assert codebook[message[-width:]] == read[-width:] == message[-width:]
     assert _sdc_codebook(spec) is _sdc_codebook(spec)
 
 
@@ -330,7 +332,8 @@ def reference_trial(state, params, channel):
                for i in range(0, len(received_bits), per_entry)]
     received = [ProjectivePoint(FieldVector(spec, entries[i:i + form.dim]))
                 for i in range(0, len(entries), form.dim)]
-    pulled = [params.eta_inverse @ p.coords for p in received]
+    eta_inverse = params.eta.inverse()
+    pulled = [eta_inverse @ p.coords for p in received]
     units = [basis_vector(spec, form.dim, j) for j in range(form.dim)]
     functionals = FieldMatrix(spec, [[form.evaluate(v, e) for e in units] for v in pulled])
     assert functionals.rank() == 3
@@ -372,13 +375,24 @@ def test_hand_made_non_unitary_eta_is_refused(gf4, params_q2):
     # emitted non-kernel points and a sweep aborted with NotKernelPoint
     shear = FieldMatrix(gf4, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert not is_unitary(shear, params_q2.geom.form)
-    u = random_unitary(params_q2.geom.form, 3)
     zero = FieldMatrix(gf4, [[0] * 4] * 4)
-    for eta, eta_inverse in [(shear, shear.inverse()), (u, identity_matrix(gf4, 4)),
-                             (u, zero), (zero, u)]:
+    for eta in (shear, zero):
         with pytest.raises(NotUnitaryError):
             GeoParams(geom=params_q2.geom, line_indices=params_q2.line_indices,
-                      eta=eta, eta_inverse=eta_inverse, seed=params_q2.seed)
+                      eta=eta, seed=params_q2.seed)
+
+
+def test_eta_over_another_field_or_shape_is_refused(gf4, gf9, params_q2, kernel_q3):
+    # both reached the table lookups: an IndexError, or a 4 x 5 eta read truncated
+    u9 = random_unitary(kernel_q3.form, 3)
+    u4 = random_unitary(params_q2.geom.form, 3)
+    wide = FieldMatrix.from_indices(gf4, [row + (0,) for row in u4.indices()])
+    tall = FieldMatrix.from_indices(gf4, u4.indices() + ((0, 0, 0, 0),))
+    for eta, error in [(u9, FieldMismatchError), (wide, DimensionMismatchError),
+                       (tall, DimensionMismatchError)]:
+        with pytest.raises(error):
+            GeoParams(geom=params_q2.geom, line_indices=params_q2.line_indices,
+                      eta=eta, seed=params_q2.seed)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -387,11 +401,12 @@ def test_eta_permutes_the_kernel_points(p, seed, kernel_q2, kernel_q3):
     geom = kernel_q2 if p == 2 else kernel_q3
     params = agree_parameters(geom, seed)
     push, pull = params._push, params._pull
+    eta_inverse = params.eta.inverse()
     n = len(geom.points)
     assert sorted(push) == list(range(n))
     for i, point in enumerate(geom.points):
-        image = normalize_ray(params.eta @ point.coords)
-        assert geom.points[push[i]].coords == image
+        assert geom.points[push[i]].coords == normalize_ray(params.eta @ point.coords)
+        assert geom.points[pull[i]].coords == normalize_ray(eta_inverse @ point.coords)
     # U(V, phi) preserves the polar space: lines go onto lines
     assert {frozenset(push[i] for i in line) for line in geom.lines} == set(geom.lines)
     assert all(pull[push[i]] == i and push[pull[i]] == i for i in range(n))

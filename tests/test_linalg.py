@@ -71,9 +71,9 @@ def test_standard_form_needs_involution():
 def test_form_requires_hermitian_invertible_gram(gf4):
     t = gf4.gen
     with pytest.raises(NotHermitianError):
-        HermitianForm(gf4, FieldMatrix(gf4, [[0, t], [t, 0]]))
+        HermitianForm(FieldMatrix(gf4, [[0, t], [t, 0]]))
     with pytest.raises(DegenerateFormError):
-        HermitianForm(gf4, FieldMatrix(gf4, [[1, 1], [1, 1]]))
+        HermitianForm(FieldMatrix(gf4, [[1, 1], [1, 1]]))
 
 
 def test_evaluate_form_examples(gf4, form4_dim2):
@@ -117,6 +117,26 @@ def test_is_hermitian_matrix_examples(gf4):
     assert not is_hermitian_matrix(FieldMatrix(gf4, [[0, t], [t, 0]]))
     with pytest.raises(NotSquareError):
         is_hermitian_matrix(FieldMatrix(gf4, [[0, t]]))
+
+
+def test_form_takes_its_field_from_the_gram_matrix(gf9):
+    assert HermitianForm(FieldMatrix(gf9, [[2, 0], [0, 1]])).spec is gf9
+    # the shape is checked before the field, also over an odd-degree field
+    gf8 = build_field(2, 3)
+    with pytest.raises(NotSquareError):
+        HermitianForm(FieldMatrix(gf8, [[1, 0]]))
+    with pytest.raises(NoInvolutionError):
+        HermitianForm(identity_matrix(gf8, 2))
+
+
+def test_products_over_different_fields_are_refused(gf4, gf9):
+    m4, m9 = identity_matrix(gf4, 2), FieldMatrix(gf9, [[1, "t"], [0, 1]])
+    with pytest.raises(FieldMismatchError):  # an IndexError from the GF(4) tables
+        m4 @ FieldVector(gf9, [1, "2*t"])
+    with pytest.raises(FieldMismatchError):  # read GF(4) indices as GF(9) elements
+        m9 @ FieldMatrix(gf4, [["t", 1], [1, 0]])
+    with pytest.raises(FieldMismatchError):  # compared unequal and answered False
+        is_unitary(identity_matrix(gf9, 2), standard_form(gf4, 2))
 
 
 def test_is_unitary_examples(gf4, form4_dim2):
@@ -220,7 +240,7 @@ def test_random_unitary_draws_are_pinned(p, dim):
 
 def test_random_unitary_rejects_nonstandard_gram(gf9):
     gram = FieldMatrix(gf9, [[2, 0], [0, 1]])
-    f = HermitianForm(gf9, gram)
+    f = HermitianForm(gram)
     with pytest.raises(NotUnitaryError):
         random_unitary(f, 1)
 
