@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import GQTError, InvariantError
 from .field import FieldElement, FieldSpec, build_field, theory_coordinates
-from .geocode import GeoCiphertext, GeoParams, agree_parameters, geo_decode, geo_encode, geo_transmit
 from .kernel import (
     KernelGeometry,
     ProjectivePoint,
@@ -50,3 +49,4 @@ from .protocols import (
     teleport,
     teleport_char2,
 )
+from .geocode import GeoCiphertext, GeoParams, agree_parameters, geo_decode, geo_encode, geo_transmit

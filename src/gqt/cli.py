@@ -1,4 +1,9 @@
-"""Command-line front end: JSON reports for every module.
+"""Command-line front end: argument parsing and dispatch.
+
+Each subcommand is one call into the module that owns its data and
+returns the finished report: ``field`` (field, theory), ``kernel`` (kernel
+enumerate, verify), ``protocols`` (teleport, sdc), ``nogo`` (noclone and
+nodelete scan) and ``geocode`` (geocode roundtrip, encode, decode).
 
 Exit codes: 0 success, 1 domain error (machine-readable error object),
 2 usage error.  Every report embeds the field parameters; with
@@ -16,19 +21,9 @@ from typing import Optional
 
 from . import __version__
 from .errors import GQTError
-from .field import build_field, parse_coefficients, theory_coordinates
-from .geocode import (
-    GeoCiphertext,
-    agree_parameters,
-    deserialize_points,
-    geo_decode,
-    geo_encode,
-    geo_transmit,
-    parse_bitstream,
-    roundtrip_sweep,
-)
-from .kernel import enumerate_kernel, enumeration_guard, unitary_escapes, verify_one_or_all
-from .linalg import FieldVector, standard_form
+from .field import build_field, field_report, parse_coefficients, theory_coordinates
+from .geocode import decode_report, encode_report, roundtrip_report
+from .kernel import standard_kernel, verify_report
 from .nogo import scan
 from .protocols import sdc_transcript, teleport, teleport_char2
 
@@ -68,9 +63,7 @@ def _positive(text: str) -> int:
 
 
 def _field_from_args(args) -> "FieldSpec":
-    modulus = None
-    if args.modulus:
-        modulus = parse_coefficients(args.modulus)
+    modulus = parse_coefficients(args.modulus) if args.modulus else None
     return build_field(args.p, args.k, modulus)
 
 
@@ -161,123 +154,47 @@ def build_parser() -> argparse.ArgumentParser:
 # --- command handlers ---------------------------------------------------------
 
 def _cmd_field(args) -> dict:
-    spec = _field_from_args(args)
-    report = {
-        "field": spec.to_json(),
-        "order": spec.order,
-        "q": spec.q,
-        "kappa": spec.kappa.to_json() if spec.q else None,
-    }
-    if args.element is not None:
-        x = spec.parse(args.element if "," not in args.element
-                       else parse_coefficients(args.element))
-        entry = {"element": x.to_json(), "text": str(x)}
-        if spec.q:
-            a, b = x.decompose()
-            entry.update({
-                "conjugate": x.conj().to_json(),
-                "norm": x.norm().to_json(),
-                "split": {"a": a.to_json(), "b": b.to_json()},
-                "component_square_sum": x.component_square_sum().to_json(),
-            })
-        report["analysis"] = entry
-    return report
+    return field_report(_field_from_args(args), args.element)
 
 
 def _cmd_theory(args) -> dict:
     return theory_coordinates(args.i, args.m, args.pp).to_json()
 
 
-def _standard_geometry(spec, args):
-    """The kernel of the standard form, guarded before the form is built."""
-    enumeration_guard(spec, args.dim, args.unsafe_size)
-    return enumerate_kernel(standard_form(spec, args.dim), override=args.unsafe_size)
-
-
 def _cmd_kernel_enumerate(args):
     """The JSON report, or the CSV catalog text with ``--csv``."""
-    geom = _standard_geometry(_field_from_args(args), args)
+    geom = standard_kernel(_field_from_args(args), args.dim, args.unsafe_size)
     return geom.to_csv() if args.csv else geom.to_json()
 
 
 def _cmd_verify(args) -> dict:
-    spec = _field_from_args(args)
-    geom = _standard_geometry(spec, args)
-    ooa = verify_one_or_all(geom)
-    escapes = unitary_escapes(geom, args.seed, args.samples)
-    degrees = sorted({len(geom.incidence[i]) for i in range(len(geom.points))})
-    sizes = sorted({len(line) for line in geom.lines})
-    return {
-        "field": spec.to_json(),
-        "dim": args.dim,
-        "num_points": len(geom.points),
-        "num_lines": len(geom.lines),
-        "point_degrees": degrees,
-        "line_sizes": sizes,
-        "double_counting_ok": (
-            len(geom.points) * degrees[0] == len(geom.lines) * sizes[0]
-            if len(degrees) == 1 and len(sizes) == 1 else False
-        ),
-        "one_or_all": ooa.to_json(),
-        "unitary_samples": args.samples,
-        "unitary_escapes": escapes,
-    }
+    return verify_report(_field_from_args(args), args.dim, args.seed, args.samples,
+                         args.unsafe_size)
 
 
 def _cmd_teleport(args) -> dict:
-    spec = _field_from_args(args)
     fn = teleport_char2 if args.char2 else teleport
-    tr = fn(args.alpha, args.beta, spec, args.seed)
-    return tr.to_json()
+    return fn(args.alpha, args.beta, _field_from_args(args), args.seed).to_json()
 
 
 def _cmd_sdc(args) -> dict:
-    spec = _field_from_args(args)
-    return sdc_transcript(args.message, spec, args.seed).to_json()
+    return sdc_transcript(args.message, _field_from_args(args), args.seed).to_json()
 
 
 def _cmd_nogo_scan(args) -> dict:
     return scan(_field_from_args(args), args.dim, args.kind)
 
 
-def _geo_params(args):
-    spec = _field_from_args(args)
-    geom = enumerate_kernel(standard_form(spec, 4))
-    return spec, agree_parameters(geom, args.seed)
-
-
 def _cmd_geocode_roundtrip(args) -> dict:
-    spec, params = _geo_params(args)
-    report = roundtrip_sweep(params, args.trials, args.seed)
-    out = report.to_json()
-    out["field"] = spec.to_json()
-    out["params"] = {"line_indices": list(params.line_indices), "seed": params.seed}
-    return out
+    return roundtrip_report(_field_from_args(args), args.seed, args.trials)
 
 
 def _cmd_geocode_encode(args) -> dict:
-    spec, params = _geo_params(args)
-    coords = [spec.parse(c.strip()) for c in args.state.split(";")]
-    ct = geo_encode(FieldVector(spec, coords), params)
-    _, received = geo_transmit(ct, spec)
-    return {
-        "field": spec.to_json(),
-        "ciphertext": ct.to_json(),
-        "bitstream_hex": f"{int(ct.bitstream, 2):0{(len(ct.bitstream) + 3) // 4}x}",
-        "transmitted_ok": list(received) == list(ct.points),
-    }
+    return encode_report(_field_from_args(args), args.seed, args.state)
 
 
 def _cmd_geocode_decode(args) -> dict:
-    spec, params = _geo_params(args)
-    bits = parse_bitstream(args.bitstream, spec, 4)
-    points = deserialize_points(bits, spec, 4)
-    ct = GeoCiphertext(points=tuple(points), bitstream=bits)
-    recovered = geo_decode(ct, params)
-    return {
-        "field": spec.to_json(),
-        "recovered_point": recovered.to_json(),
-    }
+    return decode_report(_field_from_args(args), args.seed, args.bitstream)
 
 
 def run(argv=None) -> int:
@@ -286,8 +203,7 @@ def run(argv=None) -> int:
     try:
         report = args.handler(args)
     except GQTError as exc:
-        payload = json.dumps({"error": exc.to_json()}, indent=2)
-        _emit(payload, args.out)
+        _emit(json.dumps({"error": exc.to_json()}, indent=2), args.out)
         return 1
 
     if isinstance(report, str):  # kernel catalog as CSV
@@ -296,8 +212,7 @@ def run(argv=None) -> int:
 
     if not args.deterministic:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    payload = json.dumps(report, indent=2)
-    _emit(payload, args.out)
+    _emit(json.dumps(report, indent=2), args.out)
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
-structured error objects without string-matching messages.
+structured error objects without string-matching messages.  A subclass's
+code is its class name without the ``Error`` suffix unless its body sets one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ class GQTError(Exception):
     """Base class for all domain errors."""
 
     code = "Error"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "code" not in vars(cls):
+            cls.code = cls.__name__.removesuffix("Error")
 
     def to_json(self) -> dict:
         return {"type": self.code, "message": str(self)}
@@ -22,13 +28,11 @@ class InvariantError(GQTError):
     Raised instead of ``assert`` so the check survives ``python -O``.
     """
 
-    code = "Invariant"
-
 
 # --- field construction / arithmetic ---------------------------------------
 
 class NotPrimeError(GQTError):
-    code = "NotPrime"
+    pass
 
 
 class ReducibleModulusError(GQTError):
@@ -36,122 +40,120 @@ class ReducibleModulusError(GQTError):
 
 
 class DegreeMismatchError(GQTError):
-    code = "DegreeMismatch"
+    pass
 
 
 class NoInvolutionError(GQTError):
-    code = "NoInvolution"
+    pass
 
 
 class DivisionByZeroError(GQTError):
-    code = "DivisionByZero"
+    pass
 
 
 class FieldMismatchError(GQTError):
-    code = "FieldMismatch"
+    pass
 
 
 class ParseError(GQTError):
     """Text input (an element, a coefficient list, a lattice point) is malformed."""
 
-    code = "Parse"
-
 
 # --- linear algebra / forms -------------------------------------------------
 
 class DimensionMismatchError(GQTError):
-    code = "DimensionMismatch"
+    pass
 
 
 class NotSquareError(GQTError):
-    code = "NotSquare"
+    pass
 
 
 class NotHermitianError(GQTError):
-    code = "NotHermitian"
+    pass
 
 
 class DegenerateFormError(GQTError):
-    code = "DegenerateForm"
+    pass
 
 
 class NotUnitaryError(GQTError):
-    code = "NotUnitary"
+    pass
 
 
 class SingularMatrixError(GQTError):
-    code = "SingularMatrix"
+    pass
 
 
 # --- kernel geometry ---------------------------------------------------------
 
 class ZeroVectorError(GQTError):
-    code = "ZeroVector"
+    pass
 
 
 class DependentBasisError(GQTError):
-    code = "DependentBasis"
+    pass
 
 
 class TooLargeError(GQTError):
-    code = "TooLarge"
+    pass
 
 
 class NotKernelPointError(GQTError):
-    code = "NotKernelPoint"
+    pass
 
 
 class SelfOrthogonalInputError(GQTError):
-    code = "SelfOrthogonalInput"
+    pass
 
 
 class NotUniqueError(GQTError):
-    code = "NotUnique"
+    pass
 
 
 # --- protocols ----------------------------------------------------------------
 
 class ZeroStateError(GQTError):
-    code = "ZeroState"
+    pass
 
 
 class Char2NotSupportedError(GQTError):
-    code = "Char2NotSupported"
+    pass
 
 
 class NotChar2Error(GQTError):
-    code = "NotChar2"
+    pass
 
 
 class Char2MessageUnsupportedError(GQTError):
-    code = "Char2MessageUnsupported"
+    pass
 
 
 class NotBellRayError(GQTError):
-    code = "NotBellRay"
+    pass
 
 
 class NotInSpanError(GQTError):
-    code = "NotInSpan"
+    pass
 
 
 class BadMessageError(GQTError):
-    code = "BadMessage"
+    pass
 
 
 # --- geometric coding ----------------------------------------------------------
 
 class ExhaustedSearchError(GQTError):
-    code = "ExhaustedSearch"
+    pass
 
 
 class SelfOrthogonalStateError(GQTError):
-    code = "SelfOrthogonalState"
+    pass
 
 
 class DegenerateSpanError(GQTError):
-    code = "DegenerateSpan"
+    pass
 
 
 class MalformedBitstreamError(GQTError):
-    code = "MalformedBitstream"
+    pass

@@ -20,6 +20,7 @@ a unique splitting a + kappa*b with a, b in the subfield.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,18 +43,7 @@ _TABLE_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 # --- polynomial helpers over F_p (little-endian coefficient tuples) ----------
@@ -66,8 +56,6 @@ def _poly_trim(a: Sequence[int]) -> tuple:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -89,14 +77,12 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple:
 
 def _monic_polys(p: int, deg: int) -> Iterator[tuple]:
     for low in itertools.product(range(p), repeat=deg):
-        yield tuple(low) + (1,)
+        yield low + (1,)
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Trial division of a modulus of degree >= 1 by every monic polynomial of degree 1..deg/2."""
     deg = len(modulus) - 1
-    if deg < 1:
-        return False
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(p, d):
             if _poly_mod(modulus, div, p) == ():
@@ -109,8 +95,6 @@ def _first_irreducible(p: int, k: int) -> tuple:
 
     Coefficient tuples (c0, ..., c_{k-1}) are compared low-degree first.
     """
-    if k == 1:
-        return (0, 1)
     for cand in _monic_polys(p, k):
         if _is_irreducible(cand, p):
             return cand
@@ -177,11 +161,11 @@ class FieldSpec:
                 raise DegreeMismatchError(
                     f"modulus must be monic of degree {k}, got {list(modulus)}"
                 )
-            if k > 1 and not _is_irreducible(modulus, p):
+            if not _is_irreducible(modulus, p):
                 raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
-        self.modulus = tuple(modulus)
+        self.modulus = modulus
         self.order = order
         self.q = p ** (k // 2) if k % 2 == 0 else None
 
@@ -190,12 +174,10 @@ class FieldSpec:
         self._subfield = None
         self._kappa_index = None
         if self.q is not None:
-            qq = self.q
             self._subfield = frozenset(n for n in range(order) if self.frob_i(n) == n)
-            if len(self._subfield) != qq:
-                raise InvariantError(
-                    f"fixed field of x -> x^{qq} has {len(self._subfield)} elements, expected {qq}"
-                )
+            if len(self._subfield) != self.q:
+                raise InvariantError(f"fixed field of x -> x^{self.q} has "
+                                     f"{len(self._subfield)} elements, expected {self.q}")
             self._kappa_index = next(n for n in range(order) if n not in self._subfield)
 
     # -- construction-time helpers --
@@ -298,10 +280,8 @@ class FieldSpec:
 
     @property
     def gen(self) -> "FieldElement":
-        """The class of t, when k > 1; equals p-adic index p."""
-        if self.k == 1:
-            return self.one
-        return FieldElement(self, self.p)
+        """The class of t (index p) when k > 1, else 1."""
+        return FieldElement(self, self.p if self.k > 1 else 1)
 
     @property
     def kappa(self) -> "FieldElement":
@@ -321,19 +301,23 @@ class FieldSpec:
         return FieldElement(self, n % self.p)
 
     def from_string(self, text: str) -> "FieldElement":
-        """Parse a polynomial in t, e.g. ''t+1'', '2*t^3 + t''."""
+        """Parse a polynomial in t, e.g. 't+1', '2*t^3 + t', or at most k
+        comma-separated coefficients, low degree first, e.g. '1,1'."""
+        if "," in text:
+            coeffs = parse_coefficients(text)
+            if len(coeffs) > self.k:
+                raise ParseError(f"an element of GF({self.p}^{self.k}) has at most {self.k} "
+                                 f"coefficients, got {len(coeffs)}")
+            return self.element(coeffs)
         coeffs = [0] * self.k
-        s = text.replace("-", "+-").strip()
-        if s.startswith("+"):
-            s = s[1:]
-        for term in s.split("+"):
+        for term in text.replace("-", "+-").split("+"):
             term = term.strip()
             if not term:
                 continue
             m = _TERM_RE.match(term)
             if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
                 raise ParseError(f"cannot parse field element term {term!r}")
-            coef_s, t_part, exp_s = m.group(1), m.group(2), m.group(3)
+            coef_s, t_part, exp_s = m.groups()
             try:  # int() refuses text beyond the interpreter's digit limit
                 coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
                 exp = int(exp_s) if exp_s else (1 if t_part else 0)
@@ -377,8 +361,7 @@ class FieldSpec:
         return (
             isinstance(other, FieldSpec)
             and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
+            and self.modulus == other.modulus  # of length k + 1
         )
 
     def __hash__(self) -> int:
@@ -530,8 +513,6 @@ class TheoryDescriptor:
     m: int
     p: int
     field: FieldSpec
-    subfield_order: int
-    dimension: int
 
     def to_json(self) -> dict:
         return {
@@ -539,9 +520,9 @@ class TheoryDescriptor:
             "m": self.m,
             "p": self.p,
             "field": self.field.to_json(),
-            "subfield_order": self.subfield_order,
-            "dimension": self.dimension,
-            "involution": f"x -> x^{self.subfield_order}",
+            "subfield_order": self.field.q,
+            "dimension": self.m,
+            "involution": f"x -> x^{self.field.q}",
         }
 
 
@@ -550,5 +531,27 @@ def theory_coordinates(i: int, m: int, p: int) -> TheoryDescriptor:
     _check_prime(p)
     if i < 1 or m < 1:
         raise ParseError(f"i and m must be positive, got i={i}, m={m}")
-    field = build_field(p, 2 * i)
-    return TheoryDescriptor(i=i, m=m, p=p, field=field, subfield_order=p ** i, dimension=m)
+    return TheoryDescriptor(i=i, m=m, p=p, field=build_field(p, 2 * i))
+
+
+def field_report(spec: FieldSpec, element: Optional[str] = None) -> dict:
+    """The ``gqt field`` report: the field, and the analysis of ``element`` text if given."""
+    report = {
+        "field": spec.to_json(),
+        "order": spec.order,
+        "q": spec.q,
+        "kappa": spec.kappa.to_json() if spec.q else None,
+    }
+    if element is not None:
+        x = spec.parse(element)
+        entry = {"element": x.to_json(), "text": str(x)}
+        if spec.q:
+            a, b = x.decompose()
+            entry.update({
+                "conjugate": x.conj().to_json(),
+                "norm": x.norm().to_json(),
+                "split": {"a": a.to_json(), "b": b.to_json()},
+                "component_square_sum": x.component_square_sum().to_json(),
+            })
+        report["analysis"] = entry
+    return report

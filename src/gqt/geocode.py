@@ -18,6 +18,9 @@ gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
 themselves: every chunk one Bell use carries, and the chunk read back
 after it crossed.  A chunk then costs one lookup instead of a run of the
 protocol.
+
+The ``geocode`` CLI reports are built here, so this module alone writes
+(``bitstream_hex``) and reads (``parse_bitstream``) the ciphertext hex.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ from .kernel import (
     _normalize_ray,
     _permutation,
     _polar,
+    standard_kernel,
 )
 from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
-from .protocols import sdc_decode, sdc_encode, sdc_messages
+from .protocols import sdc_bits, sdc_decode, sdc_encode, sdc_messages
 
 SERIALIZATION_VERSION = 1
 
@@ -78,15 +82,6 @@ class GeoParams:
             raise NotUnitaryError("eta must permute the kernel points and lines")
         # point i goes to push[i], so sorting the points by image inverts push
         self._push, self._pull = push, tuple(sorted(range(len(push)), key=push.__getitem__))
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.geom.spec.to_json(),
-            "seed": self.seed,
-            "lines": [sorted(self.geom.lines[i]) for i in self.line_indices],
-            "line_indices": list(self.line_indices),
-            "eta": self.eta.to_json(),
-        }
 
 
 @dataclass
@@ -237,9 +232,19 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
     return rays
 
 
-def serialize_points(points: Sequence[ProjectivePoint], spec: FieldSpec) -> str:
+def _field_of(points: Sequence[ProjectivePoint]) -> FieldSpec:
+    """The one field every point lies over."""
+    if not points:
+        raise MalformedBitstreamError("no points")
+    spec = points[0].spec
+    if any(p.spec != spec for p in points):
+        raise FieldMismatchError("points lie over different fields")
+    return spec
+
+
+def serialize_points(points: Sequence[ProjectivePoint]) -> str:
     """Fixed-width bits: coordinates in order, coefficients little-endian."""
-    return _rays_to_bits([p.ray for p in points], spec)
+    return _rays_to_bits([p.ray for p in points], _field_of(points))
 
 
 def deserialize_points(bits: str, spec: FieldSpec, dim: int) -> List[ProjectivePoint]:
@@ -270,19 +275,24 @@ def parse_bitstream(text: str, spec: FieldSpec, dim: int) -> str:
     return format(int(text, 16), f"0{width}b")
 
 
+def bitstream_hex(bits: str) -> str:
+    """The hex ``geocode encode`` prints: the bits as one number, zero-padded
+    to a digit per 4 bits; ``parse_bitstream`` reads it back."""
+    return f"{int(bits, 2):0{(len(bits) + 3) // 4}x}"
+
+
 @lru_cache(maxsize=None)
 def _sdc_codebook(spec: FieldSpec) -> Mapping[str, str]:
     """Super-dense code words of ``spec``, from ``sdc_encode``/``sdc_decode``.
 
-    With n allowed messages one Bell use carries log2(n) bits, sent as the
-    message that ends in them (characteristic 2: 0b).  Maps every such
-    chunk to the chunk ``sdc_decode`` reads back, as a read-only view
-    since every caller shares it.
+    One Bell use carries ``sdc_bits`` bits, sent as the message that ends
+    in them (characteristic 2: 0b).  Maps every such chunk to the chunk
+    ``sdc_decode`` reads back, as a read-only view since every caller
+    shares it.
     """
-    messages = sdc_messages(spec)
-    width = len(messages).bit_length() - 1
+    width = sdc_bits(spec)
     return MappingProxyType({m[-width:]: sdc_decode(sdc_encode(m, spec), spec)[-width:]
-                             for m in messages})
+                             for m in sdc_messages(spec)})
 
 
 def _transmit_bits(bits: str, spec: FieldSpec) -> str:
@@ -298,13 +308,11 @@ def _transmit_bits(bits: str, spec: FieldSpec) -> str:
                    for i in range(0, len(padded), width))[:len(bits)]
 
 
-def geo_transmit(ct: GeoCiphertext, spec: FieldSpec) -> Tuple[str, List[ProjectivePoint]]:
-    """Push every chunk of the bitstream through the super-dense channel."""
-    if not ct.points:
-        raise MalformedBitstreamError("empty ciphertext")
+def geo_transmit(ct: GeoCiphertext) -> Tuple[str, List[ProjectivePoint]]:
+    """Push every chunk of the bitstream through the super-dense channel of
+    the points' field."""
+    spec = _field_of(ct.points)
     bits = ct.bitstream
-    if not bits:
-        raise MalformedBitstreamError("empty bitstream")
     if not set(bits) <= {"0", "1"}:
         raise MalformedBitstreamError("bitstream holds characters other than 0 and 1")
     received_bits = _transmit_bits(bits, spec)
@@ -382,3 +390,38 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
         self_orthogonal_skipped=skipped,
         witnesses=witnesses,
     )
+
+
+# --- CLI reports -------------------------------------------------------------------
+
+def _standard_params(spec: FieldSpec, seed: int) -> GeoParams:
+    """``agree_parameters`` on the kernel of the standard form in dimension 4."""
+    return agree_parameters(standard_kernel(spec, 4), seed)
+
+
+def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
+    """The ``gqt geocode roundtrip`` report: the sweep, its field and shared lines."""
+    params = _standard_params(spec, seed)
+    return {**roundtrip_sweep(params, trials, seed).to_json(), "field": spec.to_json(),
+            "params": {"line_indices": list(params.line_indices), "seed": params.seed}}
+
+
+def encode_report(spec: FieldSpec, seed: int, state: str) -> dict:
+    """The ``gqt geocode encode`` report for ';'-separated coordinate text."""
+    params = _standard_params(spec, seed)
+    ct = geo_encode(FieldVector(spec, [spec.parse(c) for c in state.split(";")]), params)
+    return {
+        "field": spec.to_json(),
+        "ciphertext": ct.to_json(),
+        "bitstream_hex": bitstream_hex(ct.bitstream),
+        "transmitted_ok": geo_transmit(ct)[1] == list(ct.points),
+    }
+
+
+def decode_report(spec: FieldSpec, seed: int, bitstream: str) -> dict:
+    """The ``gqt geocode decode`` report for ciphertext bits or their hex."""
+    params = _standard_params(spec, seed)
+    dim = params.geom.form.dim
+    bits = parse_bitstream(bitstream, spec, dim)
+    ct = GeoCiphertext(points=tuple(deserialize_points(bits, spec, dim)), bitstream=bits)
+    return {"field": spec.to_json(), "recovered_point": geo_decode(ct, params).to_json()}

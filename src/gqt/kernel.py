@@ -39,6 +39,7 @@ from .linalg import (
     _pair,
     _rref,
     random_unitary,
+    standard_form,
 )
 
 # Default desk-scale guard for enumeration; override with the flag or
@@ -267,6 +268,12 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
     )
 
 
+def standard_kernel(spec: FieldSpec, dim: int, override: bool = False) -> KernelGeometry:
+    """The kernel of the standard form, guarded before the form is built."""
+    enumeration_guard(spec, dim, override)
+    return enumerate_kernel(standard_form(spec, dim), override=override)
+
+
 def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, ...]]:
     """The kernel index of the ray of u r for every kernel ray r (u as index rows).
 
@@ -373,10 +380,7 @@ class OneOrAllReport:
 
 def _mask(indices: Iterable[int]) -> int:
     """The bitmask with bit j set for every j in indices."""
-    m = 0
-    for j in indices:
-        m |= 1 << j
-    return m
+    return sum(1 << j for j in indices)
 
 
 def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
@@ -415,6 +419,28 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
         violations=violations,
         gq_unique_line_failures=gq_failures,
     )
+
+
+def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int,
+                  override: bool = False) -> dict:
+    """The ``gqt verify`` report: the standard kernel's counts and axioms, and
+    how many of ``samples`` seeded unitaries escape it."""
+    geom = standard_kernel(spec, dim, override)
+    degrees = sorted({len(lines) for lines in geom.incidence.values()})
+    sizes = sorted({len(line) for line in geom.lines})
+    return {
+        "field": spec.to_json(),
+        "dim": dim,
+        "num_points": len(geom.points),
+        "num_lines": len(geom.lines),
+        "point_degrees": degrees,
+        "line_sizes": sizes,
+        "double_counting_ok": (len(degrees) == len(sizes) == 1
+                               and len(geom.points) * degrees[0] == len(geom.lines) * sizes[0]),
+        "one_or_all": verify_one_or_all(geom).to_json(),
+        "unitary_samples": samples,
+        "unitary_escapes": unitary_escapes(geom, seed, samples),
+    }
 
 
 def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:

@@ -162,16 +162,6 @@ class FieldMatrix:
     def __hash__(self) -> int:
         return hash((self.spec.p, self.spec.k, self._rows))
 
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.spec != other.spec:
-            raise FieldMismatchError("matrices over different fields")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatchError("shape mismatch")
-        add = self.spec.tables().add
-        return FieldMatrix.from_indices(self.spec, [
-            [add[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)
-        ])
-
     def __matmul__(self, other: Union["FieldMatrix", FieldVector]):
         spec = self.spec
         if other.spec != spec:
@@ -211,7 +201,7 @@ class FieldMatrix:
         if not self.is_square():
             raise NotSquareError("only square matrices are invertible")
         n = self.nrows
-        aug = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self._rows)]
+        aug = [row + tuple(e) for row, e in zip(self._rows, _identity(n))]
         reduced, pivots = _rref(aug, self.spec)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
@@ -236,14 +226,7 @@ def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
 
 def _matvec(rows: Sequence[Sequence[int]], v: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
     """The index tuple of the matrix-vector product, for element indices rows and v."""
-    add, _, mul, _, _ = spec.tables()
-    out = []
-    for row in rows:
-        acc = 0
-        for x, y in zip(row, v):
-            acc = add[acc][mul[x][y]]
-        out.append(acc)
-    return tuple(out)
+    return tuple([_pair(row, v, spec) for row in rows])
 
 
 def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence[int]], List[int]]:

@@ -211,8 +211,9 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
     """The one teleportation body: joint state, Bell measurement, correction.
 
     Odd characteristic shares one Bell state.  Characteristic 2 adds the
-    anti-diagonal image of the psi+ resource, checks the joint state
-    against phi+ (x) (a,b) + psi+ (x) (b,a), and reports one message bit.
+    anti-diagonal image of the psi+ resource and checks the joint state
+    against phi+ (x) (a,b) + psi+ (x) (b,a).  The message reported is the
+    last ``sdc_bits`` bits of the measured Bell vector's: one bit there.
     """
     alpha, beta = spec.parse(alpha), spec.parse(beta)
     if alpha.is_zero() and beta.is_zero():
@@ -250,8 +251,7 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
         residual = residual.scale(spec.from_int(2))
     tr.branch_index, tr.branch_label = idx, label
     message, tr.correction, _ = _BELL_TABLE[label]
-    # in characteristic 2, phi+ and psi+ differ in the second bit only
-    tr.classical_message = message[1] if char2 else message
+    tr.classical_message = message[-sdc_bits(spec):]
     tr.record(f"bob_pre_correction[{label}]", residual)
     tr.final_state = _GATES[tr.correction](spec) @ residual
     tr.record("bob_final", tr.final_state)
@@ -267,6 +267,12 @@ def sdc_messages(spec: FieldSpec) -> List[str]:
     gate has no Z (00 and 01) stay distinguishable.
     """
     return [msg for msg, gate, _ in _BELL_TABLE.values() if spec.p != 2 or "Z" not in gate]
+
+
+def sdc_bits(spec: FieldSpec) -> int:
+    """Bits one Bell use carries over ``spec``, the last bits of its message:
+    log2 of the number of ``sdc_messages``."""
+    return len(sdc_messages(spec)).bit_length() - 1
 
 
 def sdc_encode(bits: str, spec: FieldSpec) -> FieldVector:

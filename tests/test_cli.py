@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-import gqt.cli
+import gqt.kernel
 from gqt.cli import run
 
 
@@ -217,12 +217,28 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     # orders just above the table limit
     (["field", "--p", "2", "--k", "11"], "TooLarge"),
     (["field", "--p", "1031"], "TooLarge"),
+    # a coefficient list longer than k, as t^k is
+    (["field", "--p", "3", "--element", "0,0,1"], "Parse"),
+    (["teleport", "--p", "3", "--alpha", "1,0,0", "--beta", "1", "--seed", "0"], "Parse"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
     code, report = run_json(capsys, argv + ["--deterministic"])
     assert code == 1
     assert report["error"]["type"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "2", "--element", "{}"],
+    ["teleport", "--p", "3", "--seed", "7", "--beta", "t", "--alpha", "{}"],
+    ["geocode", "encode", "--p", "2", "--seed", "5", "--state", "{};1;1;0"],
+])
+def test_every_element_argument_reads_polynomials_and_coefficient_lists(capsys, argv):
+    outputs = []
+    for text in ("t+1", "1,1"):
+        assert run([a.format(text) for a in argv] + ["--deterministic"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_exponent_error_quotes_a_bounded_part_of_the_term(capsys):
@@ -256,7 +272,7 @@ def test_enumeration_guard_comes_before_the_form(capsys, monkeypatch, command, a
     def no_form(spec, dim):
         raise AssertionError("the form was built before the guard")
 
-    monkeypatch.setattr(gqt.cli, "standard_form", no_form)
+    monkeypatch.setattr(gqt.kernel, "standard_form", no_form)
     code, report = run_json(capsys, command + args + ["--deterministic"])
     assert code == 1
     assert report["error"]["type"] == "TooLarge"

@@ -183,11 +183,11 @@ def test_component_square_sum_vs_norm(gf4):
 
 def test_theory_coordinates():
     d = theory_coordinates(1, 2, 2)
-    assert d.field.order == 4 and d.subfield_order == 2 and d.dimension == 2
+    assert d.field.order == 4 and d.field.q == 2 and d.m == 2
     d = theory_coordinates(1, 4, 3)
-    assert d.field.order == 9 and d.subfield_order == 3 and d.dimension == 4
+    assert d.field.order == 9 and d.field.q == 3 and d.m == 4
     d = theory_coordinates(2, 2, 2)
-    assert d.field.order == 16 and d.subfield_order == 4
+    assert d.field.order == 16 and d.field.q == 4
     assert d.field.modulus[-1] == 1 and len(d.field.modulus) == 5
     with pytest.raises(NotPrimeError):
         theory_coordinates(1, 2, 4)

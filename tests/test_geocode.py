@@ -26,6 +26,7 @@ from gqt.geocode import (
     _sdc_codebook,
     _transmit_bits,
     agree_parameters,
+    bitstream_hex,
     deserialize_points,
     geo_decode,
     geo_encode,
@@ -101,7 +102,7 @@ def test_roundtrip_single_state(gf9, params_q3):
     state = FieldVector(gf9, [1, 1, 0, 0])
     assert not params_q3.geom.form.evaluate(state, state).is_zero()
     ct = geo_encode(state, params_q3)
-    received_bits, received = geo_transmit(ct, gf9)
+    received_bits, received = geo_transmit(ct)
     assert received_bits == ct.bitstream
     assert tuple(received) == ct.points
     assert geo_decode(ct, params_q3) == ProjectivePoint(state)
@@ -111,7 +112,7 @@ def test_serialize_roundtrip(kernel_q2, kernel_q3):
     for geom in (kernel_q2, kernel_q3):
         spec = geom.spec
         pts = geom.points[:5]
-        bits = serialize_points(pts, spec)
+        bits = serialize_points(pts)
         assert set(bits) <= {"0", "1"}
         assert deserialize_points(bits, spec, geom.form.dim) == list(pts)
 
@@ -121,7 +122,7 @@ def test_deserialize_inverts_serialize(kernel_q2, kernel_q3, data):
     geom = data.draw(st.sampled_from([kernel_q2, kernel_q3]))
     picks = data.draw(st.lists(st.integers(0, len(geom.points) - 1), min_size=1, max_size=6))
     pts = [geom.points[i] for i in picks]
-    assert deserialize_points(serialize_points(pts, geom.spec), geom.spec, geom.form.dim) == pts
+    assert deserialize_points(serialize_points(pts), geom.spec, geom.form.dim) == pts
 
 
 def test_deserialize_malformed(gf4, gf9):
@@ -139,9 +140,23 @@ def test_deserialize_malformed(gf4, gf9):
             deserialize_points("0101", gf4, dim)
 
 
-def test_transmit_rejects_empty(gf4):
+def test_transmit_rejects_empty():
     with pytest.raises(MalformedBitstreamError):
-        geo_transmit(GeoCiphertext(points=(), bitstream=""), gf4)
+        geo_transmit(GeoCiphertext(points=(), bitstream=""))
+    with pytest.raises(GQTError):
+        serialize_points([])
+
+
+def test_points_over_mixed_fields_are_refused(kernel_q2, kernel_q3, params_q3):
+    # the field comes from the points, so mixing two is refused
+    mixed = [kernel_q2.points[0], kernel_q3.points[0]]
+    for pts in (mixed, mixed[::-1]):
+        with pytest.raises(FieldMismatchError):
+            serialize_points(pts)
+    ct = geo_encode(FieldVector(kernel_q3.spec, [1, 1, 0, 0]), params_q3)
+    with pytest.raises(FieldMismatchError):
+        geo_transmit(GeoCiphertext(points=(kernel_q2.points[0],) + ct.points[1:],
+                                   bitstream=ct.bitstream))
 
 
 def test_decode_of_an_empty_ciphertext_is_a_domain_error(params_q2):
@@ -224,7 +239,7 @@ def test_sweep_transmits_the_points_of_the_roundtrip_golden_job(gf4, kernel_q2, 
 def test_transmit_rejects_non_binary_bitstream(gf4, params_q2):
     ct = geo_encode(FieldVector(gf4, [1, 0, 0, 0]), params_q2)
     with pytest.raises(MalformedBitstreamError):
-        geo_transmit(GeoCiphertext(points=ct.points, bitstream=ct.bitstream[:-1] + "2"), gf4)
+        geo_transmit(GeoCiphertext(points=ct.points, bitstream=ct.bitstream[:-1] + "2"))
 
 
 def test_parse_bitstream(gf4, gf9):
@@ -248,7 +263,8 @@ def test_parse_bitstream_reads_back_the_hex_of_three_points(gf4, gf9, data):
     spec = data.draw(st.sampled_from([gf4, gf9]))
     width = 3 * 4 * spec.k * (1 if spec.p == 2 else 2)
     bits = data.draw(st.text(alphabet="01", min_size=width, max_size=width))
-    text = f"{int(bits, 2):0{(width + 3) // 4}x}"  # as ``geocode encode`` prints it
+    text = bitstream_hex(bits)  # as ``geocode encode`` prints it
+    assert len(text) == (width + 3) // 4
     assert parse_bitstream(text, spec, 4) == bits
     assert parse_bitstream(text.lstrip("0") or "0", spec, 4) == bits
     assert parse_bitstream(bits, spec, 4) == bits
@@ -293,11 +309,10 @@ def test_ciphertext_objects_raise_only_domain_errors(params_q2, params_q3, data)
             geo_decode(ct, params)
         except GQTError:
             pass
-    for spec in (build_field(2, 1), params_q2.geom.spec, params_q3.geom.spec):
-        try:
-            geo_transmit(ct, spec)
-        except GQTError:
-            pass
+    try:
+        geo_transmit(ct)
+    except GQTError:
+        pass
 
 
 # --- the index-level trial against an object-level reference ---------------------
