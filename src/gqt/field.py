@@ -121,7 +121,7 @@ def parse_coefficients(text: str) -> List[int]:
     try:
         return [int(c) for c in text.split(",")]
     except ValueError:
-        raise ParseError(f"expected comma-separated integers, got {text!r}") from None
+        raise ParseError(f"expected comma-separated integers, got {text[:20]!r}") from None
 
 
 _TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*(?:\*\s*)?(t(?:\^(\d+))?)?\s*$")
@@ -304,11 +304,7 @@ class FieldSpec:
         """Parse a polynomial in t, e.g. 't+1', '2*t^3 + t', or at most k
         comma-separated coefficients, low degree first, e.g. '1,1'."""
         if "," in text:
-            coeffs = parse_coefficients(text)
-            if len(coeffs) > self.k:
-                raise ParseError(f"an element of GF({self.p}^{self.k}) has at most {self.k} "
-                                 f"coefficients, got {len(coeffs)}")
-            return self.element(coeffs)
+            return self.parse(parse_coefficients(text))
         coeffs = [0] * self.k
         for term in text.replace("-", "+-").split("+"):
             term = term.strip()
@@ -316,7 +312,7 @@ class FieldSpec:
                 continue
             m = _TERM_RE.match(term)
             if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
-                raise ParseError(f"cannot parse field element term {term!r}")
+                raise ParseError(f"cannot parse field element term {term[:20]!r}")
             coef_s, t_part, exp_s = m.groups()
             try:  # int() refuses text beyond the interpreter's digit limit
                 coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
@@ -338,6 +334,9 @@ class FieldSpec:
             return self.from_string(value)
         if isinstance(value, int):
             return self.from_int(value)
+        if len(value) > self.k:  # element() would reduce t^k and above
+            raise ParseError(f"an element of GF({self.p}^{self.k}) has at most {self.k} "
+                             f"coefficients, got {len(value)}")
         return self.element(value)
 
     def elements(self) -> Iterator["FieldElement"]:

@@ -26,7 +26,7 @@ The ``geocode`` CLI reports are built here, so this module alone writes
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
@@ -60,36 +60,34 @@ from .protocols import sdc_bits, sdc_decode, sdc_encode, sdc_messages
 SERIALIZATION_VERSION = 1
 
 
-@dataclass
 class GeoParams:
     """Shared lines and unitary; ``_push``/``_pull`` map kernel point indices by eta/eta^-1."""
 
-    geom: KernelGeometry
-    line_indices: Tuple[int, int, int]
-    eta: FieldMatrix
-    seed: int
-    _push: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _pull: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        dim = self.geom.form.dim
-        if self.eta.spec != self.geom.spec:
+    def __init__(self, geom: KernelGeometry, line_indices: Tuple[int, int, int],
+                 eta: FieldMatrix):
+        dim = geom.form.dim
+        if eta.spec != geom.spec:
             raise FieldMismatchError("eta and the geometry are over different fields")
-        if (self.eta.nrows, self.eta.ncols) != (dim, dim):
+        if (eta.nrows, eta.ncols) != (dim, dim):
             raise DimensionMismatchError(f"eta must be {dim} x {dim}")
-        push = _permutation(self.eta.indices(), self.geom)
+        push = _permutation(eta.indices(), geom)
         if push is None:
             raise NotUnitaryError("eta must permute the kernel points and lines")
+        self.geom, self.line_indices, self.eta = geom, line_indices, eta
         # point i goes to push[i], so sorting the points by image inverts push
         self._push, self._pull = push, tuple(sorted(range(len(push)), key=push.__getitem__))
 
 
 @dataclass
 class GeoCiphertext:
-    """Three transported kernel points plus their canonical bitstream."""
+    """Three transported kernel points."""
 
     points: Tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint]
-    bitstream: str
+
+    @property
+    def bitstream(self) -> str:
+        """The points' bits, ``serialize_points`` of them."""
+        return serialize_points(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -112,12 +110,8 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
                 break
     if len(chosen) < 3:
         raise ExhaustedSearchError("no three pairwise disjoint lines found")
-    return GeoParams(
-        geom=geom,
-        line_indices=(chosen[0], chosen[1], chosen[2]),
-        eta=random_unitary(geom.form, rng.getrandbits(63)),
-        seed=seed,
-    )
+    return GeoParams(geom, (chosen[0], chosen[1], chosen[2]),
+                     random_unitary(geom.form, rng.getrandbits(63)))
 
 
 def _point(spec: FieldSpec, ray: Ray) -> ProjectivePoint:
@@ -165,9 +159,7 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
 def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
     """Three curve points on the shared lines, pushed through the unitary."""
     spec = params.geom.spec
-    rays = _encode_ray(state.indices(), params)
-    return GeoCiphertext(points=tuple(_point(spec, r) for r in rays),
-                         bitstream=_rays_to_bits(rays, spec))
+    return GeoCiphertext(tuple(_point(spec, r) for r in _encode_ray(state.indices(), params)))
 
 
 def geo_decode(ct: GeoCiphertext, params: GeoParams) -> ProjectivePoint:
@@ -309,15 +301,12 @@ def _transmit_bits(bits: str, spec: FieldSpec) -> str:
 
 
 def geo_transmit(ct: GeoCiphertext) -> Tuple[str, List[ProjectivePoint]]:
-    """Push every chunk of the bitstream through the super-dense channel of
-    the points' field."""
-    spec = _field_of(ct.points)
+    """Push every chunk of the points' bits through the super-dense channel
+    of their field."""
     bits = ct.bitstream
-    if not set(bits) <= {"0", "1"}:
-        raise MalformedBitstreamError("bitstream holds characters other than 0 and 1")
+    spec = ct.points[0].spec
     received_bits = _transmit_bits(bits, spec)
-    dim = len(ct.points[0].coords)
-    return received_bits, deserialize_points(received_bits, spec, dim)
+    return received_bits, deserialize_points(received_bits, spec, len(ct.points[0].coords))
 
 
 @dataclass
@@ -403,7 +392,7 @@ def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
     """The ``gqt geocode roundtrip`` report: the sweep, its field and shared lines."""
     params = _standard_params(spec, seed)
     return {**roundtrip_sweep(params, trials, seed).to_json(), "field": spec.to_json(),
-            "params": {"line_indices": list(params.line_indices), "seed": params.seed}}
+            "params": {"line_indices": list(params.line_indices), "seed": seed}}
 
 
 def encode_report(spec: FieldSpec, seed: int, state: str) -> dict:
@@ -423,5 +412,5 @@ def decode_report(spec: FieldSpec, seed: int, bitstream: str) -> dict:
     params = _standard_params(spec, seed)
     dim = params.geom.form.dim
     bits = parse_bitstream(bitstream, spec, dim)
-    ct = GeoCiphertext(points=tuple(deserialize_points(bits, spec, dim)), bitstream=bits)
+    ct = GeoCiphertext(tuple(deserialize_points(bits, spec, dim)))
     return {"field": spec.to_json(), "recovered_point": geo_decode(ct, params).to_json()}

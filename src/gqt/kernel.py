@@ -18,7 +18,7 @@ import csv
 import io
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -98,22 +98,29 @@ def is_self_orthogonal(v: FieldVector, f: HermitianForm) -> bool:
     return f.evaluate(v, v).is_zero()
 
 
-@dataclass
 class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
-    ``rays`` holds each point's element indices, in point order, and
-    ``rows`` each point's polar row conj(v) G.
+    Built from each point's element indices (``rays``, in point order), the
+    lines and each point's collinear points; the points, polar rows conj(v) G
+    (``rows``), point index and lines through each point are derived.
     """
 
-    form: HermitianForm
-    points: Tuple[ProjectivePoint, ...]
-    lines: Tuple[FrozenSet[int], ...]
-    incidence: Dict[int, FrozenSet[int]]
-    rays: Tuple[Ray, ...]
-    rows: Tuple[Ray, ...]
-    _point_index: Dict[Ray, int] = field(default_factory=dict)
-    _adjacency: Tuple[FrozenSet[int], ...] = ()
+    def __init__(self, form: HermitianForm, rays: Sequence[Ray],
+                 lines: Sequence[FrozenSet[int]], adjacency: Iterable[FrozenSet[int]]):
+        self.form = form
+        self.rays = tuple(rays)
+        self.lines = tuple(lines)
+        self._adjacency = tuple(adjacency)
+        self.points = tuple(ProjectivePoint(FieldVector.from_indices(form.spec, r))
+                            for r in self.rays)
+        self.rows = tuple(form._row(r) for r in self.rays)
+        self._point_index = {r: i for i, r in enumerate(self.rays)}
+        incidence: List[Set[int]] = [set() for _ in self.rays]
+        for li, line in enumerate(self.lines):
+            for pi in line:
+                incidence[pi].add(li)
+        self.incidence = tuple(frozenset(s) for s in incidence)
 
     @property
     def spec(self) -> FieldSpec:
@@ -249,23 +256,8 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
             for a in line:
                 through[a].append(line)
             found.append(line)
-    sorted_lines = tuple(sorted(found, key=sorted))
-
-    incidence: Dict[int, Set[int]] = {i: set() for i in range(n)}
-    for li, line in enumerate(sorted_lines):
-        for pi in line:
-            incidence[pi].add(li)
-
-    return KernelGeometry(
-        form=f,
-        points=tuple(ProjectivePoint(FieldVector.from_indices(spec, r)) for r in rays),
-        lines=sorted_lines,
-        incidence={i: frozenset(s) for i, s in incidence.items()},
-        rays=tuple(rays),
-        rows=tuple(rows),
-        _point_index=ray_index,
-        _adjacency=tuple(frozenset(s) for s in adjacency),
-    )
+    return KernelGeometry(f, rays, sorted(found, key=sorted),
+                          (frozenset(s) for s in adjacency))
 
 
 def standard_kernel(spec: FieldSpec, dim: int, override: bool = False) -> KernelGeometry:
@@ -359,10 +351,13 @@ def polar_point(basis: Sequence[FieldVector], f: HermitianForm) -> ProjectivePoi
 class OneOrAllReport:
     """Outcome of the One-or-All sweep over non-incident (point, line) pairs."""
 
-    pairs_checked: int
     count_distribution: Dict[int, int]
     violations: List[Tuple[int, int, int]]  # (point index, line index, count)
     gq_unique_line_failures: List[Tuple[int, int]]
+
+    @property
+    def pairs_checked(self) -> int:
+        return sum(self.count_distribution.values())
 
     @property
     def passed(self) -> bool:
@@ -392,7 +387,6 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     distribution: Dict[int, int] = {}
     violations: List[Tuple[int, int, int]] = []
     gq_failures: List[Tuple[int, int]] = []
-    pairs = 0
     # Point sets as bitmasks: bit j is point j.
     adjacency = [_mask(geom.collinear_indices(xi)) for xi in range(len(geom.points))]
     for li, line in enumerate(geom.lines):
@@ -401,7 +395,6 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
         for xi, adjacent in enumerate(adjacency):
             if line_mask >> xi & 1:
                 continue
-            pairs += 1
             seen = adjacent & line_mask
             count = seen.bit_count()
             distribution[count] = distribution.get(count, 0) + 1
@@ -413,12 +406,7 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
                 connecting = geom.incidence[xi] & geom.incidence[seen.bit_length() - 1]
                 if len(connecting) != 1:
                     gq_failures.append((xi, li))
-    return OneOrAllReport(
-        pairs_checked=pairs,
-        count_distribution=distribution,
-        violations=violations,
-        gq_unique_line_failures=gq_failures,
-    )
+    return OneOrAllReport(distribution, violations, gq_failures)
 
 
 def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int,
@@ -426,7 +414,7 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int,
     """The ``gqt verify`` report: the standard kernel's counts and axioms, and
     how many of ``samples`` seeded unitaries escape it."""
     geom = standard_kernel(spec, dim, override)
-    degrees = sorted({len(lines) for lines in geom.incidence.values()})
+    degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})
     return {
         "field": spec.to_json(),

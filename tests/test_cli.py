@@ -241,8 +241,14 @@ def test_every_element_argument_reads_polynomials_and_coefficient_lists(capsys, 
     assert outputs[0] == outputs[1]
 
 
-def test_exponent_error_quotes_a_bounded_part_of_the_term(capsys):
-    code = run(["field", "--p", "3", "--element", "t^" + "9" * 4000, "--deterministic"])
+@pytest.mark.parametrize("argv", [
+    ["field", "--p", "3", "--element", "t^" + "9" * 4000],
+    ["field", "--p", "3", "--modulus", "1" * 5000 + ",1"],
+    ["field", "--p", "3", "--element", "1," + "1" * 5000],
+    ["field", "--p", "3", "--element", "z" * 5000],
+])
+def test_parse_errors_quote_a_bounded_part_of_the_text(capsys, argv):
+    code = run(argv + ["--deterministic"])
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["error"]["type"] == "Parse"

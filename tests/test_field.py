@@ -10,6 +10,7 @@ from gqt.errors import (
     DivisionByZeroError,
     NoInvolutionError,
     NotPrimeError,
+    ParseError,
     ReducibleModulusError,
     TooLargeError,
 )
@@ -198,6 +199,18 @@ def test_element_text_roundtrip(gf9):
         assert gf9.from_string(str(x)) == x
     assert gf9.from_string("2*t+1").coeffs == (1, 2)
     assert gf9.parse([1, 2]) == gf9.from_string("2*t + 1")
+
+
+def test_parse_refuses_more_than_k_coefficients_as_a_list_or_as_text(gf9):
+    # element() still reduces a long list modulo the modulus; parse() reads
+    # element input, where t^k is not a coefficient
+    messages = []
+    for value in ([0, 0, 1], "0,0,1", (1, 0, 0, 0)):
+        with pytest.raises(ParseError) as exc:
+            gf9.parse(value)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert gf9.element([0, 0, 1]) == gf9.gen ** 2
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])

@@ -66,8 +66,7 @@ def params_q3(kernel_q3):
 
 def identity_params(params):
     ident = identity_matrix(params.geom.spec, params.geom.form.dim)
-    return GeoParams(geom=params.geom, line_indices=params.line_indices,
-                     eta=ident, seed=params.seed)
+    return GeoParams(params.geom, params.line_indices, ident)
 
 
 def test_agree_parameters_deterministic_and_disjoint(kernel_q2, params_q2):
@@ -142,7 +141,7 @@ def test_deserialize_malformed(gf4, gf9):
 
 def test_transmit_rejects_empty():
     with pytest.raises(MalformedBitstreamError):
-        geo_transmit(GeoCiphertext(points=(), bitstream=""))
+        geo_transmit(GeoCiphertext(()))
     with pytest.raises(GQTError):
         serialize_points([])
 
@@ -155,22 +154,20 @@ def test_points_over_mixed_fields_are_refused(kernel_q2, kernel_q3, params_q3):
             serialize_points(pts)
     ct = geo_encode(FieldVector(kernel_q3.spec, [1, 1, 0, 0]), params_q3)
     with pytest.raises(FieldMismatchError):
-        geo_transmit(GeoCiphertext(points=(kernel_q2.points[0],) + ct.points[1:],
-                                   bitstream=ct.bitstream))
+        geo_transmit(GeoCiphertext((kernel_q2.points[0],) + ct.points[1:]))
 
 
 def test_decode_of_an_empty_ciphertext_is_a_domain_error(params_q2):
     # no points span no plane: rank 0, not an IndexError from the reduction
     with pytest.raises(DegenerateSpanError):
-        geo_decode(GeoCiphertext(points=(), bitstream=""), params_q2)
+        geo_decode(GeoCiphertext(()), params_q2)
 
 
 def test_decode_rejects_tampered_point(gf4, params_q2):
     state = FieldVector(gf4, [1, 0, 0, 0])
     ct = geo_encode(state, params_q2)
     bad = ProjectivePoint(FieldVector(gf4, [1, 0, 0, 0]))  # not on the surface
-    tampered = GeoCiphertext(points=(bad, ct.points[1], ct.points[2]),
-                             bitstream=ct.bitstream)
+    tampered = GeoCiphertext((bad, ct.points[1], ct.points[2]))
     with pytest.raises(NotKernelPointError):
         geo_decode(tampered, params_q2)
 
@@ -236,12 +233,6 @@ def test_sweep_transmits_the_points_of_the_roundtrip_golden_job(gf4, kernel_q2, 
         assert _bits_to_rays(received, gf4, 4) == list(rays)
 
 
-def test_transmit_rejects_non_binary_bitstream(gf4, params_q2):
-    ct = geo_encode(FieldVector(gf4, [1, 0, 0, 0]), params_q2)
-    with pytest.raises(MalformedBitstreamError):
-        geo_transmit(GeoCiphertext(points=ct.points, bitstream=ct.bitstream[:-1] + "2"))
-
-
 def test_parse_bitstream(gf4, gf9):
     bits = format(0xBABEA7, "024b")
     assert parse_bitstream(bits, gf4, 4) == bits
@@ -297,8 +288,7 @@ def _ciphertexts(draw, geoms):
         ray = draw(st.lists(st.integers(0, spec.order - 1), min_size=dim, max_size=dim)
                    .filter(any))
         points.append(ProjectivePoint(FieldVector.from_indices(spec, ray)))
-    bitstream = draw(st.one_of(st.text(max_size=40), st.text(alphabet="01", max_size=120)))
-    return GeoCiphertext(points=tuple(points), bitstream=bitstream)
+    return GeoCiphertext(tuple(points))
 
 
 @given(data=st.data())
@@ -393,8 +383,7 @@ def test_hand_made_non_unitary_eta_is_refused(gf4, params_q2):
     zero = FieldMatrix(gf4, [[0] * 4] * 4)
     for eta in (shear, zero):
         with pytest.raises(NotUnitaryError):
-            GeoParams(geom=params_q2.geom, line_indices=params_q2.line_indices,
-                      eta=eta, seed=params_q2.seed)
+            GeoParams(params_q2.geom, params_q2.line_indices, eta)
 
 
 def test_eta_over_another_field_or_shape_is_refused(gf4, gf9, params_q2, kernel_q3):
@@ -406,8 +395,7 @@ def test_eta_over_another_field_or_shape_is_refused(gf4, gf9, params_q2, kernel_
     for eta, error in [(u9, FieldMismatchError), (wide, DimensionMismatchError),
                        (tall, DimensionMismatchError)]:
         with pytest.raises(error):
-            GeoParams(geom=params_q2.geom, line_indices=params_q2.line_indices,
-                      eta=eta, seed=params_q2.seed)
+            GeoParams(params_q2.geom, params_q2.line_indices, eta)
 
 
 @pytest.mark.parametrize("p", [2, 3])

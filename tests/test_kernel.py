@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ from gqt.kernel import (
     unitary_escapes,
     verify_one_or_all,
 )
-from gqt.linalg import FieldMatrix, FieldVector, random_unitary, standard_form
+from gqt.linalg import FieldMatrix, FieldVector, HermitianForm, random_unitary, standard_form
 
 
 def surface_oracle_count(spec, dim):
@@ -170,7 +169,8 @@ def test_unitary_escapes_counts_a_broken_geometry(kernel_q2):
             picked.append(i)
         if len(picked) == 3:
             break
-    tampered = replace(kernel_q2, lines=kernel_q2.lines[1:] + (frozenset(picked),))
+    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays,
+                              kernel_q2.lines[1:] + (frozenset(picked),), kernel_q2._adjacency)
     assert unitary_escapes(tampered, seed=0, samples=5) > 0
 
 
@@ -293,6 +293,8 @@ def test_one_or_all_passes(fix, kernel_q2, kernel_q3):
     assert report.passed
     assert not report.violations
     assert set(report.count_distribution) == {1}  # GQ: the "all" branch never fires
+    # every (point, line) pair but the incident ones
+    assert report.pairs_checked == len(geom.points) * len(geom.lines) - sum(map(len, geom.lines))
 
 
 def test_one_or_all_negative_control(kernel_q2):
@@ -304,7 +306,8 @@ def test_one_or_all_negative_control(kernel_q2):
         if len(picked) == 3:
             break
     fake = frozenset(picked)
-    tampered = replace(kernel_q2, lines=kernel_q2.lines + (fake,))
+    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (fake,),
+                              kernel_q2._adjacency)
     report = verify_one_or_all(tampered)
     assert not report.passed
     assert any(li == len(kernel_q2.lines) for _, li, _ in report.violations)
@@ -397,3 +400,28 @@ def test_geometry_rows_are_the_polar_rows_of_the_points(kernel_q2, kernel_q3):
     for geom in (kernel_q2, kernel_q3):
         assert geom.rows == tuple(polar_hyperplane(p.coords, geom.form).indices()
                                   for p in geom.points)
+
+
+@pytest.mark.parametrize("fix", ["q2", "q3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_change_of_basis_carries_kernel_points_and_lines(fix, seed, kernel_q2, kernel_q3):
+    # Metamorphic oracle: with G' = A* G A, <x, y>' = <A x, A y>, so the
+    # kernel of G' is A^-1 K(G) and A^-1 carries lines onto lines.
+    geom = kernel_q2 if fix == "q2" else kernel_q3
+    spec, dim = geom.spec, geom.form.dim
+    rng = random.Random(seed)
+    a = None
+    while a is None or a.rank() < dim:
+        a = FieldMatrix.from_indices(spec, [[rng.randrange(spec.order) for _ in range(dim)]
+                                            for _ in range(dim)])
+    form = HermitianForm(a.conj_transpose() @ geom.form.gram @ a)
+    assert not form.is_standard()
+    moved = enumerate_kernel(form)
+    a_inverse = a.inverse()
+    image = [moved.index_of(ProjectivePoint(a_inverse @ p.coords)) for p in geom.points]
+    assert sorted(image) == list(range(len(moved.points)))
+    assert len(moved.lines) == len(geom.lines)
+    assert {frozenset(image[i] for i in line) for line in geom.lines} == set(moved.lines)
+    # the polar rows the geometry derives are conj(v) G', here as matrix products
+    assert moved.rows == tuple((FieldMatrix(spec, [p.coords.conj().entries]) @ form.gram)
+                               .indices()[0] for p in moved.points)
