@@ -1,52 +1,46 @@
 """Exact quantum states over GF(q^2): Hermitian forms, the self-orthogonal
 kernel geometry, cloning/deleting obstructions, teleportation, super-dense
-coding, and a polarity-based point-transport code."""
+coding, and a polarity-based point-transport code.
+
+``import gqt`` loads no submodule: each public name below is imported from
+its module the first time it is read (PEP 562 module ``__getattr__``, the
+pattern of Scientific Python SPEC 1).
+"""
 
 __version__ = "0.1.0"
 
-from .errors import GQTError, InvariantError
-from .field import FieldElement, FieldSpec, build_field, theory_coordinates
-from .kernel import (
-    KernelGeometry,
-    ProjectivePoint,
-    collinear,
-    enumerate_kernel,
-    hermitian_curve,
-    is_self_orthogonal,
-    polar_hyperplane,
-    polar_of_subspace,
-    unique_meet,
-    unitary_escapes,
-    verify_one_or_all,
-)
-from .linalg import (
-    FieldMatrix,
-    FieldVector,
-    HermitianForm,
-    evaluate_form,
-    is_hermitian_matrix,
-    is_unitary,
-    random_unitary,
-    standard_form,
-    tensor,
-)
-from .nogo import (
-    CloneClassification,
-    CloneVerdict,
-    clone_obstruction,
-    delete_obstruction,
-    f2_orthogonal_special_case,
-    permutation_clone_check,
-)
-from .protocols import (
-    ProtocolTranscript,
-    bell_basis,
-    bell_state,
-    measure_modal,
-    possible_branches,
-    sdc_decode,
-    sdc_encode,
-    teleport,
-    teleport_char2,
-)
-from .geocode import GeoCiphertext, GeoParams, agree_parameters, geo_decode, geo_encode, geo_transmit
+# Defining module -> the public names it exports.
+_EXPORTS = {
+    "errors": ("GQTError", "InvariantError"),
+    "field": ("FieldElement", "FieldSpec", "build_field", "theory_coordinates"),
+    "kernel": ("KernelGeometry", "ProjectivePoint", "collinear", "enumerate_kernel",
+               "hermitian_curve", "is_self_orthogonal", "polar_hyperplane",
+               "polar_of_subspace", "unique_meet", "unitary_escapes", "verify_one_or_all"),
+    "linalg": ("FieldMatrix", "FieldVector", "HermitianForm", "evaluate_form",
+               "is_hermitian_matrix", "is_unitary", "random_unitary", "standard_form", "tensor"),
+    "nogo": ("CloneClassification", "CloneVerdict", "clone_obstruction", "delete_obstruction",
+             "f2_orthogonal_special_case", "permutation_clone_check"),
+    "protocols": ("ProtocolTranscript", "bell_basis", "bell_state", "measure_modal",
+                  "possible_branches", "sdc_decode", "sdc_encode", "teleport", "teleport_char2"),
+    "geocode": ("GeoCiphertext", "GeoParams", "agree_parameters", "geo_decode", "geo_encode",
+                "geo_transmit"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name, or a submodule, on first access."""
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -22,10 +22,6 @@ from typing import Optional
 from . import __version__
 from .errors import GQTError
 from .field import build_field, field_report, parse_coefficients, theory_coordinates
-from .geocode import decode_report, encode_report, roundtrip_report
-from .kernel import standard_kernel, verify_report
-from .nogo import scan
-from .protocols import sdc_transcript, teleport, teleport_char2
 
 
 def _add_field_args(p: argparse.ArgumentParser) -> None:
@@ -152,6 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --- command handlers ---------------------------------------------------------
+# Each handler imports the module it calls, so a job loads only that module
+# and its imports; ``field`` and ``errors`` are loaded above for every job.
 
 def _cmd_field(args) -> dict:
     return field_report(_field_from_args(args), args.element)
@@ -163,37 +161,53 @@ def _cmd_theory(args) -> dict:
 
 def _cmd_kernel_enumerate(args):
     """The JSON report, or the CSV catalog text with ``--csv``."""
+    from .kernel import standard_kernel
+
     geom = standard_kernel(_field_from_args(args), args.dim, args.unsafe_size)
     return geom.to_csv() if args.csv else geom.to_json()
 
 
 def _cmd_verify(args) -> dict:
+    from .kernel import verify_report
+
     return verify_report(_field_from_args(args), args.dim, args.seed, args.samples,
                          args.unsafe_size)
 
 
 def _cmd_teleport(args) -> dict:
+    from .protocols import teleport, teleport_char2
+
     fn = teleport_char2 if args.char2 else teleport
     return fn(args.alpha, args.beta, _field_from_args(args), args.seed).to_json()
 
 
 def _cmd_sdc(args) -> dict:
+    from .protocols import sdc_transcript
+
     return sdc_transcript(args.message, _field_from_args(args), args.seed).to_json()
 
 
 def _cmd_nogo_scan(args) -> dict:
+    from .nogo import scan
+
     return scan(_field_from_args(args), args.dim, args.kind)
 
 
 def _cmd_geocode_roundtrip(args) -> dict:
+    from .geocode import roundtrip_report
+
     return roundtrip_report(_field_from_args(args), args.seed, args.trials)
 
 
 def _cmd_geocode_encode(args) -> dict:
+    from .geocode import encode_report
+
     return encode_report(_field_from_args(args), args.seed, args.state)
 
 
 def _cmd_geocode_decode(args) -> dict:
+    from .geocode import decode_report
+
     return decode_report(_field_from_args(args), args.seed, args.bitstream)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
@@ -504,14 +503,11 @@ def build_field(p: int, k: int, modulus: Optional[Iterable[int]] = None) -> Fiel
     return _cached_field(p, k, mod)
 
 
-@dataclass(frozen=True)
 class TheoryDescriptor:
     """One point (i, m, p) of the theory lattice: GF(p^2i) in dimension m."""
 
-    i: int
-    m: int
-    p: int
-    field: FieldSpec
+    def __init__(self, i: int, m: int, p: int, field: FieldSpec):
+        self.i, self.m, self.p, self.field = i, m, p, field
 
     def to_json(self) -> dict:
         return {

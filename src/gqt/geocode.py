@@ -26,7 +26,6 @@ The ``geocode`` CLI reports are built here, so this module alone writes
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
@@ -78,11 +77,11 @@ class GeoParams:
         self._push, self._pull = push, tuple(sorted(range(len(push)), key=push.__getitem__))
 
 
-@dataclass
 class GeoCiphertext:
     """Three transported kernel points."""
 
-    points: Tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint]
+    def __init__(self, points: Tuple[ProjectivePoint, ProjectivePoint, ProjectivePoint]):
+        self.points = points
 
     @property
     def bitstream(self) -> str:
@@ -225,12 +224,14 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
 
 
 def _field_of(points: Sequence[ProjectivePoint]) -> FieldSpec:
-    """The one field every point lies over."""
+    """The one field every point lies over; the points share one dimension too."""
     if not points:
         raise MalformedBitstreamError("no points")
-    spec = points[0].spec
+    spec, dim = points[0].spec, len(points[0].coords)
     if any(p.spec != spec for p in points):
         raise FieldMismatchError("points lie over different fields")
+    if any(len(p.coords) != dim for p in points):
+        raise DimensionMismatchError("points have different dimensions")
     return spec
 
 
@@ -309,15 +310,14 @@ def geo_transmit(ct: GeoCiphertext) -> Tuple[str, List[ProjectivePoint]]:
     return received_bits, deserialize_points(received_bits, spec, len(ct.points[0].coords))
 
 
-@dataclass
 class RoundTripReport:
     """Batch encode/transmit/decode sweep outcome."""
 
-    trials: int
-    successes: int
-    degenerate: int
-    self_orthogonal_skipped: int
-    witnesses: List[dict]
+    def __init__(self, trials: int, successes: int, degenerate: int,
+                 self_orthogonal_skipped: int, witnesses: List[dict]):
+        self.trials, self.successes, self.degenerate = trials, successes, degenerate
+        self.self_orthogonal_skipped = self_orthogonal_skipped
+        self.witnesses = witnesses
 
     def to_json(self) -> dict:
         return {

@@ -14,11 +14,8 @@ as covered.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -150,6 +147,10 @@ class KernelGeometry:
         }
 
     def to_csv(self) -> str:
+        """The ``kernel enumerate --csv`` catalog: a header, then one row per point and line."""
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf)
         spec = self.spec
@@ -347,13 +348,15 @@ def polar_point(basis: Sequence[FieldVector], f: HermitianForm) -> ProjectivePoi
 
 # --- axioms and derived objects -------------------------------------------------
 
-@dataclass
 class OneOrAllReport:
     """Outcome of the One-or-All sweep over non-incident (point, line) pairs."""
 
-    count_distribution: Dict[int, int]
-    violations: List[Tuple[int, int, int]]  # (point index, line index, count)
-    gq_unique_line_failures: List[Tuple[int, int]]
+    def __init__(self, count_distribution: Dict[int, int],
+                 violations: List[Tuple[int, int, int]],
+                 gq_unique_line_failures: List[Tuple[int, int]]):
+        self.count_distribution = count_distribution
+        self.violations = violations  # (point index, line index, count)
+        self.gq_unique_line_failures = gq_unique_line_failures
 
     @property
     def pairs_checked(self) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -46,16 +45,18 @@ class CloneVerdict(str, Enum):
     INDEPENDENT = "Independent"
 
 
-@dataclass
 class CloneClassification:
     """Verdict for one (phi, psi) pair, with the tensor obstruction value."""
 
-    verdict: CloneVerdict
-    tensor_obstruction: FieldVector
-    witness: Optional[FieldElement]  # rho with psi = phi * rho, when on one ray
-    entrywise_agrees: bool
-    commutators_vanish: bool
-    kind: str = "clone"  # or "delete"
+    def __init__(self, verdict: CloneVerdict, tensor_obstruction: FieldVector,
+                 witness: Optional[FieldElement], entrywise_agrees: bool,
+                 commutators_vanish: bool, kind: str = "clone"):
+        self.verdict = verdict
+        self.tensor_obstruction = tensor_obstruction
+        self.witness = witness  # rho with psi = phi * rho, when on one ray
+        self.entrywise_agrees = entrywise_agrees
+        self.commutators_vanish = commutators_vanish
+        self.kind = kind  # or "delete"
 
     @property
     def obstruction_vanishes(self) -> bool:

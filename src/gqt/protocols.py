@@ -13,7 +13,6 @@ correctness checks never depend on the draw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -124,20 +123,22 @@ def measure_modal(state: FieldVector, basis: Sequence[FieldVector],
 
 # --- transcripts -----------------------------------------------------------------------
 
-@dataclass
 class ProtocolTranscript:
-    """Replayable record of one protocol run."""
+    """Replayable record of one protocol run.
 
-    protocol: str
-    spec: FieldSpec
-    inputs: Dict[str, object]
-    seed: Optional[int]
-    states: List[Tuple[str, list]] = field(default_factory=list)
-    branch_label: Optional[str] = None
-    branch_index: Optional[int] = None
-    classical_message: Optional[str] = None
-    correction: Optional[str] = None
-    final_state: Optional[FieldVector] = None
+    The run fills in its states, branch, message, correction and final
+    state step by step.
+    """
+
+    def __init__(self, protocol: str, spec: FieldSpec, inputs: Dict[str, object],
+                 seed: Optional[int]):
+        self.protocol, self.spec, self.inputs, self.seed = protocol, spec, inputs, seed
+        self.states: List[Tuple[str, list]] = []
+        self.branch_label: Optional[str] = None
+        self.branch_index: Optional[int] = None
+        self.classical_message: Optional[str] = None
+        self.correction: Optional[str] = None
+        self.final_state: Optional[FieldVector] = None
 
     def record(self, label: str, state: FieldVector) -> None:
         if state.is_zero():

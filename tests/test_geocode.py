@@ -157,6 +157,18 @@ def test_points_over_mixed_fields_are_refused(kernel_q2, kernel_q3, params_q3):
         geo_transmit(GeoCiphertext((kernel_q2.points[0],) + ct.points[1:]))
 
 
+def test_points_of_mixed_dimensions_are_refused(gf4):
+    # the bits were re-split by the first point's dimension: (1,0) and
+    # (1,1,1,0) came back from the channel as three points of dimension 2
+    mixed = (ProjectivePoint(FieldVector(gf4, [1, 0])),
+             ProjectivePoint(FieldVector(gf4, [1, 1, 1, 0])))
+    for pts in (mixed, mixed[::-1]):
+        with pytest.raises(DimensionMismatchError):
+            serialize_points(pts)
+        with pytest.raises(DimensionMismatchError):
+            geo_transmit(GeoCiphertext(pts))
+
+
 def test_decode_of_an_empty_ciphertext_is_a_domain_error(params_q2):
     # no points span no plane: rank 0, not an IndexError from the reduction
     with pytest.raises(DegenerateSpanError):

@@ -1,17 +1,27 @@
-"""Every name a ``gqt`` module imports at module level is used in that module.
+"""What ``gqt`` imports: its public surface, and what each job loads.
 
-Deletions tend to leave imports behind; this catches them.  ``__init__``
-re-exports its imports, and ``from __future__`` imports are directives,
-so both are skipped.
+Every name a ``gqt`` module imports at module level is used in that module:
+deletions tend to leave imports behind, and this catches them
+(``from __future__`` imports are directives and are skipped).  ``import
+gqt`` loads no submodule, every public name still resolves to the object
+its module defines, and a CLI job loads only the modules its subcommand
+runs, none of them through ``dataclasses``.
 """
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gqt
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "gqt"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +51,101 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# --- the package surface ----------------------------------------------------------
+
+# The public names of ``gqt``, by defining module: kept apart from
+# ``gqt._EXPORTS`` so that a name dropped there fails here.
+EXPORTED = {
+    "errors": "GQTError InvariantError",
+    "field": "FieldElement FieldSpec build_field theory_coordinates",
+    "kernel": "KernelGeometry ProjectivePoint collinear enumerate_kernel hermitian_curve "
+              "is_self_orthogonal polar_hyperplane polar_of_subspace unique_meet "
+              "unitary_escapes verify_one_or_all",
+    "linalg": "FieldMatrix FieldVector HermitianForm evaluate_form is_hermitian_matrix "
+              "is_unitary random_unitary standard_form tensor",
+    "nogo": "CloneClassification CloneVerdict clone_obstruction delete_obstruction "
+            "f2_orthogonal_special_case permutation_clone_check",
+    "protocols": "ProtocolTranscript bell_basis bell_state measure_modal possible_branches "
+                 "sdc_decode sdc_encode teleport teleport_char2",
+    "geocode": "GeoCiphertext GeoParams agree_parameters geo_decode geo_encode geo_transmit",
+}
+EXPORTS = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+
+
+def test_every_exported_name_is_listed():
+    assert len(EXPORTS) == 47
+    assert sorted(gqt.__all__) == sorted(name for _, name in EXPORTS)
+
+
+@pytest.mark.parametrize("module,name", EXPORTS, ids=[name for _, name in EXPORTS])
+def test_exported_name_is_its_modules_object(module, name):
+    namespace = {}
+    exec(f"from gqt import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"gqt.{module}"), name)
+    assert getattr(gqt, name) is namespace[name]
+    assert name in gqt.__all__ and name in dir(gqt)
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "dataclass"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(gqt, name)
+    with pytest.raises(ImportError):
+        exec("from gqt import no_such_name", {})
+
+
+# --- what a fresh interpreter loads -------------------------------------------------
+
+_BASE = {"gqt", "gqt.cli", "gqt.errors", "gqt.field"}
+_GEOMETRY = {"gqt.linalg", "gqt.kernel"}
+_PROTOCOLS = {"gqt.linalg", "gqt.protocols"}
+_NOGO = {"gqt.linalg", "gqt.nogo"}
+_GEOCODE = _GEOMETRY | _PROTOCOLS | {"gqt.geocode"}
+JOBS = [
+    (["field", "--p", "2", "--element", "t+1"], _BASE),
+    (["theory", "--i", "1", "--m", "2", "--pp", "3"], _BASE),
+    (["field", "--p", "4"], _BASE),  # a domain error
+    (["kernel", "enumerate", "--p", "2"], _BASE | _GEOMETRY),
+    (["kernel", "enumerate", "--p", "2", "--csv"], _BASE | _GEOMETRY),
+    (["verify", "--p", "2", "--seed", "0", "--samples", "1"], _BASE | _GEOMETRY),
+    (["teleport", "--p", "3", "--alpha", "1", "--beta", "t", "--seed", "0"], _BASE | _PROTOCOLS),
+    (["sdc", "--p", "2", "--message", "01"], _BASE | _PROTOCOLS),
+    (["noclone", "scan", "--p", "2"], _BASE | _NOGO),
+    (["nodelete", "scan", "--p", "2"], _BASE | _NOGO),
+    (["geocode", "roundtrip", "--p", "2", "--seed", "1", "--trials", "2"], _BASE | _GEOCODE),
+    (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "t;1;1;0"], _BASE | _GEOCODE),
+    (["geocode", "decode", "--p", "2", "--seed", "5", "--bitstream", "babea7"],
+     _BASE | _GEOCODE),
+]
+
+_PROBE = """
+import json, sys
+{body}
+print(json.dumps({{"gqt": sorted(m for m in sys.modules if m == "gqt" or m.startswith("gqt.")),
+                  "dataclasses": "dataclasses" in sys.modules}}))
+"""
+
+
+def _loaded(body: str) -> dict:
+    """The gqt modules a fresh interpreter has loaded after running ``body``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_gqt_loads_no_submodule():
+    assert _loaded("import gqt") == {"gqt": ["gqt"], "dataclasses": False}
+    # a submodule read as an attribute loads on first access, with its imports
+    assert _loaded("import gqt\ngqt.nogo.scan")["gqt"] == sorted(_BASE - {"gqt.cli"} | _NOGO)
+
+
+@pytest.mark.parametrize("argv,modules", JOBS, ids=["-".join(argv) for argv, _ in JOBS])
+def test_job_loads_only_its_subcommands_modules(argv, modules, tmp_path):
+    out = tmp_path / "report"
+    body = f"from gqt.cli import run\nrun({argv + ['--out', str(out)]!r})"
+    assert _loaded(body) == {"gqt": sorted(modules), "dataclasses": False}
+    assert out.read_text()
