@@ -6,9 +6,9 @@ enumerate, verify), ``protocols`` (teleport, sdc), ``nogo`` (noclone and
 nodelete scan) and ``geocode`` (geocode roundtrip, encode, decode).
 
 Exit codes: 0 success, 1 domain error (machine-readable error object),
-2 usage error.  Every report embeds the field parameters; with
-``--deterministic`` the output contains no timestamps and identical
-argv + seed yields byte-identical bytes.
+2 usage error (an unwritable ``--out`` path included).  Every report
+embeds the field parameters; with ``--deterministic`` the output contains
+no timestamps and identical argv + seed yields byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -217,25 +217,28 @@ def run(argv=None) -> int:
     try:
         report = args.handler(args)
     except GQTError as exc:
-        _emit(json.dumps({"error": exc.to_json()}, indent=2), args.out)
-        return 1
+        return _emit(json.dumps({"error": exc.to_json()}, indent=2), args.out, 1)
 
     if isinstance(report, str):  # kernel catalog as CSV
-        _emit(report, args.out)
-        return 0
+        return _emit(report, args.out, 0)
 
     if not args.deterministic:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    _emit(json.dumps(report, indent=2), args.out)
-    return 0
+    return _emit(json.dumps(report, indent=2), args.out, 0)
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
-    if out:
+def _emit(payload: str, out: Optional[str], code: int) -> int:
+    """Write the payload; return ``code``, or 2 if the ``--out`` path cannot be written."""
+    if not out:
+        sys.stdout.write(payload + "\n")
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(payload + "\n")
-    else:
-        sys.stdout.write(payload + "\n")
+    except OSError as exc:
+        sys.stderr.write(f"gqt: error: cannot write --out {out}: {exc.strerror}\n")
+        return 2
+    return code
 
 
 def main() -> None:  # pragma: no cover - console entry point

@@ -388,49 +388,48 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.index == 0
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatchError("operands belong to different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        return NotImplemented
+    def _operand(self, other) -> Optional[int]:
+        """The index ``FieldSpec.parse`` reads from an element or int; None for other types."""
+        if isinstance(other, (FieldElement, int)):
+            return self.spec.parse(other).index
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.add_i(self.index, other.index))
+        return FieldElement(self.spec, self.spec.add_i(self.index, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_i(self.index, other.index))
+        return FieldElement(self.spec, self.spec.sub_i(self.index, b))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        return other - self
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return FieldElement(self.spec, self.spec.sub_i(b, self.index))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg_i(self.index))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.index, other.index))
+        return FieldElement(self.spec, self.spec.mul_i(self.index, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._operand(other)
+        if b is None:
             return NotImplemented
-        return self * other.inverse()
+        return FieldElement(self.spec, self.spec.mul_i(self.index, self.spec.inv_i(b)))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow_i(self.index, e))
@@ -506,14 +505,14 @@ def build_field(p: int, k: int, modulus: Optional[Iterable[int]] = None) -> Fiel
 class TheoryDescriptor:
     """One point (i, m, p) of the theory lattice: GF(p^2i) in dimension m."""
 
-    def __init__(self, i: int, m: int, p: int, field: FieldSpec):
-        self.i, self.m, self.p, self.field = i, m, p, field
+    def __init__(self, i: int, m: int, field: FieldSpec):
+        self.i, self.m, self.field = i, m, field
 
     def to_json(self) -> dict:
         return {
             "i": self.i,
             "m": self.m,
-            "p": self.p,
+            "p": self.field.p,
             "field": self.field.to_json(),
             "subfield_order": self.field.q,
             "dimension": self.m,
@@ -526,7 +525,7 @@ def theory_coordinates(i: int, m: int, p: int) -> TheoryDescriptor:
     _check_prime(p)
     if i < 1 or m < 1:
         raise ParseError(f"i and m must be positive, got i={i}, m={m}")
-    return TheoryDescriptor(i=i, m=m, p=p, field=build_field(p, 2 * i))
+    return TheoryDescriptor(i=i, m=m, field=build_field(p, 2 * i))
 
 
 def field_report(spec: FieldSpec, element: Optional[str] = None) -> dict:

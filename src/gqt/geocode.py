@@ -295,7 +295,7 @@ def _transmit_bits(bits: str, spec: FieldSpec) -> str:
     on receipt.
     """
     codebook = _sdc_codebook(spec)
-    width = len(next(iter(codebook)))  # every chunk has the same width
+    width = sdc_bits(spec)
     padded = bits + "0" * (-len(bits) % width)
     return "".join(codebook[padded[i:i + width]]
                    for i in range(0, len(padded), width))[:len(bits)]
@@ -398,7 +398,7 @@ def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
 def encode_report(spec: FieldSpec, seed: int, state: str) -> dict:
     """The ``gqt geocode encode`` report for ';'-separated coordinate text."""
     params = _standard_params(spec, seed)
-    ct = geo_encode(FieldVector(spec, [spec.parse(c) for c in state.split(";")]), params)
+    ct = geo_encode(FieldVector(spec, state.split(";")), params)
     return {
         "field": spec.to_json(),
         "ciphertext": ct.to_json(),

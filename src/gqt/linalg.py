@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DegenerateFormError,
@@ -400,23 +399,17 @@ class _UnitaryTables(NamedTuple):
 
     norm_one: Tuple[int, ...]  # nonzero x with norm(x) = 1
     units: Tuple[Tuple[int, int], ...]  # norm(a) + norm(c) = 1
-    norm_inverse: Mapping[int, int]  # subfield s != 0 -> first mu, norm(mu) = 1/s
 
 
 @lru_cache(maxsize=None)
 def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
     """The sampler's tables of ``spec``, built on first use and shared."""
-    add, _, mul, inv, frob = spec.tables()
+    add, _, mul, _, frob = spec.tables()
     norms = [mul[x][frob[x]] for x in range(spec.order)]
-    norm_inverse: Dict[int, int] = {}
-    for s in norms[1:]:
-        if s not in norm_inverse:
-            norm_inverse[s] = norms.index(inv[s])
     return _UnitaryTables(
         norm_one=tuple(x for x in range(1, spec.order) if norms[x] == 1),
         units=tuple((a, c) for a, na in enumerate(norms) for c, nc in enumerate(norms)
                     if add[na][nc] == 1),
-        norm_inverse=MappingProxyType(norm_inverse),
     )
 
 
@@ -433,7 +426,7 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
     spec, n = f.spec, f.dim
     add, neg, mul, _, frob = spec.tables()
     rng = random.Random(seed)
-    norm_one, units, norm_inverse = _unitary_tables(spec)
+    norm_one, units = _unitary_tables(spec)
     rows = _identity(n)
     kinds = ["perm", "diag"] + (["block"] if n >= 2 else [])
     for _ in range(_PRODUCT_LENGTH):
@@ -449,10 +442,9 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
         else:
             i, j = sorted(rng.sample(range(n), 2))
             a, c = rng.choice(units)
-            # (conj(c), -conj(a)) is orthogonal to (a, c); rescale it to unit length.
+            # (conj(c), -conj(a)) is orthogonal to (a, c), and its norm is N(c) + N(a) = 1
+            # because -1 lies in the subfield and squares to 1: no rescale is needed.
             b, d = frob[c], neg[frob[a]]
-            mu = norm_inverse[add[mul[b][frob[b]]][mul[d][frob[d]]]]
-            b, d = mul[b][mu], mul[d][mu]
             ri, rj = rows[i], rows[j]
             rows[i] = [add[mul[a][x]][mul[b][y]] for x, y in zip(ri, rj)]
             rows[j] = [add[mul[c][x]][mul[d][y]] for x, y in zip(ri, rj)]

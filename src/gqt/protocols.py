@@ -82,6 +82,8 @@ def decompose_in_basis(state: FieldVector, basis: Sequence[FieldVector]) -> List
     the state has dimension d * m.  Raises NotInSpan when the leading
     factor of the state does not lie in the span of the basis.
     """
+    if not basis:
+        raise DimensionMismatchError("the measurement basis is empty")
     spec = state.spec
     d = len(basis[0])
     if any(len(b) != d for b in basis):

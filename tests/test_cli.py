@@ -75,6 +75,19 @@ def test_out_flag(tmp_path):
     assert data["num_points"] == 45
 
 
+@pytest.mark.parametrize("argv", [["field", "--p", "2"], ["field", "--p", "4"]],
+                         ids=["report", "error"])
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    # Both the report and the error object go to --out; neither may escape
+    # as an OSError.
+    path = str(tmp_path / target)
+    assert run(argv + ["--deterministic", "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and path in captured.err
+
+
 def test_verify_command(capsys):
     code, report = run_json(capsys, [
         "verify", "--p", "2", "--seed", "0", "--samples", "3", "--deterministic"])

@@ -8,6 +8,7 @@ import gqt.field
 from gqt.errors import (
     DegreeMismatchError,
     DivisionByZeroError,
+    FieldMismatchError,
     NoInvolutionError,
     NotPrimeError,
     ParseError,
@@ -59,6 +60,25 @@ def test_gf4_arithmetic_examples(gf4):
         assert x + gf4.zero == x
     with pytest.raises(DivisionByZeroError):
         gf4.zero.inverse()
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: "a" - x, lambda x: 1.5 - x, lambda x: x - "a", lambda x: x + None,
+    lambda x: [1] * x, lambda x: x / "a",
+], ids=["str-x", "float-x", "x-str", "x+None", "list*x", "x/str"])
+def test_operands_other_than_elements_and_ints_raise_type_error(gf9, op):
+    with pytest.raises(TypeError):
+        op(gf9.gen)
+
+
+def test_int_and_mixed_field_operands(gf4, gf9):
+    for x in gf9.elements():
+        assert 1 - x == -(x - 1) and 5 - x == gf9.from_int(5) - x
+        assert 2 + x == x + 2 and 2 * x == x * 2
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(FieldMismatchError):
+            op(gf9.gen, gf4.gen)
 
 
 def test_frobenius_examples(gf4, gf9):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gqt.errors import (
     DegenerateSpanError,
+    DependentBasisError,
     DimensionMismatchError,
     FieldMismatchError,
     GQTError,
@@ -173,6 +174,13 @@ def test_decode_of_an_empty_ciphertext_is_a_domain_error(params_q2):
     # no points span no plane: rank 0, not an IndexError from the reduction
     with pytest.raises(DegenerateSpanError):
         geo_decode(GeoCiphertext(()), params_q2)
+
+
+def test_decode_of_four_points_of_rank_three_is_a_dependent_basis(gf4, params_q2):
+    # the points span a plane, but a repeated point is not a basis of it
+    ct = geo_encode(FieldVector(gf4, [1, 0, 0, 0]), params_q2)
+    with pytest.raises(DependentBasisError):
+        geo_decode(GeoCiphertext(ct.points + ct.points[:1]), params_q2)
 
 
 def test_decode_rejects_tampered_point(gf4, params_q2):

@@ -23,11 +23,20 @@ from gqt.kernel import (
     polar_hyperplane,
     polar_of_subspace,
     polar_point,
+    standard_kernel,
     unique_meet,
     unitary_escapes,
     verify_one_or_all,
 )
-from gqt.linalg import FieldMatrix, FieldVector, HermitianForm, random_unitary, standard_form
+from gqt.linalg import (
+    FieldMatrix,
+    FieldVector,
+    HermitianForm,
+    is_unitary,
+    random_unitary,
+    standard_form,
+)
+from gqt.nogo import scan
 
 
 def surface_oracle_count(spec, dim):
@@ -402,18 +411,28 @@ def test_geometry_rows_are_the_polar_rows_of_the_points(kernel_q2, kernel_q3):
                                   for p in geom.points)
 
 
-@pytest.mark.parametrize("fix", ["q2", "q3"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_change_of_basis_carries_kernel_points_and_lines(fix, seed, kernel_q2, kernel_q3):
-    # Metamorphic oracle: with G' = A* G A, <x, y>' = <A x, A y>, so the
-    # kernel of G' is A^-1 K(G) and A^-1 carries lines onto lines.
-    geom = kernel_q2 if fix == "q2" else kernel_q3
-    spec, dim = geom.spec, geom.form.dim
-    rng = random.Random(seed)
+def invertible_matrix(spec, dim, rng):
+    """A uniformly drawn invertible dim x dim matrix over spec."""
     a = None
     while a is None or a.rank() < dim:
         a = FieldMatrix.from_indices(spec, [[rng.randrange(spec.order) for _ in range(dim)]
                                             for _ in range(dim)])
+    return a
+
+
+@pytest.mark.parametrize("fix", ["q2", "q3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_change_of_basis_carries_kernel_points_and_lines(fix, seed, kernel_q2, kernel_q3):
+    """Metamorphic oracle: with G' = A* G A, <x, y>' = <A x, A y>, so the
+    kernel of G' is A^-1 K(G), A^-1 carries lines onto lines and the
+    One-or-All report is the same.
+
+    Fails when ``HermitianForm._row`` reads the Gram matrix by columns
+    (``zip(*gram)`` for ``gram``), which the symmetric identity Gram hides.
+    """
+    geom = kernel_q2 if fix == "q2" else kernel_q3
+    spec, dim = geom.spec, geom.form.dim
+    a = invertible_matrix(spec, dim, random.Random(seed))
     form = HermitianForm(a.conj_transpose() @ geom.form.gram @ a)
     assert not form.is_standard()
     moved = enumerate_kernel(form)
@@ -425,3 +444,53 @@ def test_change_of_basis_carries_kernel_points_and_lines(fix, seed, kernel_q2, k
     # the polar rows the geometry derives are conj(v) G', here as matrix products
     assert moved.rows == tuple((FieldMatrix(spec, [p.coords.conj().entries]) @ form.gram)
                                .indices()[0] for p in moved.points)
+    assert verify_one_or_all(moved).to_json() == verify_one_or_all(geom).to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_change_of_basis_conjugates_unitaries(p, seed):
+    """Metamorphic oracle: U unitary for G gives A^-1 U A unitary for
+    G' = A* G A, here with U = ``random_unitary`` of the standard form G = I.
+
+    Fails when ``is_unitary`` tests u G u* == G in place of u* G u == G;
+    the two agree for the identity Gram, so standard-form tests miss it.
+    """
+    spec = build_field(p, 2)
+    standard = standard_form(spec, 4)
+    rng = random.Random(seed)
+    a = invertible_matrix(spec, 4, rng)
+    form = HermitianForm(a.conj_transpose() @ a)
+    a_inverse = a.inverse()
+    for _ in range(3):
+        u = random_unitary(standard, rng.getrandbits(32))
+        assert is_unitary(a_inverse @ u @ a, form)
+
+
+def test_change_of_modulus_carries_conjugates_norms_kernel_and_scans():
+    """Metamorphic oracle: GF(9) modulo t^2 + 1 and modulo t^2 + t + 2 are
+    isomorphic by t -> r, r a root of t^2 + 1 in the second field.  The map
+    carries conjugates, norms, kernel points and lines, and leaves the
+    noclone/nodelete scan counts unchanged.
+
+    Fails when a degree-2 conjugation table sends c0 + c1 t to
+    c0 + c1 t^-1, which is right only when N(t) = 1: every default
+    quadratic modulus (GF(4), GF(9), GF(25), GF(49)) has constant term 1,
+    so no test of a default field sees it.
+    """
+    first, second = build_field(3, 2, (1, 0, 1)), build_field(3, 2, (2, 1, 1))
+    r = next(x for x in second.elements() if x * x + 1 == second.zero)
+    image = [(second.from_int(c0) + second.from_int(c1) * r).index
+             for c0, c1 in map(first.coeffs_of, range(first.order))]
+    assert sorted(image) == list(range(second.order))
+    for x in first.elements():
+        y = second.from_index(image[x.index])
+        assert second.from_index(image[x.conj().index]) == y.conj()
+        assert second.from_index(image[x.norm().index]) == y.norm()
+    geom, moved = standard_kernel(first, 4), standard_kernel(second, 4)
+    points = [moved.index_of(ProjectivePoint(FieldVector.from_indices(
+        second, [image[c] for c in ray]))) for ray in geom.rays]
+    assert sorted(points) == list(range(len(moved.points)))
+    assert {frozenset(points[i] for i in line) for line in geom.lines} == set(moved.lines)
+    for kind in ("clone", "delete"):
+        assert scan(first, 2, kind)["counts"] == scan(second, 2, kind)["counts"]

@@ -215,11 +215,17 @@ def test_unitary_tables_are_built_once_per_field_in_draw_order():
                                     if not x.is_zero() and x.norm() == one)
     assert tables.units == tuple((a.index, c.index) for a in elements for c in elements
                                  if a.norm() + c.norm() == one)
-    for x in elements[1:]:
-        s = x.norm()
-        first = next(mu for mu in elements if mu.norm() == s.inverse())
-        assert tables.norm_inverse[s.index] == first.index
-    assert set(tables.norm_inverse) == {x.norm().index for x in elements[1:]}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_blocks_are_unitary_as_drawn(p):
+    # The sampler's block [[a, conj c], [c, -conj a]] needs no rescale:
+    # its second column has norm N(c) + N(a) = 1.
+    spec = build_field(p, 2)
+    f = standard_form(spec, 2)
+    for a, c in _unitary_tables(spec).units:
+        a, c = spec.from_index(a), spec.from_index(c)
+        assert is_unitary(FieldMatrix(spec, [[a, c.conj()], [c, -a.conj()]]), f)
 
 
 # SHA-256 of the JSON list of random_unitary(standard_form(GF(p^2), dim), s)

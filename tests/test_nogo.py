@@ -52,6 +52,24 @@ def test_same_ray_char_odd(gf9):
     assert c.witness == gf9.one
 
 
+def test_classification_json(gf4, gf9):
+    t = gf4.gen
+    phi = FieldVector(gf4, [gf4.one, t])
+    assert delete_obstruction(phi, phi.scale(t)).to_json() == {
+        "kind": "delete",
+        "verdict": "SameRayChar2",
+        "tensor_obstruction": [[0, 0]] * 4,
+        "obstruction_vanishes": True,
+        "witness": {"coeffs": [0, 1]},
+        "entrywise_agrees": True,
+        "commutators_vanish": True,
+    }
+    independent = clone_obstruction(FieldVector(gf9, [1, 0]), FieldVector(gf9, [0, 1])).to_json()
+    assert independent["kind"] == "clone" and independent["verdict"] == "Independent"
+    assert independent["tensor_obstruction"] == [[0, 0], [1, 0], [1, 0], [0, 0]]
+    assert independent["witness"] is None and not independent["obstruction_vanishes"]
+
+
 def test_zero_state(gf4):
     c = clone_obstruction(FieldVector(gf4, [0, 0]), FieldVector(gf4, [1, 0]))
     assert c.verdict is CloneVerdict.ZERO_STATE

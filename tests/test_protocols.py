@@ -6,6 +6,7 @@ from gqt.errors import (
     BadMessageError,
     Char2MessageUnsupportedError,
     Char2NotSupportedError,
+    DimensionMismatchError,
     NotBellRayError,
     NotChar2Error,
     NotInSpanError,
@@ -112,6 +113,14 @@ def test_measure_modal_zero_state(gf9):
     basis = [v for _, v in bell_basis(gf9)]
     with pytest.raises(ZeroStateError):
         measure_modal(FieldVector(gf9, [0] * 8), basis, seed=1)
+
+
+@pytest.mark.parametrize("measure", [
+    decompose_in_basis, possible_branches, lambda state, basis: measure_modal(state, basis, 0),
+], ids=["decompose_in_basis", "possible_branches", "measure_modal"])
+def test_empty_basis_is_a_dimension_mismatch(gf9, measure):
+    with pytest.raises(DimensionMismatchError):
+        measure(FieldVector(gf9, [1, 0, 0, 0]), [])
 
 
 def test_change_of_basis_identities(gf9):
