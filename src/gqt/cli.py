@@ -59,7 +59,7 @@ def _positive(text: str) -> int:
 
 
 def _field_from_args(args) -> "FieldSpec":
-    modulus = parse_coefficients(args.modulus) if args.modulus else None
+    modulus = parse_coefficients(args.modulus) if args.modulus is not None else None
     return build_field(args.p, args.k, modulus)
 
 

@@ -23,7 +23,7 @@ import itertools
 import math
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import (
     DegreeMismatchError,
@@ -100,30 +100,22 @@ def _first_irreducible(p: int, k: int) -> tuple:
     raise ReducibleModulusError(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
-class FieldTables(NamedTuple):
-    """Lookup tables of one field, indexed by element index.
-
-    ``add`` and ``mul`` are read ``table[a][b]``; ``neg``, ``inv``
-    and ``frob`` are read ``table[a]``.  ``inv[0]`` is a placeholder 0 and
-    ``frob`` is ``None`` for odd extension degrees.
-    """
-
-    add: List[List[int]]
-    neg: List[int]
-    mul: List[List[int]]
-    inv: List[int]
-    frob: Optional[List[int]]
+# An integer is ASCII [+-]?[0-9]+ in both grammars below; spaces may surround
+# every token.  An element is one or more terms, each after the first led by
+# + or -: a term is an integer, or [integer [*]] t[^integer].
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+_TERM_RE = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:\*\s*(?=t))?)?(t(?:\^([0-9]+))?)?")
 
 
 def parse_coefficients(text: str) -> List[int]:
     """Comma-separated integers, e.g. ``'1,0,1'``, low degree first."""
-    try:
-        return [int(c) for c in text.split(",")]
-    except ValueError:
-        raise ParseError(f"expected comma-separated integers, got {text[:20]!r}") from None
-
-
-_TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*(?:\*\s*)?(t(?:\^(\d+))?)?\s*$")
+    parts = text.split(",")
+    if all(map(_INT_RE.fullmatch, parts)):
+        try:  # int() refuses text beyond the interpreter's digit limit
+            return [int(c) for c in parts]
+        except ValueError:
+            pass
+    raise ParseError(f"expected comma-separated integers, got {text[:20]!r}")
 
 
 def _check_prime(p: int) -> None:
@@ -138,7 +130,11 @@ class FieldSpec:
     """GF(p^k) with a fixed monic irreducible modulus.
 
     Immutable after construction; all arithmetic goes through integer
-    element indices and the lookup tables built here.
+    element indices and the lookup tables built here, which library code
+    that works on indices reads by name: ``add`` and ``mul`` are read
+    ``table[a][b]``; ``neg``, ``inv`` and ``frob`` are read ``table[a]``;
+    ``inv[0]`` is a placeholder 0 and ``frob`` is ``None`` for odd
+    extension degrees.  ``coeffs[n]`` is the coefficient tuple of index n.
     """
 
     def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
@@ -168,7 +164,7 @@ class FieldSpec:
         self.order = order
         self.q = p ** (k // 2) if k % 2 == 0 else None
 
-        self._coeffs = [self._digits(n) for n in range(order)]
+        self.coeffs = [self._digits(n) for n in range(order)]
         self._build_tables()
         self._subfield = None
         self._kappa_index = None
@@ -199,12 +195,12 @@ class FieldSpec:
         out, x = [], 1
         while x != 1 or not out:
             out.append(x)
-            x = self._index_of(_poly_mod(_poly_mul(self._coeffs[x], self._coeffs[g], self.p),
+            x = self._index_of(_poly_mod(_poly_mul(self.coeffs[x], self.coeffs[g], self.p),
                                          self.modulus, self.p))
         return out
 
     def _build_tables(self) -> None:
-        """Fill the arithmetic tables (see ``FieldTables``)."""
+        """Fill the arithmetic tables (see the class docstring)."""
         p, order, n = self.p, self.order, self.order - 1
         # Addition is digit-wise mod p: extend the table one top digit at a
         # time; entries come from one list of ints, so the tables share them.
@@ -214,7 +210,7 @@ class FieldSpec:
             add = [[y for bt in range(p) for y in map(tops[(at + bt) % p].__getitem__, add[a])]
                    for at in range(p) for a in range(w)]
             w *= p
-        neg = [row.index(0) for row in add]
+        self.add, self.neg = add, [row.index(0) for row in add]
         # The first element whose powers reach every unit is primitive; its
         # powers are the antilog table, and a*b = g^(log a + log b).
         exp = next(e for e in map(self._powers, range(1, order)) if len(e) == n)
@@ -223,37 +219,28 @@ class FieldSpec:
             log[x] = i
         logs, exp2 = log[1:], exp + exp
         self._exp, self._log = exp, log
-        self._tables = FieldTables(
-            add=add,
-            neg=neg,
-            mul=[[0] * order] + [[0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs],
-            inv=[0] + [exp[-la % n] for la in logs],
-            frob=None if self.q is None else [0] + [exp[la * self.q % n] for la in logs],
-        )
-        self._add, self._neg, self._mul, self._inv, self._frob = self._tables
+        self.mul = [[0] * order] + [[0, *map(exp2[la:la + n].__getitem__, logs)] for la in logs]
+        self.inv = [0] + [exp[-la % n] for la in logs]
+        self.frob = None if self.q is None else [0] + [exp[la * self.q % n] for la in logs]
 
-    # -- index-level arithmetic (used by hot loops) --
-
-    def tables(self) -> FieldTables:
-        """The full lookup tables, for loops that work on element indices."""
-        return self._tables
+    # -- index-level arithmetic --
 
     def add_i(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add[a][b]
 
     def neg_i(self, a: int) -> int:
-        return self._neg[a]
+        return self.neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self.add[a][self.neg[b]]
 
     def mul_i(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul[a][b]
 
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
-        return self._inv[a]
+        return self.inv[a]
 
     def pow_i(self, a: int, e: int) -> int:
         if a == 0:
@@ -263,9 +250,9 @@ class FieldSpec:
         return self._exp[self._log[a] * e % (self.order - 1)]
 
     def frob_i(self, a: int) -> int:
-        if self._frob is None:
+        if self.frob is None:
             raise NoInvolutionError(f"GF({self.p}^{self.k}) has odd degree, no conjugation")
-        return self._frob[a]
+        return self.frob[a]
 
     # -- public element constructors --
 
@@ -305,23 +292,23 @@ class FieldSpec:
         if "," in text:
             return self.parse(parse_coefficients(text))
         coeffs = [0] * self.k
-        for term in text.replace("-", "+-").split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            m = _TERM_RE.match(term)
-            if not m or (m.group(1) in ("", "+", "-") and not m.group(2)):
+        terms = [term.strip() for term in re.split(r"(?=[+-])", text)]
+        if len(terms) > 1 and not terms[0]:
+            del terms[0]  # the blank text in front of a leading sign
+        for term in terms:
+            m = _TERM_RE.fullmatch(term)
+            if not m or not (m.group(2) or m.group(3)):
                 raise ParseError(f"cannot parse field element term {term[:20]!r}")
-            coef_s, t_part, exp_s = m.groups()
+            sign, coef_s, t_part, exp_s = m.groups()
             try:  # int() refuses text beyond the interpreter's digit limit
-                coef = int(coef_s) if coef_s not in ("", "+", "-") else (-1 if coef_s == "-" else 1)
+                coef = int(coef_s) if coef_s else 1
                 exp = int(exp_s) if exp_s else (1 if t_part else 0)
             except ValueError:
                 raise ParseError(f"number too long in field element term {term[:20]!r}") from None
             if exp >= self.k:
                 raise ParseError(f"exponent exceeds degree {self.k - 1} in field element term "
                                  f"{term[:20]!r}")
-            coeffs[exp] = (coeffs[exp] + coef) % self.p
+            coeffs[exp] = (coeffs[exp] + (-coef if sign == "-" else coef)) % self.p
         return self.element(coeffs)
 
     def parse(self, value: Union[str, int, Sequence[int], "FieldElement"]) -> "FieldElement":
@@ -347,9 +334,6 @@ class FieldSpec:
             raise NoInvolutionError("no distinguished subfield for odd degree")
         for n in sorted(self._subfield):
             yield FieldElement(self, n)
-
-    def coeffs_of(self, n: int) -> tuple:
-        return self._coeffs[n]
 
     # -- identity / serialization --
 
@@ -383,7 +367,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple:
-        return self.spec.coeffs_of(self.index)
+        return self.spec.coeffs[self.index]
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -430,6 +414,12 @@ class FieldElement:
         if b is None:
             return NotImplemented
         return FieldElement(self.spec, self.spec.mul_i(self.index, self.spec.inv_i(b)))
+
+    def __rtruediv__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return FieldElement(self.spec, self.spec.mul_i(b, self.spec.inv_i(self.index)))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow_i(self.index, e))

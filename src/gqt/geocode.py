@@ -143,7 +143,7 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
     if None in indices:
         r = rays[indices.index(None)]
         raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
-    _, _, mul, inv, _ = spec.tables()
+    mul, inv = spec.mul, spec.inv
     # Pull back by index and read the polar rows the geometry keeps.
     rank, polar = _polar([geom.rows[params._pull[i]] for i in indices], geom.form)
     if rank < 3:
@@ -184,8 +184,7 @@ def _element_bits(spec: FieldSpec) -> Tuple[Tuple[str, ...], Mapping[str, int]]:
     ``_bits_per_coeff(p)`` bits.
     """
     width = _bits_per_coeff(spec.p)
-    words = tuple("".join(format(c, f"0{width}b") for c in spec.coeffs_of(n))
-                  for n in range(spec.order))
+    words = tuple("".join(format(c, f"0{width}b") for c in cs) for cs in spec.coeffs)
     return words, MappingProxyType({w: n for n, w in enumerate(words)})
 
 
@@ -206,7 +205,7 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
             f"bitstream length must be a positive multiple of {per_point}"
         )
     index = _element_bits(spec)[1]
-    _, _, mul, inv, _ = spec.tables()
+    mul, inv = spec.mul, spec.inv
     rays = []
     for start in range(0, len(bits), per_point):
         ray = []
@@ -340,7 +339,7 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     rng = random.Random(seed)
     dim = geom.form.dim
     order = spec.order
-    _, _, mul, inv, _ = spec.tables()
+    mul, inv = spec.mul, spec.inv
     successes = 0
     degenerate = 0
     skipped = 0

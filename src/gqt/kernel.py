@@ -81,7 +81,7 @@ Ray = Tuple[int, ...]
 
 def normalize_ray(v: FieldVector) -> FieldVector:
     """Scale so the leftmost nonzero coordinate is 1."""
-    _, _, mul, inv, _ = v.spec.tables()
+    mul, inv = v.spec.mul, v.spec.inv
     return FieldVector.from_indices(v.spec, _normalize_ray(v.indices(), mul, inv))
 
 
@@ -99,8 +99,9 @@ class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
     Built from each point's element indices (``rays``, in point order), the
-    lines and each point's collinear points; the points, polar rows conj(v) G
-    (``rows``), point index and lines through each point are derived.
+    lines and each point's collinear points (``adjacency``); the points, polar
+    rows conj(v) G (``rows``), point index and lines through each point are
+    derived.
     """
 
     def __init__(self, form: HermitianForm, rays: Sequence[Ray],
@@ -108,7 +109,7 @@ class KernelGeometry:
         self.form = form
         self.rays = tuple(rays)
         self.lines = tuple(lines)
-        self._adjacency = tuple(adjacency)
+        self.adjacency = tuple(adjacency)
         self.points = tuple(ProjectivePoint(FieldVector.from_indices(form.spec, r))
                             for r in self.rays)
         self.rows = tuple(form._row(r) for r in self.rays)
@@ -131,9 +132,6 @@ class KernelGeometry:
 
     def contains(self, point: ProjectivePoint) -> bool:
         return point.spec == self.spec and point.ray in self._point_index
-
-    def collinear_indices(self, i: int) -> FrozenSet[int]:
-        return self._adjacency[i]
 
     def to_json(self) -> dict:
         return {
@@ -201,7 +199,7 @@ def _zero_pairings(row: Ray, cols: Sequence[Sequence[int]], spec: FieldSpec) -> 
     Ray j is (cols[0][j], cols[1][j], ...); all rays are paired at once, one
     coordinate column at a time.
     """
-    add, _, mul, _, _ = spec.tables()
+    add, mul = spec.add, spec.mul
     values = None
     for c, col in zip(row, cols):
         if c:
@@ -216,7 +214,7 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
     spec = f.spec
     dim = f.dim
     enumeration_guard(spec, dim, override)
-    add, _, mul, inv, _ = spec.tables()
+    add, mul, inv = spec.add, spec.mul, spec.inv
 
     # Self-orthogonal rays v, <v, v> = 0, with their polar rows conj(v) G.
     rays: List[Ray] = []
@@ -274,7 +272,7 @@ def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, 
     the lines onto lines, as every unitary of the form does.
     """
     spec = geom.spec
-    _, _, mul, inv, _ = spec.tables()
+    mul, inv = spec.mul, spec.inv
     images = [_matvec(u, r, spec) for r in geom.rays]
     image = [geom._point_index.get(_normalize_ray(w, mul, inv)) if any(w) else None
              for w in images]
@@ -391,7 +389,7 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     violations: List[Tuple[int, int, int]] = []
     gq_failures: List[Tuple[int, int]] = []
     # Point sets as bitmasks: bit j is point j.
-    adjacency = [_mask(geom.collinear_indices(xi)) for xi in range(len(geom.points))]
+    adjacency = [_mask(a) for a in geom.adjacency]
     for li, line in enumerate(geom.lines):
         line_mask = _mask(line)
         size = len(line)

@@ -74,7 +74,7 @@ class FieldVector:
 
     def __add__(self, other: "FieldVector") -> "FieldVector":
         self._check(other)
-        add = self.spec.tables().add
+        add = self.spec.add
         return FieldVector.from_indices(self.spec, [
             add[a][b] for a, b in zip(self._indices, other._indices)])
 
@@ -82,11 +82,11 @@ class FieldVector:
         return self + -other
 
     def __neg__(self) -> "FieldVector":
-        return FieldVector.from_indices(self.spec, map(self.spec.tables().neg.__getitem__,
+        return FieldVector.from_indices(self.spec, map(self.spec.neg.__getitem__,
                                                        self._indices))
 
     def scale(self, c: Union[FieldElement, int, str]) -> "FieldVector":
-        row = self.spec.tables().mul[self.spec.parse(c).index]
+        row = self.spec.mul[self.spec.parse(c).index]
         return FieldVector.from_indices(self.spec, map(row.__getitem__, self._indices))
 
     def is_zero(self) -> bool:
@@ -105,7 +105,7 @@ class FieldVector:
         return "vec(" + ", ".join(str(e) for e in self.entries) + ")"
 
     def to_json(self) -> list:
-        return [list(self.spec.coeffs_of(i)) for i in self._indices]
+        return [list(self.spec.coeffs[i]) for i in self._indices]
 
 
 class FieldMatrix:
@@ -177,7 +177,7 @@ class FieldMatrix:
         ])
 
     def scale(self, c: Union[FieldElement, int, str]) -> "FieldMatrix":
-        m = self.spec.tables().mul[self.spec.parse(c).index]
+        m = self.spec.mul[self.spec.parse(c).index]
         return FieldMatrix.from_indices(self.spec, [map(m.__getitem__, row) for row in self._rows])
 
     def transpose(self) -> "FieldMatrix":
@@ -210,13 +210,13 @@ class FieldMatrix:
         return "mat[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
     def to_json(self) -> list:
-        coeffs_of = self.spec.coeffs_of
-        return [[list(coeffs_of(i)) for i in row] for row in self._rows]
+        coeffs = self.spec.coeffs
+        return [[list(coeffs[i]) for i in row] for row in self._rows]
 
 
 def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
     """The index of sum_i a_i b_i, for element indices a and b."""
-    add, _, mul, _, _ = spec.tables()
+    add, mul = spec.add, spec.mul
     acc = 0
     for x, y in zip(a, b):
         acc = add[acc][mul[x][y]]
@@ -235,7 +235,7 @@ def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence
     the pivot columns.  A matrix with no rows has rank 0.  Callers holding
     ``FieldMatrix`` or ``FieldVector`` objects convert at their edges.
     """
-    add, neg, mul, inv, _ = spec.tables()
+    add, neg, mul, inv = spec.add, spec.neg, spec.mul, spec.inv
     rows = list(rows)
     nrows = len(rows)
     pivots: List[int] = []
@@ -265,7 +265,7 @@ def _null_basis(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
     One vector per free column: 1 there, minus the column's entries at the
     pivot coordinates, 0 elsewhere.
     """
-    neg = spec.tables().neg
+    neg = spec.neg
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -298,7 +298,7 @@ def basis_vector(spec: FieldSpec, n: int, i: int) -> FieldVector:
 
 def _kron(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
     """The index tuple of a (x) b = (a_0 b_0, a_0 b_1, ...), for element indices a and b."""
-    return tuple([row[y] for row in map(spec.tables().mul.__getitem__, a) for y in b])
+    return tuple([row[y] for row in map(spec.mul.__getitem__, a) for y in b])
 
 
 def tensor(a, b):
@@ -348,7 +348,7 @@ class HermitianForm:
         """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
         if len(x) != self.dim:
             raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
-        add, _, mul, _, frob = self.spec.tables()
+        add, mul, frob = self.spec.add, self.spec.mul, self.spec.frob
         row = [0] * self.dim
         for xi, grow in zip(x, self.gram.indices()):
             if xi:
@@ -404,7 +404,7 @@ class _UnitaryTables(NamedTuple):
 @lru_cache(maxsize=None)
 def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
     """The sampler's tables of ``spec``, built on first use and shared."""
-    add, _, mul, _, frob = spec.tables()
+    add, mul, frob = spec.add, spec.mul, spec.frob
     norms = [mul[x][frob[x]] for x in range(spec.order)]
     return _UnitaryTables(
         norm_one=tuple(x for x in range(1, spec.order) if norms[x] == 1),
@@ -424,7 +424,7 @@ def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
     if not f.is_standard():
         raise NotUnitaryError("random_unitary supports only the standard form")
     spec, n = f.spec, f.dim
-    add, neg, mul, _, frob = spec.tables()
+    add, neg, mul, frob = spec.add, spec.neg, spec.mul, spec.frob
     rng = random.Random(seed)
     norm_one, units = _unitary_tables(spec)
     rows = _identity(n)

@@ -77,7 +77,7 @@ class CloneClassification:
 @lru_cache(maxsize=None)
 def _commutators_vanish(spec: FieldSpec) -> bool:
     """Whether every commutator xy - yx of ``spec`` is zero: its mul table is symmetric."""
-    mul = spec.tables().mul
+    mul = spec.mul
     return all(row[b] == mul[b][a] for a, row in enumerate(mul) for b in range(a))
 
 
@@ -89,7 +89,7 @@ def _classify_indices(
     Returns the verdict, the tensor obstruction phi (x) psi + psi (x) phi
     and the witness rho with psi = phi * rho (None off one ray).
     """
-    add, _, mul, inv, _ = spec.tables()
+    add, mul, inv = spec.add, spec.mul, spec.inv
     obstruction = tuple([add[x][y] for x, y in zip(_kron(a, b, spec), _kron(b, a, spec))])
     witness = None
     if not any(a) or not any(b):

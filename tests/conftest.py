@@ -16,6 +16,16 @@ def gf9():
 
 
 @pytest.fixture(scope="session")
+def modulus_change():
+    """GF(9) modulo t^2 + 1 and modulo t^2 + t + 2, and the index map of the
+    isomorphism t -> r between them, r a root of t^2 + 1 in the second field."""
+    first, second = build_field(3, 2, (1, 0, 1)), build_field(3, 2, (2, 1, 1))
+    r = next(x for x in second.elements() if x * x + 1 == second.zero)
+    image = [(second.from_int(c0) + second.from_int(c1) * r).index for c0, c1 in first.coeffs]
+    return first, second, image
+
+
+@pytest.fixture(scope="session")
 def form4_dim2(gf4):
     return standard_form(gf4, 2)
 

@@ -233,6 +233,14 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     # a coefficient list longer than k, as t^k is
     (["field", "--p", "3", "--element", "0,0,1"], "Parse"),
     (["teleport", "--p", "3", "--alpha", "1,0,0", "--beta", "1", "--seed", "0"], "Parse"),
+    # empty terms and integers other than ASCII [+-]?[0-9]+, in element and modulus text
+    (["field", "--p", "2", "--element", ""], "Parse"),
+    (["field", "--p", "3", "--element", "1++1"], "Parse"),
+    (["field", "--p", "3", "--element", "\u0661"], "Parse"),
+    (["field", "--p", "2", "--modulus", ""], "Parse"),
+    (["field", "--p", "3", "--modulus", "1_0,0,1"], "Parse"),
+    (["teleport", "--p", "3", "--alpha", "", "--beta", "1", "--seed", "0"], "Parse"),
+    (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "1;;0;0"], "Parse"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)

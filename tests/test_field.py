@@ -15,7 +15,7 @@ from gqt.errors import (
     ReducibleModulusError,
     TooLargeError,
 )
-from gqt.field import FieldSpec, build_field, is_prime, theory_coordinates
+from gqt.field import FieldSpec, build_field, is_prime, parse_coefficients, theory_coordinates
 
 
 def test_gf4_default_modulus(gf4):
@@ -64,8 +64,8 @@ def test_gf4_arithmetic_examples(gf4):
 
 @pytest.mark.parametrize("op", [
     lambda x: "a" - x, lambda x: 1.5 - x, lambda x: x - "a", lambda x: x + None,
-    lambda x: [1] * x, lambda x: x / "a",
-], ids=["str-x", "float-x", "x-str", "x+None", "list*x", "x/str"])
+    lambda x: [1] * x, lambda x: x / "a", lambda x: "a" / x,
+], ids=["str-x", "float-x", "x-str", "x+None", "list*x", "x/str", "str/x"])
 def test_operands_other_than_elements_and_ints_raise_type_error(gf9, op):
     with pytest.raises(TypeError):
         op(gf9.gen)
@@ -75,6 +75,10 @@ def test_int_and_mixed_field_operands(gf4, gf9):
     for x in gf9.elements():
         assert 1 - x == -(x - 1) and 5 - x == gf9.from_int(5) - x
         assert 2 + x == x + 2 and 2 * x == x * 2
+        if x.index:
+            assert 1 / x == x.inverse() and 2 / x == gf9.from_int(2) / x
+    with pytest.raises(DivisionByZeroError):
+        1 / gf9.zero
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
                lambda a, b: a / b):
         with pytest.raises(FieldMismatchError):
@@ -112,24 +116,23 @@ def test_fixed_field_size():
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)])
 def test_tables_match_coefficient_arithmetic(p, k):
     spec = build_field(p, k)
-    t = spec.tables()
 
     def index(coeffs):
         return sum(c % p * p ** i for i, c in enumerate(coeffs))
 
     for a in range(spec.order):
-        ca = spec.coeffs_of(a)
-        assert t.neg[a] == index([-x for x in ca])
+        ca = spec.coeffs[a]
+        assert spec.neg[a] == index([-x for x in ca])
         for b in range(spec.order):
-            cb = spec.coeffs_of(b)
-            assert t.add[a][b] == index([x + y for x, y in zip(ca, cb)])
+            cb = spec.coeffs[b]
+            assert spec.add[a][b] == index([x + y for x, y in zip(ca, cb)])
             assert spec.sub_i(a, b) == index([x - y for x, y in zip(ca, cb)])
         if a:
-            assert t.mul[a][t.inv[a]] == 1
+            assert spec.mul[a][spec.inv[a]] == 1
         if spec.q is None:
-            assert t.frob is None
+            assert spec.frob is None
         else:
-            assert t.frob[a] == spec.pow_i(a, spec.q)
+            assert spec.frob[a] == spec.pow_i(a, spec.q)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 1), (5, 2), (2, 3)])
@@ -233,6 +236,19 @@ def test_parse_refuses_more_than_k_coefficients_as_a_list_or_as_text(gf9):
     assert gf9.element([0, 0, 1]) == gf9.gen ** 2
 
 
+def test_element_and_modulus_text_read_one_integer_grammar(gf9):
+    # an integer is ASCII [+-]?[0-9]+, and a term is empty only before a leading sign
+    for text in ("", " ", "+", "++", "-", "1++1", "t+", "1+-t", "2*", "*t", "\u0661", "1_0"):
+        with pytest.raises(ParseError):
+            gf9.from_string(text)
+    for text in ("", "1_0,0,1", "\u0661,0,1", "1,,1"):
+        with pytest.raises(ParseError):
+            parse_coefficients(text)
+    assert gf9.from_string("-t") == -gf9.gen and gf9.from_string(" + t") == gf9.gen
+    assert gf9.from_string(" - 2 * t^1 + 1 ") == gf9.from_string("1, 1")
+    assert parse_coefficients(" -1 ,+2") == [-1, 2]
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
 @given(data=st.data())
 def test_from_string_inverts_str(p, k, data):
@@ -321,6 +337,6 @@ def test_order_bound_comes_before_any_search(monkeypatch):
 
 
 def test_largest_tested_field_has_full_tables():
-    t = FieldSpec(2, 10).tables()
-    assert len(t.mul) == len(t.inv) == len(t.add) == 1024
-    assert all(t.mul[a][t.inv[a]] == 1 and t.inv[t.inv[a]] == a for a in range(1, 1024))
+    spec = FieldSpec(2, 10)
+    assert len(spec.mul) == len(spec.inv) == len(spec.add) == 1024
+    assert all(spec.mul[a][spec.inv[a]] == 1 and spec.inv[spec.inv[a]] == a for a in range(1, 1024))

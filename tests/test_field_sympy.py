@@ -44,12 +44,12 @@ def test_default_modulus_is_the_first_sympy_irreducible(p, k):
 @pytest.mark.parametrize("p,k,modulus", [(p, k, None) for p, k in FIELDS] + [(3, 2, (2, 1, 1))])
 def test_tables_match_sympy_polynomial_arithmetic(p, k, modulus):
     spec = FieldSpec(p, k, modulus)
-    t = spec.tables()
     m = poly(spec.modulus)
-    dense = [poly(spec.coeffs_of(a)) for a in range(spec.order)]
+    dense = [poly(c) for c in spec.coeffs]
     for a, da in enumerate(dense):
-        assert t.mul[a] == [index_of(gf_rem(gf_mul(da, db, p, ZZ), m, p, ZZ), p, k) for db in dense]
+        assert spec.mul[a] == [index_of(gf_rem(gf_mul(da, db, p, ZZ), m, p, ZZ), p, k)
+                               for db in dense]
         if a:
             s, _, h = gf_gcdex(da, m, p, ZZ)
             assert h == [1]
-            assert t.inv[a] == index_of(gf_rem(s, m, p, ZZ), p, k)
+            assert spec.inv[a] == index_of(gf_rem(s, m, p, ZZ), p, k)

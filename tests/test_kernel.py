@@ -126,7 +126,7 @@ def test_enumeration_matches_brute_force_q2(form4_dim4, kernel_q2):
     for i in range(len(points)):
         expected = {j for j in range(len(points)) if j != i and
                     form4_dim4.evaluate(points[i].coords, points[j].coords).is_zero()}
-        assert kernel_q2.collinear_indices(i) == expected
+        assert kernel_q2.adjacency[i] == expected
 
 
 def test_closed_form_counts_q4():
@@ -174,12 +174,12 @@ def test_unitary_escapes_counts_a_broken_geometry(kernel_q2):
     # then no longer match the line set
     picked = []
     for i in range(len(kernel_q2.points)):
-        if all(i not in kernel_q2.collinear_indices(j) for j in picked):
+        if all(i not in kernel_q2.adjacency[j] for j in picked):
             picked.append(i)
         if len(picked) == 3:
             break
     tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays,
-                              kernel_q2.lines[1:] + (frozenset(picked),), kernel_q2._adjacency)
+                              kernel_q2.lines[1:] + (frozenset(picked),), kernel_q2.adjacency)
     assert unitary_escapes(tampered, seed=0, samples=5) > 0
 
 
@@ -210,9 +210,9 @@ def test_collinearity(gf4, kernel_q2):
     # symmetry, exhaustive
     n = len(kernel_q2.points)
     for i in range(n):
-        adj = kernel_q2.collinear_indices(i)
+        adj = kernel_q2.adjacency[i]
         for j in adj:
-            assert i in kernel_q2.collinear_indices(j)
+            assert i in kernel_q2.adjacency[j]
 
 
 def test_polar_hyperplane(gf9, form9_dim4):
@@ -310,13 +310,13 @@ def test_one_or_all_negative_control(kernel_q2):
     # fabricate a non-isotropic "line" from three pairwise non-collinear points
     picked = []
     for i in range(len(kernel_q2.points)):
-        if all(i not in kernel_q2.collinear_indices(j) for j in picked):
+        if all(i not in kernel_q2.adjacency[j] for j in picked):
             picked.append(i)
         if len(picked) == 3:
             break
     fake = frozenset(picked)
     tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (fake,),
-                              kernel_q2._adjacency)
+                              kernel_q2.adjacency)
     report = verify_one_or_all(tampered)
     assert not report.passed
     assert any(li == len(kernel_q2.lines) for _, li, _ in report.violations)
@@ -467,21 +467,18 @@ def test_change_of_basis_conjugates_unitaries(p, seed):
         assert is_unitary(a_inverse @ u @ a, form)
 
 
-def test_change_of_modulus_carries_conjugates_norms_kernel_and_scans():
+def test_change_of_modulus_carries_conjugates_norms_kernel_and_scans(modulus_change):
     """Metamorphic oracle: GF(9) modulo t^2 + 1 and modulo t^2 + t + 2 are
-    isomorphic by t -> r, r a root of t^2 + 1 in the second field.  The map
-    carries conjugates, norms, kernel points and lines, and leaves the
-    noclone/nodelete scan counts unchanged.
+    isomorphic by t -> r, r a root of t^2 + 1 in the second field (the
+    ``modulus_change`` fixture).  The map carries conjugates, norms, kernel
+    points and lines, and leaves the noclone/nodelete scan counts unchanged.
 
     Fails when a degree-2 conjugation table sends c0 + c1 t to
     c0 + c1 t^-1, which is right only when N(t) = 1: every default
     quadratic modulus (GF(4), GF(9), GF(25), GF(49)) has constant term 1,
     so no test of a default field sees it.
     """
-    first, second = build_field(3, 2, (1, 0, 1)), build_field(3, 2, (2, 1, 1))
-    r = next(x for x in second.elements() if x * x + 1 == second.zero)
-    image = [(second.from_int(c0) + second.from_int(c1) * r).index
-             for c0, c1 in map(first.coeffs_of, range(first.order))]
+    first, second, image = modulus_change
     assert sorted(image) == list(range(second.order))
     for x in first.elements():
         y = second.from_index(image[x.index])

@@ -32,6 +32,7 @@ from gqt.protocols import (
     possible_branches,
     sdc_decode,
     sdc_encode,
+    sdc_messages,
     sdc_transcript,
     teleport,
     teleport_char2,
@@ -245,6 +246,40 @@ def test_sdc_transcript(gf9):
     assert tr.classical_message == "01"
     labels = [lbl for lbl, _ in tr.states]
     assert labels == ["shared", "encoded"]
+
+
+def test_change_of_modulus_carries_teleport_and_sdc_transcripts(modulus_change):
+    """Metamorphic oracle: under the isomorphism phi of ``modulus_change``,
+    teleporting (alpha, beta) over GF(9) modulo t^2 + 1 with a seed, then
+    mapping every entry by phi, gives the transcript of teleporting
+    (phi alpha, phi beta) over GF(9) modulo t^2 + t + 2 with that seed: the
+    same branch, message and correction, and the image of every recorded
+    state.  Super-dense coding of each message maps the same way.
+
+    Fails when ``_teleport`` strips its branch factor with ``spec.gen ** 2``
+    for ``spec.from_int(2)``, treating t as a square root of -1: t^2 = -1 = 2
+    under t^2 + 1, the default GF(9) modulus and the only field teleport is
+    tested over elsewhere, so no other test fails on it; under t^2 + t + 2,
+    t^2 = 2t + 1.
+    """
+    first, second, image = modulus_change
+
+    def moved(state):  # a recorded state, as coefficient lists, under phi
+        return [list(second.coeffs[image[first.parse(c).index]]) for c in state]
+
+    def assert_maps(tr, expected):
+        assert (tr.branch_index, tr.branch_label, tr.classical_message, tr.correction) == (
+            expected.branch_index, expected.branch_label, expected.classical_message,
+            expected.correction)
+        assert [(label, moved(state)) for label, state in tr.states] == expected.states
+        assert moved(tr.final_state.to_json()) == expected.final_state.to_json()
+
+    for seed, (alpha, beta) in enumerate(nonzero_pairs(first)):
+        assert_maps(teleport(alpha, beta, first, seed),
+                    teleport(second.from_index(image[alpha.index]),
+                             second.from_index(image[beta.index]), second, seed))
+    for bits in sdc_messages(first):
+        assert_maps(sdc_transcript(bits, first, seed=0), sdc_transcript(bits, second, seed=0))
 
 
 def test_transcript_rejects_zero_record(gf9):
