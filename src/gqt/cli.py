@@ -88,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     ke = ksub.add_parser("enumerate", help="enumerate points and lines")
     _add_field_args(ke)
     ke.add_argument("--dim", type=_positive, default=4)
-    ke.add_argument("--unsafe-size", action="store_true",
-                    help="override the desk-scale enumeration guard")
     ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
     _add_common(ke, _cmd_kernel_enumerate)
 
@@ -98,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive, default=4)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
-    p.add_argument("--unsafe-size", action="store_true")
     _add_common(p, _cmd_verify)
 
     p = sub.add_parser("teleport", help="teleport a state (alpha, beta)")
@@ -163,15 +160,14 @@ def _cmd_kernel_enumerate(args):
     """The JSON report, or the CSV catalog text with ``--csv``."""
     from .kernel import standard_kernel
 
-    geom = standard_kernel(_field_from_args(args), args.dim, args.unsafe_size)
+    geom = standard_kernel(_field_from_args(args), args.dim)
     return geom.to_csv() if args.csv else geom.to_json()
 
 
 def _cmd_verify(args) -> dict:
     from .kernel import verify_report
 
-    return verify_report(_field_from_args(args), args.dim, args.seed, args.samples,
-                         args.unsafe_size)
+    return verify_report(_field_from_args(args), args.dim, args.seed, args.samples)
 
 
 def _cmd_teleport(args) -> dict:

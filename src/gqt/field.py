@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import (
@@ -481,15 +480,16 @@ class FieldElement:
         return {"coeffs": list(self.coeffs)}
 
 
-@lru_cache(maxsize=None)
-def _cached_field(p: int, k: int, modulus: Optional[tuple]) -> FieldSpec:
-    return FieldSpec(p, k, modulus)
+_fields = {}  # (p, k, modulus as given) and (p, reduced modulus) -> the one FieldSpec
 
 
 def build_field(p: int, k: int, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
-    """GF(p^k); default modulus is the lexicographically smallest irreducible."""
-    mod = tuple(modulus) if modulus is not None else None
-    return _cached_field(p, k, mod)
+    """GF(p^k), one object per field; the default modulus is ``_first_irreducible(p, k)``."""
+    key = (p, k, tuple(modulus) if modulus is not None else None)
+    if key not in _fields:
+        spec = FieldSpec(p, k, key[2])  # validates before the modulus is reduced
+        _fields[key] = _fields.setdefault((p, spec.modulus), spec)
+    return _fields[key]
 
 
 class TheoryDescriptor:

@@ -39,8 +39,7 @@ from .linalg import (
     standard_form,
 )
 
-# Default desk-scale guard for enumeration; override with the flag or
-# GQT_GUARD_OVERRIDE=1.
+# Default desk-scale guard for enumeration; GQT_GUARD_OVERRIDE=1 lifts it.
 _MAX_DIM = 4
 _MAX_Q = 5
 
@@ -163,14 +162,14 @@ class KernelGeometry:
         return buf.getvalue()
 
 
-def enumeration_guard(spec: FieldSpec, dim: int, override: bool = False) -> None:
+def enumeration_guard(spec: FieldSpec, dim: int) -> None:
     """Refuse a desk-scale-breaking enumeration before anything is built."""
-    if override or os.environ.get("GQT_GUARD_OVERRIDE") == "1":
+    if os.environ.get("GQT_GUARD_OVERRIDE") == "1":
         return
-    if dim > _MAX_DIM or (spec.q or spec.order) > _MAX_Q:
+    if dim > _MAX_DIM or (spec.q or 0) > _MAX_Q:  # odd degree: no q, NoInvolution
         raise TooLargeError(
             f"enumeration guard: dim <= {_MAX_DIM} and q <= {_MAX_Q}; "
-            "pass override=True or set GQT_GUARD_OVERRIDE=1"
+            "set GQT_GUARD_OVERRIDE=1"
         )
 
 
@@ -209,11 +208,11 @@ def _zero_pairings(row: Ray, cols: Sequence[Sequence[int]], spec: FieldSpec) -> 
     return [j for j, value in enumerate(values) if not value]
 
 
-def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry:
+def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
     dim = f.dim
-    enumeration_guard(spec, dim, override)
+    enumeration_guard(spec, dim)
     add, mul, inv = spec.add, spec.mul, spec.inv
 
     # Self-orthogonal rays v, <v, v> = 0, with their polar rows conj(v) G.
@@ -259,10 +258,10 @@ def enumerate_kernel(f: HermitianForm, override: bool = False) -> KernelGeometry
                           (frozenset(s) for s in adjacency))
 
 
-def standard_kernel(spec: FieldSpec, dim: int, override: bool = False) -> KernelGeometry:
+def standard_kernel(spec: FieldSpec, dim: int) -> KernelGeometry:
     """The kernel of the standard form, guarded before the form is built."""
-    enumeration_guard(spec, dim, override)
-    return enumerate_kernel(standard_form(spec, dim), override=override)
+    enumeration_guard(spec, dim)
+    return enumerate_kernel(standard_form(spec, dim))
 
 
 def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, ...]]:
@@ -410,11 +409,10 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     return OneOrAllReport(distribution, violations, gq_failures)
 
 
-def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int,
-                  override: bool = False) -> dict:
+def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     """The ``gqt verify`` report: the standard kernel's counts and axioms, and
     how many of ``samples`` seeded unitaries escape it."""
-    geom = standard_kernel(spec, dim, override)
+    geom = standard_kernel(spec, dim)
     degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})
     return {

@@ -241,6 +241,15 @@ def test_csv_flag_only_on_kernel_enumerate(capsys, argv):
     (["field", "--p", "3", "--modulus", "1_0,0,1"], "Parse"),
     (["teleport", "--p", "3", "--alpha", "", "--beta", "1", "--seed", "0"], "Parse"),
     (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "1;;0;0"], "Parse"),
+    # an odd degree has no Hermitian form at any order; a large dim is still too large
+    (["kernel", "enumerate", "--p", "5", "--k", "1"], "NoInvolution"),
+    (["kernel", "enumerate", "--p", "7", "--k", "1"], "NoInvolution"),
+    (["kernel", "enumerate", "--p", "2", "--k", "3"], "NoInvolution"),
+    (["verify", "--p", "2", "--k", "3", "--seed", "0"], "NoInvolution"),
+    (["geocode", "roundtrip", "--p", "2", "--k", "3", "--seed", "0"], "NoInvolution"),
+    (["kernel", "enumerate", "--p", "2", "--k", "5", "--dim", "400"], "TooLarge"),
+    # the characteristic is checked before the modulus is reduced mod p
+    (["field", "--p", "0", "--modulus", "1,0,1"], "NotPrime"),
 ])
 def test_domain_errors_are_json_exit_1(capsys, monkeypatch, argv, error):
     monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
@@ -303,6 +312,25 @@ def test_enumeration_guard_comes_before_the_form(capsys, monkeypatch, command, a
     code, report = run_json(capsys, command + args + ["--deterministic"])
     assert code == 1
     assert report["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("command", [["kernel", "enumerate"], ["verify", "--seed", "0"]])
+def test_unsafe_size_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--p", "2", "--unsafe-size", "--deterministic"])
+    assert exc.value.code == 2
+
+
+def test_guard_override_variable_lifts_the_enumeration_guard(capsys, monkeypatch):
+    argv = ["kernel", "enumerate", "--p", "2", "--dim", "5", "--deterministic"]
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    code, report = run_json(capsys, argv)
+    assert (code, report["error"]["type"]) == (1, "TooLarge")
+    assert "set GQT_GUARD_OVERRIDE=1" in report["error"]["message"]
+    monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert (report["num_points"], report["num_lines"]) == (165, 297)
 
 
 # Malformed or out-of-range arguments across the subcommands.  An exception

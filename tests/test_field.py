@@ -51,6 +51,17 @@ def test_modulus_override():
     assert alt != build_field(3, 2)
 
 
+def test_build_field_returns_one_object_per_field():
+    # every spelling of t^2 + 1 over F_3, default, reduced or not, tuple or list
+    gf9 = build_field(3, 2)
+    for modulus in ((1, 0, 1), (4, 0, 1), [1, 0, 1], (-2, 3, 7)):
+        assert build_field(3, 2, modulus) is gf9
+    assert build_field(3, 2, (2, 1, 1)) is not gf9
+    # the public constructor still builds a fresh, equal spec
+    fresh = FieldSpec(3, 2)
+    assert fresh is not gf9 and fresh == gf9 and hash(fresh) == hash(gf9)
+
+
 def test_gf4_arithmetic_examples(gf4):
     t = gf4.gen
     assert t * t == t + 1

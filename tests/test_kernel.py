@@ -153,10 +153,11 @@ def test_closed_form_counts_dim3(p):
     assert geom.lines == ()
 
 
-def test_closed_form_counts_dim5_q2():
+def test_closed_form_counts_dim5_q2(monkeypatch):
     # H(4, 4): (q^5 + 1)(q^2 + 1) points and (q^5 + 1)(q^3 + 1) lines of q^2 + 1 points
     q = 2
-    geom = enumerate_kernel(standard_form(build_field(2, 2), 5), override=True)
+    monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
+    geom = enumerate_kernel(standard_form(build_field(2, 2), 5))
     assert len(geom.points) == hermitian_variety_points(4, q) == 165
     assert len(geom.lines) == (q ** 5 + 1) * (q ** 3 + 1) == 297
     assert all(len(line) == q ** 2 + 1 for line in geom.lines)
