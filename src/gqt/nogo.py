@@ -8,8 +8,9 @@ every state exactly when the field's multiplication table is symmetric,
 which documents the general division-ring statement without fake
 arithmetic.
 
-One core, ``_classify_indices``, works on element-index tuples and the
-field tables; ``scan`` streams index tuples through it.
+States are element-index tuples.  ``scan`` computes each state's ray once,
+classifies every pair by comparing rays (``_verdict``) and calls the core,
+``_classify_indices``, only on the first pair of each verdict.
 ``clone_obstruction``/``delete_obstruction`` convert at their edges and
 also read the entrywise condition a_i b_j = -(b_i a_j) in element
 arithmetic, which must agree with the tensor.
@@ -81,6 +82,25 @@ def _commutators_vanish(spec: FieldSpec) -> bool:
     return all(row[b] == mul[b][a] for a, row in enumerate(mul) for b in range(a))
 
 
+def _ray(a: IndexVector, spec: FieldSpec) -> Optional[IndexVector]:
+    """The state a scaled to lead entry 1, one tuple per ray; None for the zero state."""
+    for x in a:
+        if x:
+            m = spec.mul[spec.inv[x]]
+            return tuple([m[y] for y in a])
+    return None
+
+
+def _verdict(spec: FieldSpec, ray_a: Optional[IndexVector],
+             ray_b: Optional[IndexVector]) -> CloneVerdict:
+    """The verdict of a pair, read off the two states' ``_ray`` values."""
+    if ray_a is None or ray_b is None:
+        return CloneVerdict.ZERO_STATE
+    if ray_a == ray_b:
+        return CloneVerdict.SAME_RAY_CHAR2 if spec.p == 2 else CloneVerdict.SAME_RAY_CHAR_ODD
+    return CloneVerdict.INDEPENDENT
+
+
 def _classify_indices(
     spec: FieldSpec, a: IndexVector, b: IndexVector
 ) -> Tuple[CloneVerdict, IndexVector, Optional[int]]:
@@ -89,27 +109,14 @@ def _classify_indices(
     Returns the verdict, the tensor obstruction phi (x) psi + psi (x) phi
     and the witness rho with psi = phi * rho (None off one ray).
     """
-    add, mul, inv = spec.add, spec.mul, spec.inv
+    add = spec.add
     obstruction = tuple([add[x][y] for x, y in zip(_kron(a, b, spec), _kron(b, a, spec))])
+    verdict = _verdict(spec, _ray(a, spec), _ray(b, spec))
     witness = None
-    if not any(a) or not any(b):
-        verdict = CloneVerdict.ZERO_STATE
-    else:
-        # rho with psi = phi * rho, read off the lead coordinate of phi;
-        # rho = 0 fails the check since psi is nonzero
+    if verdict in (CloneVerdict.SAME_RAY_CHAR2, CloneVerdict.SAME_RAY_CHAR_ODD):
+        # psi = phi * rho, so rho is read off the lead coordinate of phi
         lead = next(i for i, ai in enumerate(a) if ai)
-        rho = mul[b[lead]][inv[a[lead]]]
-        m = mul[rho]
-        if all(m[ai] == bi for ai, bi in zip(a, b)):
-            witness = rho
-            verdict = (
-                CloneVerdict.SAME_RAY_CHAR2
-                if spec.p == 2
-                else CloneVerdict.SAME_RAY_CHAR_ODD
-            )
-        else:
-            verdict = CloneVerdict.INDEPENDENT
-
+        witness = spec.mul[b[lead]][spec.inv[a[lead]]]
     return verdict, obstruction, witness
 
 
@@ -174,27 +181,33 @@ def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
     if kind not in ("clone", "delete"):
         raise ValueError(f"kind must be 'clone' or 'delete', got {kind!r}")
     _scan_guard(spec.order, dim)
-    counts: Dict[str, int] = {}
-    sample_witnesses: Dict[str, dict] = {}
-    pairs = 0
-    for a in _index_vectors(spec.order, dim):
-        for b in _index_vectors(spec.order, dim):
-            verdict, obstruction, _ = _classify_indices(spec, a, b)
-            pairs += 1
-            key = verdict.value
-            counts[key] = counts.get(key, 0) + 1
-            if key not in sample_witnesses:
-                sample_witnesses[key] = {
-                    "phi": FieldVector.from_indices(spec, a).to_json(),
-                    "psi": FieldVector.from_indices(spec, b).to_json(),
-                    "obstruction_vanishes": not any(obstruction),
-                }
+    states = list(_index_vectors(spec.order, dim))
+    rays = [_ray(a, spec) for a in states]
+    # Every pair by its rays; verdicts keep the order in which they first occur.
+    counts: Dict[CloneVerdict, int] = {}
+    first: Dict[CloneVerdict, Tuple[IndexVector, IndexVector]] = {}
+    for a, ray_a in zip(states, rays):
+        for b, ray_b in zip(states, rays):
+            verdict = _verdict(spec, ray_a, ray_b)
+            if verdict in counts:
+                counts[verdict] += 1
+            else:
+                counts[verdict] = 1
+                first[verdict] = (a, b)
+    sample_witnesses = {}
+    for verdict, (a, b) in first.items():
+        _, obstruction, _ = _classify_indices(spec, a, b)
+        sample_witnesses[verdict.value] = {
+            "phi": FieldVector.from_indices(spec, a).to_json(),
+            "psi": FieldVector.from_indices(spec, b).to_json(),
+            "obstruction_vanishes": not any(obstruction),
+        }
     report = {
         "kind": kind,
         "field": spec.to_json(),
         "dim": dim,
-        "pairs": pairs,
-        "counts": counts,
+        "pairs": len(states) ** 2,
+        "counts": {verdict.value: n for verdict, n in counts.items()},
         "sample_witnesses": sample_witnesses,
     }
     if kind == "clone":

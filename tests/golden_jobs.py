@@ -47,9 +47,11 @@ JOBS = {
         f"sdc_{msg}": {q: ["sdc", "--message", msg] for q in qs}
         for msg, qs in (("00", (2, 3)), ("01", (2, 3)), ("10", (3,)), ("11", (3,)))
     },
+    # The two largest scans inside the scan guard are noclone at p=3 dim 3
+    # (531,441 pairs) and nodelete at p=5 (390,625 pairs).
     "noclone_scan": {q: ["noclone", "scan"] for q in (2, 3)},
-    "nodelete_scan": {q: ["nodelete", "scan"] for q in (2, 3)},
-    "noclone_scan_dim3": {2: ["noclone", "scan", "--dim", "3"]},
+    "nodelete_scan": {q: ["nodelete", "scan"] for q in (2, 3, 5)},
+    "noclone_scan_dim3": {q: ["noclone", "scan", "--dim", "3"] for q in (2, 3)},
     "field_element": {2: ["field", "--element", "t+1"], 3: ["field", "--element", "1,2"]},
     # ``theory`` takes its prime as --pp, so it gets no --p (see NO_FIELD).
     "theory": {3: ["theory", "--i", "1", "--m", "4", "--pp", "3"]},

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from gqt.linalg import FieldMatrix, FieldVector, random_unitary, standard_form, 
 from gqt.nogo import (
     CloneVerdict,
     _classify_indices,
+    _ray,
     clone_obstruction,
     delete_obstruction,
     f2_orthogonal_special_case,
@@ -250,3 +252,66 @@ def test_scan_bound_keeps_desk_scale_and_override_lifts_it(monkeypatch, gf4):
         scan(gf4, 2, "clone")
     monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
     assert scan(gf4, 2, "clone")["pairs"] == 256
+
+
+def _reference_scan(spec, dim, kind):
+    """The scan as one ``_classify_indices`` call per pair, the oracle for ``scan``."""
+    counts, samples = {}, {}
+    states = list(itertools.product(range(spec.order), repeat=dim))
+    for a in states:
+        for b in states:
+            verdict, obstruction, _ = _classify_indices(spec, a, b)
+            counts[verdict.value] = counts.get(verdict.value, 0) + 1
+            if verdict.value not in samples:
+                samples[verdict.value] = {"phi": FieldVector.from_indices(spec, a).to_json(),
+                                          "psi": FieldVector.from_indices(spec, b).to_json(),
+                                          "obstruction_vanishes": not any(obstruction)}
+    report = {"kind": kind, "field": spec.to_json(), "dim": dim, "pairs": len(states) ** 2,
+              "counts": counts, "sample_witnesses": samples}
+    if kind == "clone":
+        report["f2_special_case"] = f2_orthogonal_special_case()
+    return report
+
+
+@pytest.mark.parametrize("kind", ["clone", "delete"])
+@pytest.mark.parametrize("p,dim", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+def test_scan_matches_the_per_pair_reference(p, dim, kind):
+    spec = build_field(p, 2)
+    # key order is part of the report's bytes
+    assert json.dumps(scan(spec, dim, kind)) == json.dumps(_reference_scan(spec, dim, kind))
+
+
+@pytest.mark.parametrize("kind", ["clone", "delete"])
+def test_scan_matches_the_reference_after_a_change_of_modulus(modulus_change, kind):
+    _, second, _ = modulus_change  # GF(9) modulo t^2 + t + 2
+    assert json.dumps(scan(second, 2, kind)) == json.dumps(_reference_scan(second, 2, kind))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ray_is_one_value_per_projective_point(p):
+    spec = build_field(p, 2)
+    rays = set()
+    for a in itertools.product(range(spec.order), repeat=2):
+        ray = _ray(a, spec)
+        assert (ray is None) == (not any(a))
+        if ray is None:
+            continue
+        assert next(x for x in ray if x) == 1
+        for c in range(1, spec.order):
+            assert _ray(tuple(spec.mul[c][x] for x in a), spec) == ray
+        rays.add(ray)
+    assert len(rays) == spec.order + 1  # the points of the projective line
+
+
+@pytest.mark.parametrize("kind", ["clone", "delete"])
+def test_scan_classifies_only_the_first_pair_of_each_verdict(monkeypatch, kind):
+    calls = []
+    core = gqt.nogo._classify_indices
+
+    def counted(spec, a, b):
+        calls.append((a, b))
+        return core(spec, a, b)
+
+    monkeypatch.setattr(gqt.nogo, "_classify_indices", counted)
+    report = scan(build_field(3, 2), 2, kind)
+    assert len(calls) == len(report["counts"]) == 3
