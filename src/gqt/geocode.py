@@ -10,7 +10,7 @@ points; ``GeoParams`` computes that permutation once and inverts it.
 Every stage has an index-level core that works on element-index rays and
 field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
 ``_bits_to_rays`` and ``_decode_rays``.  ``roundtrip_sweep`` runs each
-trial through these cores alone; the public functions convert to and
+distinct ray through them once; the public functions convert to and
 from ``FieldVector``/``ProjectivePoint`` objects at their edges.
 
 Transport carries the bitstream over the super-dense channel.  Each field
@@ -331,8 +331,8 @@ class RoundTripReport:
 def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripReport:
     """Seeded random non-self-orthogonal states through the full pipeline.
 
-    Every trial runs the index-level cores end to end: encode, serialize,
-    transmit, deserialize and decode; objects are built only for witnesses.
+    Each distinct ray runs the index-level cores, encode to decode, once;
+    trials reuse its outcome, and objects are built only for witnesses.
     """
     geom = params.geom
     spec = geom.spec
@@ -344,32 +344,39 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     degenerate = 0
     skipped = 0
     witnesses: List[dict] = []
+    # Scaling a state changes neither its meets nor its polar, so the outcome
+    # is the ray's: the recovered ray, or the error class that stopped it.
+    outcomes: dict = {}
     done = 0
     while done < trials:
         ray = tuple(rng.randrange(order) for _ in range(dim))
         if not any(ray):
             continue
-        try:
-            sent = _encode_ray(ray, params)
-        except SelfOrthogonalStateError:
+        key = _normalize_ray(ray, mul, inv)
+        if key not in outcomes:
+            try:
+                sent = _encode_ray(key, params)
+            except (SelfOrthogonalStateError, DegenerateSpanError) as exc:
+                outcomes[key] = type(exc)
+            else:
+                bits = _transmit_bits(_rays_to_bits(sent, spec), spec)
+                outcomes[key] = _decode_rays(_bits_to_rays(bits, spec, dim), params)
+        outcome = outcomes[key]
+        if outcome is SelfOrthogonalStateError:
             skipped += 1
             continue
-        except DegenerateSpanError:
-            done += 1
+        done += 1
+        if outcome is DegenerateSpanError:
             degenerate += 1
             witnesses.append({"state": FieldVector.from_indices(spec, ray).to_json(),
                               "failure": "DegenerateSpan"})
-            continue
-        done += 1
-        bits = _transmit_bits(_rays_to_bits(sent, spec), spec)
-        recovered = _decode_rays(_bits_to_rays(bits, spec, dim), params)
-        if recovered == _normalize_ray(ray, mul, inv):
+        elif outcome == key:
             successes += 1
         else:
             witnesses.append({
                 "state": FieldVector.from_indices(spec, ray).to_json(),
                 "failure": "Mismatch",
-                "recovered": _point(spec, recovered).to_json(),
+                "recovered": _point(spec, outcome).to_json(),
             })
     return RoundTripReport(
         trials=trials,

@@ -38,8 +38,12 @@ JOBS = {
         q: ["geocode", "roundtrip", "--seed", "0", "--trials", trials]
         for q, trials in ((2, "200"), (3, "100"))
     },
-    # The transport-q2 benchmark job, and a q=5 sweep.
-    "geocode_roundtrip_seed5": {2: ["geocode", "roundtrip", "--seed", "5", "--trials", "1000"]},
+    # The transport-q2 benchmark job, a q=3 sweep whose states repeat their
+    # rays many times over, and a q=5 sweep.
+    "geocode_roundtrip_seed5": {
+        q: ["geocode", "roundtrip", "--seed", "5", "--trials", trials]
+        for q, trials in ((2, "1000"), (3, "2000"))
+    },
     "geocode_roundtrip_seed0": {5: ["geocode", "roundtrip", "--seed", "0", "--trials", "50"]},
     "geocode_encode": {2: ["geocode", "encode"] + ENCODE_ARGS},
     "geocode_decode": {2: ["geocode", "decode", "--seed", "5", "--bitstream", ENCODED_HEX]},

@@ -38,6 +38,7 @@ from gqt.geocode import (
 )
 from gqt.kernel import (
     ProjectivePoint,
+    _normalize_ray,
     enumerate_projective_points,
     hermitian_curve,
     normalize_ray,
@@ -243,14 +244,134 @@ def test_sweep_transmits_the_points_of_the_roundtrip_golden_job(gf4, kernel_q2, 
         sent.append((bits, received))
         return received
 
+    params = agree_parameters(kernel_q2, 0)
     monkeypatch.setattr(geocode, "_encode_ray", recording_encode)
     monkeypatch.setattr(geocode, "_transmit_bits", recording_transmit)
-    report = roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0)
+    report = roundtrip_sweep(params, 200, 0)
     assert (report.successes, report.degenerate) == (178, 22)
-    assert len(encoded) == len(sent) == 178
+    # one transmission per distinct ray that encodes, however often it is drawn
+    assert len(encoded) == len(sent) == len(encoding_rays(params, drawn_rays(params, report, 0)))
     for rays, (bits, received) in zip(encoded, sent):
         assert received == bits
         assert _bits_to_rays(received, gf4, 4) == list(rays)
+
+
+# --- the sweep against the loop that ran every trial ---------------------------------
+
+
+def reference_sweep(params, trials, seed):
+    """``roundtrip_sweep`` as it ran before it kept one outcome per ray:
+    every trial through the index-level cores, looked up on ``geocode``."""
+    geom = params.geom
+    spec = geom.spec
+    rng = random.Random(seed)
+    dim = geom.form.dim
+    successes = degenerate = skipped = done = 0
+    witnesses = []
+    while done < trials:
+        ray = tuple(rng.randrange(spec.order) for _ in range(dim))
+        if not any(ray):
+            continue
+        try:
+            sent = geocode._encode_ray(ray, params)
+        except SelfOrthogonalStateError:
+            skipped += 1
+            continue
+        except DegenerateSpanError:
+            done += 1
+            degenerate += 1
+            witnesses.append({"state": FieldVector.from_indices(spec, ray).to_json(),
+                              "failure": "DegenerateSpan"})
+            continue
+        done += 1
+        bits = geocode._transmit_bits(geocode._rays_to_bits(sent, spec), spec)
+        recovered = geocode._decode_rays(geocode._bits_to_rays(bits, spec, dim), params)
+        if recovered == _normalize_ray(ray, spec.mul, spec.inv):
+            successes += 1
+        else:
+            witnesses.append({
+                "state": FieldVector.from_indices(spec, ray).to_json(),
+                "failure": "Mismatch",
+                "recovered": geocode._point(spec, recovered).to_json(),
+            })
+    return geocode.RoundTripReport(trials, successes, degenerate, skipped, witnesses)
+
+
+def drawn_rays(params, report, seed):
+    """The normalized non-zero rays the sweep drew: one per trial or skipped state."""
+    spec = params.geom.spec
+    rng = random.Random(seed)
+    rays = []
+    while len(rays) < report.trials + report.self_orthogonal_skipped:
+        ray = tuple(rng.randrange(spec.order) for _ in range(params.geom.form.dim))
+        if any(ray):
+            rays.append(_normalize_ray(ray, spec.mul, spec.inv))
+    return rays
+
+
+def encoding_rays(params, rays):
+    """The distinct rays among ``rays`` that ``_encode_ray`` takes."""
+    out = set()
+    for ray in set(rays):
+        try:
+            _encode_ray(ray, params)
+        except (SelfOrthogonalStateError, DegenerateSpanError):
+            continue
+        out.add(ray)
+    return out
+
+
+SWEEPS = [(2, seed, seed, trials) for seed in (0, 1, 5) for trials in (200, 1000)] + [
+    (3, 5, 5, 2000),
+    # parameters agreed under another seed than the sweep's
+    (2, 2024, 7, 500),
+    (3, 11, 3, 500),
+]
+
+
+@pytest.mark.parametrize("p, params_seed, seed, trials", SWEEPS)
+def test_sweep_matches_the_per_trial_reference(p, params_seed, seed, trials, kernel_q2, kernel_q3):
+    params = agree_parameters(kernel_q2 if p == 2 else kernel_q3, params_seed)
+    assert roundtrip_sweep(params, trials, seed).to_json() == \
+        reference_sweep(params, trials, seed).to_json()
+
+
+@pytest.mark.parametrize("p, seed, trials", [(2, 5, 1000), (3, 5, 2000)])
+def test_sweep_runs_each_ray_once(p, seed, trials, kernel_q2, kernel_q3, monkeypatch):
+    params = agree_parameters(kernel_q2 if p == 2 else kernel_q3, seed)
+    spec = params.geom.spec
+    encoded, decoded = [], []
+
+    def recording_encode(state, params):
+        encoded.append(_normalize_ray(state, spec.mul, spec.inv))
+        return _encode_ray(state, params)
+
+    def recording_decode(rays, params):
+        recovered = _decode_rays(rays, params)
+        decoded.append(recovered)
+        return recovered
+
+    monkeypatch.setattr(geocode, "_encode_ray", recording_encode)
+    monkeypatch.setattr(geocode, "_decode_rays", recording_decode)
+    report = roundtrip_sweep(params, trials, seed)
+    rays = drawn_rays(params, report, seed)
+    assert len(rays) > 2 * len(set(rays))
+    assert sorted(encoded) == sorted(set(rays))
+    assert sorted(decoded) == sorted(encoding_rays(params, rays))
+
+
+def test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray(gf4, kernel_q2, monkeypatch):
+    # a decoder that returns a kernel point recovers no state: every trial is
+    # a witness with the multiple of its ray that it drew
+    params = agree_parameters(kernel_q2, 5)
+    wrong = params.geom.rays[0]
+    monkeypatch.setattr(geocode, "_decode_rays", lambda rays, params: wrong)
+    report = roundtrip_sweep(params, 300, 5)
+    assert report.to_json() == reference_sweep(params, 300, 5).to_json()
+    states = [FieldVector(gf4, w["state"]).indices() for w in report.witnesses
+              if w["failure"] == "Mismatch"]
+    assert report.successes == 0 and len(states) + report.degenerate == 300
+    assert len(set(states)) > len({_normalize_ray(s, gf4.mul, gf4.inv) for s in states})
 
 
 def test_parse_bitstream(gf4, gf9):
