@@ -5,17 +5,20 @@ Hermitian surface X0^(q+1) + X1^(q+1) + X2^(q+1) + X3^(q+1) = 0, a
 generalized quadrangle of order (q^2, q).
 
 Enumeration works on rays as tuples of element indices and reads the
-field's lookup tables directly; ``ProjectivePoint`` objects are built only
-for the final points.  It scans every normalized ray once, tests all point
-pairs for orthogonality, and finds each totally isotropic line once: the
-first uncovered collinear pair spans it, and every pair on it then counts
-as covered.
+field's lookup tables directly.  It tests every normalized ray for
+self-orthogonality at once, one pass per nonzero Gram entry, then finds
+each totally isotropic line once from the polar of a point: the lines
+through a point P join P to the kernel points of a complement of P in P^perp.
+Every point lies on the same number of lines, so a point whose lines are
+all found already is not scanned.  ``ProjectivePoint`` objects and polar
+rows are derived only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -100,7 +103,7 @@ class KernelGeometry:
     Built from each point's element indices (``rays``, in point order), the
     lines and each point's collinear points (``adjacency``); the points, polar
     rows conj(v) G (``rows``), point index and lines through each point are
-    derived.
+    derived on first use.
     """
 
     def __init__(self, form: HermitianForm, rays: Sequence[Ray],
@@ -109,15 +112,23 @@ class KernelGeometry:
         self.rays = tuple(rays)
         self.lines = tuple(lines)
         self.adjacency = tuple(adjacency)
-        self.points = tuple(ProjectivePoint(FieldVector.from_indices(form.spec, r))
-                            for r in self.rays)
-        self.rows = tuple(form._row(r) for r in self.rays)
         self._point_index = {r: i for i, r in enumerate(self.rays)}
+
+    @cached_property
+    def points(self) -> Tuple[ProjectivePoint, ...]:
+        return tuple(ProjectivePoint(FieldVector.from_indices(self.spec, r)) for r in self.rays)
+
+    @cached_property
+    def rows(self) -> Tuple[Ray, ...]:
+        return tuple(self.form._row(r) for r in self.rays)
+
+    @cached_property
+    def incidence(self) -> Tuple[FrozenSet[int], ...]:
         incidence: List[Set[int]] = [set() for _ in self.rays]
         for li, line in enumerate(self.lines):
             for pi in line:
                 incidence[pi].add(li)
-        self.incidence = tuple(frozenset(s) for s in incidence)
+        return tuple(frozenset(s) for s in incidence)
 
     @property
     def spec(self) -> FieldSpec:
@@ -137,9 +148,9 @@ class KernelGeometry:
             "field": self.spec.to_json(),
             "dim": self.form.dim,
             "gram": self.form.gram.to_json(),
-            "num_points": len(self.points),
+            "num_points": len(self.rays),
             "num_lines": len(self.lines),
-            "points": [p.to_json() for p in self.points],
+            "points": [[list(self.spec.coeffs[x]) for x in r] for r in self.rays],
             "lines": [sorted(line) for line in self.lines],
         }
 
@@ -154,9 +165,9 @@ class KernelGeometry:
         w.writerow(["# p", spec.p, "k", spec.k, "dim", self.form.dim,
                     "modulus", " ".join(str(c) for c in spec.modulus)])
         w.writerow(["kind", "index", "data"])
-        for i, p in enumerate(self.points):
+        for i, r in enumerate(self.rays):
             w.writerow(["point", i, " ".join(
-                ",".join(str(c) for c in e.coeffs) for e in p.coords)])
+                ",".join(str(c) for c in spec.coeffs[x]) for x in r)])
         for i, line in enumerate(self.lines):
             w.writerow(["line", i, " ".join(str(j) for j in sorted(line))])
         return buf.getvalue()
@@ -192,57 +203,68 @@ def _normalize_ray(w: Ray, mul: List[List[int]], inv: List[int]) -> Ray:
     raise ZeroVectorError("the zero vector spans no ray")
 
 
-def _zero_pairings(row: Ray, cols: Sequence[Sequence[int]], spec: FieldSpec) -> List[int]:
-    """Positions j where a nonzero polar row pairs to zero with ray j.
+def _isotropic_rays(f: HermitianForm) -> List[Ray]:
+    """The normalized rays v with <v, v> = 0, in ``_index_rays`` order.
 
-    Ray j is (cols[0][j], cols[1][j], ...); all rays are paired at once, one
-    coordinate column at a time.
+    All rays are tested at once: each nonzero Gram entry g_ij adds
+    conj(v_i) g_ij v_j to every ray's value in one pass over the index
+    columns i and j.
     """
-    add, mul = spec.add, spec.mul
-    values = None
-    for c, col in zip(row, cols):
-        if c:
-            m = mul[c]
-            values = ([m[y] for y in col] if values is None
-                      else [add[a][m[y]] for a, y in zip(values, col)])
-    return [j for j, value in enumerate(values) if not value]
+    spec = f.spec
+    add, mul, frob = spec.add, spec.mul, spec.frob
+    rays = list(_index_rays(spec.order, f.dim))
+    cols = list(zip(*rays))
+    values = [0] * len(rays)
+    for col, grow in zip(cols, f.gram.indices()):
+        conj = [frob[x] for x in col]
+        for g, other in zip(grow, cols):
+            if g:
+                m = mul[g]
+                values = [add[a][mul[x][m[y]]] for a, x, y in zip(values, conj, other)]
+    return [r for r, value in zip(rays, values) if not value]
+
+
+def _polar_complement(u: Ray, f: HermitianForm) -> List[List[int]]:
+    """A basis of a complement W of the point u in its polar: u^perp = u + W.
+
+    The null basis of the polar row has one vector per free column (every
+    column but the row's first nonzero one): 1 there, 0 at the other free
+    columns.  Dropping the vector of a free column where u is nonzero leaves
+    a W that does not hold u.
+    """
+    row = f._row(u)
+    _, basis = _polar([row], f)
+    pivot = next(c for c, x in enumerate(row) if x)
+    free = [c for c in range(f.dim) if c != pivot]
+    drop = next(k for k, c in enumerate(free) if u[c])
+    return basis[:drop] + basis[drop + 1:]
 
 
 def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
-    dim = f.dim
-    enumeration_guard(spec, dim)
+    enumeration_guard(spec, f.dim)
     add, mul, inv = spec.add, spec.mul, spec.inv
-
-    # Self-orthogonal rays v, <v, v> = 0, with their polar rows conj(v) G.
-    rays: List[Ray] = []
-    rows: List[Ray] = []
-    for v in _index_rays(spec.order, dim):
-        row = f._row(v)
-        if _pair(row, v, spec) == 0:
-            rays.append(v)
-            rows.append(row)
-    n = len(rays)
+    rays = _isotropic_rays(f)
     ray_index = {r: i for i, r in enumerate(rays)}
 
-    # <p_i, p_j> pairs the polar row of p_i with p_j, for all j > i at once.
-    cols = [[r[k] for r in rays] for k in range(dim)]
-    adjacency: List[List[int]] = [[] for _ in range(n)]  # ascending
-    for i, row in enumerate(rows):
-        later = [j + i + 1 for j in _zero_pairings(row, [col[i + 1:] for col in cols], spec)]
-        adjacency[i] += later
-        for j in later:
-            adjacency[j].append(i)
-
-    # Two collinear kernel points span a totally isotropic line, and two
-    # distinct points lie on one line only: span each line from its first
-    # uncovered pair; a pair (i, j) is covered once a line through i holds j.
-    through: List[List[FrozenSet[int]]] = [[] for _ in range(n)]
+    # A line through point u lies in u^perp = u + W and meets W in one ray,
+    # a kernel point; each kernel point of W spans one such line with u.
+    # u^perp/u carries a nondegenerate Hermitian form, and over a finite
+    # field all of one dimension are isometric, so every point lies on the
+    # same number of lines (q + 1 in dim 4): a point on that many found
+    # lines is skipped, and each scanned point is checked against it.
+    through: List[List[FrozenSet[int]]] = [[] for _ in rays]
     found: List[FrozenSet[int]] = []
+    per_point = None
     for i, u in enumerate(rays):
-        for j in adjacency[i]:
-            if j < i or any(j in line for line in through[i]):
+        if len(through[i]) == per_point:
+            continue
+        basis = _polar_complement(u, f)
+        cols = list(zip(*basis))
+        for c in _index_rays(spec.order, len(basis)):
+            j = ray_index.get(_normalize_ray(_matvec(cols, c, spec), mul, inv))
+            if j is None or any(j in line for line in through[i]):
                 continue
             v = rays[j]
             members = {i, j}
@@ -254,8 +276,13 @@ def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
             for a in line:
                 through[a].append(line)
             found.append(line)
+        if per_point is None:
+            per_point = len(through[i])
+        elif len(through[i]) != per_point:
+            raise InvariantError(
+                f"point {i} lies on {len(through[i])} lines, point 0 on {per_point}")
     return KernelGeometry(f, rays, sorted(found, key=sorted),
-                          (frozenset(s) for s in adjacency))
+                          (frozenset().union(*lines) - {i} for i, lines in enumerate(through)))
 
 
 def standard_kernel(spec: FieldSpec, dim: int) -> KernelGeometry:
@@ -415,15 +442,17 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     geom = standard_kernel(spec, dim)
     degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})
+    # n points of one degree d and L lines of one size s count the
+    # incidences twice: n d = L s.  No points or no lines count as 0.
     return {
         "field": spec.to_json(),
         "dim": dim,
-        "num_points": len(geom.points),
+        "num_points": len(geom.rays),
         "num_lines": len(geom.lines),
         "point_degrees": degrees,
         "line_sizes": sizes,
-        "double_counting_ok": (len(degrees) == len(sizes) == 1
-                               and len(geom.points) * degrees[0] == len(geom.lines) * sizes[0]),
+        "double_counting_ok": (len(degrees) <= 1 and len(sizes) <= 1 and
+                               len(geom.rays) * sum(degrees) == len(geom.lines) * sum(sizes)),
         "one_or_all": verify_one_or_all(geom).to_json(),
         "unitary_samples": samples,
         "unitary_escapes": unitary_escapes(geom, seed, samples),
@@ -436,11 +465,11 @@ def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[Projective
     One polar row conj(x) G is paired with x (the self-orthogonality test)
     and with every kernel ray.
     """
+    spec = geom.spec
     row = geom.form._row(x.ray)
-    if _pair(row, x.ray, geom.spec) == 0:
+    if _pair(row, x.ray, spec) == 0:
         raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
-    cols = [[r[k] for r in geom.rays] for k in range(geom.form.dim)]
-    return [geom.points[i] for i in _zero_pairings(row, cols, geom.spec)]
+    return [geom.points[i] for i, r in enumerate(geom.rays) if _pair(row, r, spec) == 0]
 
 
 def _meet(line: FrozenSet[int], curve: Iterable[int]) -> int:

@@ -4,7 +4,10 @@ The files under ``tests/golden/`` were recorded from ``gqt`` before the
 kernel, later the transport path, the no-go scan and then the geocode
 trial moved onto integer indices: the q=2 outputs in full, the q=3 and
 q=5 outputs as SHA-256 digests in ``q3.sha256`` and ``q5.sha256``.
-``tests/test_golden.py`` runs every job in-process.
+The q=5 ``kernel enumerate`` digests, JSON and ``--csv``, were recorded
+before enumeration began to span lines from polar planes, the change that
+moves the q=5 geometry most.  ``tests/test_golden.py`` runs every job
+in-process.
 
 Run as a script, the module runs every job through a command and checks
 the bytes it prints::
@@ -31,8 +34,8 @@ ENCODED_HEX = "babea7"
 
 # Job name -> {q: argv without --p}; a job is recorded at the q values it lists.
 JOBS = {
-    "kernel_enumerate": {q: ["kernel", "enumerate"] for q in (2, 3)},
-    "kernel_enumerate_csv": {q: ["kernel", "enumerate", "--csv"] for q in (2, 3)},
+    "kernel_enumerate": {q: ["kernel", "enumerate"] for q in (2, 3, 5)},
+    "kernel_enumerate_csv": {q: ["kernel", "enumerate", "--csv"] for q in (2, 3, 5)},
     "verify": {q: ["verify", "--samples", "5", "--seed", "0"] for q in (2, 3)},
     "geocode_roundtrip": {
         q: ["geocode", "roundtrip", "--seed", "0", "--trials", trials]

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import gqt.kernel
 from gqt.errors import (
     DependentBasisError,
+    InvariantError,
     NotKernelPointError,
     NotUniqueError,
     SelfOrthogonalInputError,
@@ -27,6 +29,7 @@ from gqt.kernel import (
     unique_meet,
     unitary_escapes,
     verify_one_or_all,
+    verify_report,
 )
 from gqt.linalg import (
     FieldMatrix,
@@ -102,31 +105,101 @@ def test_degrees_and_double_counting(fix, kernel_q2, kernel_q3):
 
 
 def brute_force_geometry(f):
-    """Object-level oracle: filter every ray, span every collinear pair."""
+    """Object-level oracle: filter every ray, test every pair, span every collinear pair.
+
+    Returns the points, the lines sorted as ``enumerate_kernel`` orders
+    them, and each point's set of collinear points.
+    """
     spec = f.spec
     points = [ProjectivePoint(v) for v in enumerate_projective_points(spec, f.dim)
               if f.evaluate(v, v).is_zero()]
     index = {p: i for i, p in enumerate(points)}
+    adjacency = [set() for _ in points]
     lines = set()
     for i, x in enumerate(points):
         for j in range(i + 1, len(points)):
             y = points[j]
             if f.evaluate(x.coords, y.coords).is_zero():
+                adjacency[i].add(j)
+                adjacency[j].add(i)
                 span = {i} | {index[ProjectivePoint(x.coords.scale(lam) + y.coords)]
                               for lam in spec.elements()}
                 lines.add(frozenset(span))
-    return points, lines
+    return points, sorted(lines, key=sorted), adjacency
 
 
-def test_enumeration_matches_brute_force_q2(form4_dim4, kernel_q2):
-    points, lines = brute_force_geometry(form4_dim4)
-    assert list(kernel_q2.points) == points
-    assert set(kernel_q2.lines) == lines
-    assert len(kernel_q2.lines) == len(lines)
-    for i in range(len(points)):
-        expected = {j for j in range(len(points)) if j != i and
-                    form4_dim4.evaluate(points[i].coords, points[j].coords).is_zero()}
-        assert kernel_q2.adjacency[i] == expected
+def assert_matches_brute_force(f):
+    geom = enumerate_kernel(f)
+    points, lines, adjacency = brute_force_geometry(f)
+    assert geom.rays == tuple(p.ray for p in points)
+    assert geom.lines == tuple(lines)
+    assert list(geom.adjacency) == adjacency
+
+
+def test_enumeration_matches_brute_force_q2(gf4):
+    for dim in (2, 3, 4):
+        assert_matches_brute_force(standard_form(gf4, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_enumeration_matches_brute_force_q3(gf9, dim):
+    assert_matches_brute_force(standard_form(gf9, dim))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enumeration_matches_brute_force_after_change_of_basis(p, seed):
+    # G' = A* A: no coordinate vector need be isotropic or orthogonal to another
+    spec = build_field(p, 2)
+    a = invertible_matrix(spec, 4, random.Random(seed))
+    assert_matches_brute_force(HermitianForm(a.conj_transpose() @ a))
+
+
+def test_enumeration_matches_brute_force_under_both_moduli(modulus_change):
+    first, second, _ = modulus_change
+    for spec in (first, second):
+        assert_matches_brute_force(standard_form(spec, 4))
+
+
+@pytest.mark.parametrize("p, scanned", [(2, 9), (3, 28)])
+def test_polar_plane_scan_runs_only_for_points_with_lines_left(monkeypatch, p, scanned):
+    # of 45 and 280 points: the others lie on q + 1 found lines when reached
+    calls = []
+    core = gqt.kernel._polar_complement
+
+    def counted(u, f):
+        calls.append(u)
+        return core(u, f)
+
+    monkeypatch.setattr(gqt.kernel, "_polar_complement", counted)
+    geom = enumerate_kernel(standard_form(build_field(p, 2), 4))
+    assert len(calls) == scanned
+    assert calls[0] == geom.rays[0]
+
+
+def test_unequal_line_counts_raise(monkeypatch, form4_dim4):
+    # the second scanned point gets an empty complement, so its scan finds no line
+    calls = []
+    core = gqt.kernel._polar_complement
+
+    def starved(u, f):
+        calls.append(u)
+        return core(u, f) if len(calls) == 1 else []
+
+    monkeypatch.setattr(gqt.kernel, "_polar_complement", starved)
+    with pytest.raises(InvariantError):
+        enumerate_kernel(form4_dim4)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_double_counting_holds_without_lines(p, dim):
+    # n d = L s reads 0 = 0: no points (dim 1), or points of degree 0 (dims 2, 3)
+    report = verify_report(build_field(p, 2), dim, seed=0, samples=1)
+    assert report["num_lines"] == 0 and report["line_sizes"] == []
+    assert report["point_degrees"] == ([] if dim == 1 else [0])
+    assert report["double_counting_ok"]
 
 
 def test_closed_form_counts_q4():
