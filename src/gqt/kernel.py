@@ -101,9 +101,9 @@ class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
     Built from each point's element indices (``rays``, in point order), the
-    lines and each point's collinear points (``adjacency``); the points, polar
-    rows conj(v) G (``rows``), point index and lines through each point are
-    derived on first use.
+    lines and each point's collinear points (``adjacency``); the point index
+    is derived when it is built, and the points, polar rows conj(v) G
+    (``rows``) and lines through each point (``incidence``) on first use.
     """
 
     def __init__(self, form: HermitianForm, rays: Sequence[Ray],
@@ -443,7 +443,8 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})
     # n points of one degree d and L lines of one size s count the
-    # incidences twice: n d = L s.  No points or no lines count as 0.
+    # incidences twice: n d = L s.  With no points or no lines the empty
+    # set sums to 0.
     return {
         "field": spec.to_json(),
         "dim": dim,
