@@ -101,9 +101,9 @@ class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
     Built from each point's element indices (``rays``, in point order), the
-    lines and each point's collinear points (``adjacency``); the point index
-    is derived when it is built, and the points, polar rows conj(v) G
-    (``rows``) and lines through each point (``incidence``) on first use.
+    lines and each point's collinear points (``adjacency``); the points, polar
+    rows conj(v) G (``rows``), point index and lines through each point are
+    derived on first use.
     """
 
     def __init__(self, form: HermitianForm, rays: Sequence[Ray],
@@ -112,7 +112,6 @@ class KernelGeometry:
         self.rays = tuple(rays)
         self.lines = tuple(lines)
         self.adjacency = tuple(adjacency)
-        self._point_index = {r: i for i, r in enumerate(self.rays)}
 
     @cached_property
     def points(self) -> Tuple[ProjectivePoint, ...]:
@@ -121,6 +120,10 @@ class KernelGeometry:
     @cached_property
     def rows(self) -> Tuple[Ray, ...]:
         return tuple(self.form._row(r) for r in self.rays)
+
+    @cached_property
+    def _point_index(self) -> Dict[Ray, int]:
+        return {r: i for i, r in enumerate(self.rays)}
 
     @cached_property
     def incidence(self) -> Tuple[FrozenSet[int], ...]:
@@ -443,8 +446,7 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})
     # n points of one degree d and L lines of one size s count the
-    # incidences twice: n d = L s.  With no points or no lines the empty
-    # set sums to 0.
+    # incidences twice: n d = L s.  No points or no lines count as 0.
     return {
         "field": spec.to_json(),
         "dim": dim,
