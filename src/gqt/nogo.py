@@ -10,10 +10,10 @@ arithmetic.
 
 States are element-index tuples.  ``scan`` computes each state's ray once,
 classifies every pair by comparing rays (``_verdict``) and calls the core,
-``_classify_indices``, only on the first pair of each verdict.
+``_classify_indices``, only on the first pair of each verdict.  The core
+reads the obstruction off the field tables, so a scan never loads ``linalg``.
 ``clone_obstruction``/``delete_obstruction`` convert at their edges and
-also read the entrywise condition a_i b_j = -(b_i a_j) in element
-arithmetic, which must agree with the tensor.
+check it entrywise, a_i b_j = -(b_i a_j), in element arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 import os
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -31,7 +31,9 @@ from .errors import (
     TooLargeError,
 )
 from .field import FieldElement, FieldSpec, build_field
-from .linalg import FieldMatrix, FieldVector, HermitianForm, _kron, is_unitary, tensor
+
+if TYPE_CHECKING:
+    from .linalg import FieldMatrix, FieldVector, HermitianForm
 
 # Largest exhaustive scan, in state pairs, unless GQT_GUARD_OVERRIDE=1.
 _MAX_SCAN_PAIRS = 10 ** 6
@@ -109,8 +111,10 @@ def _classify_indices(
     Returns the verdict, the tensor obstruction phi (x) psi + psi (x) phi
     and the witness rho with psi = phi * rho (None off one ray).
     """
-    add = spec.add
-    obstruction = tuple([add[x][y] for x, y in zip(_kron(a, b, spec), _kron(b, a, spec))])
+    add, mul = spec.add, spec.mul
+    # entry (i, j), row-major: a_i b_j + b_i a_j
+    obstruction = tuple([add[mul[ai][bj]][mul[bi][aj]]
+                         for ai, bi in zip(a, b) for aj, bj in zip(a, b)])
     verdict = _verdict(spec, _ray(a, spec), _ray(b, spec))
     witness = None
     if verdict in (CloneVerdict.SAME_RAY_CHAR2, CloneVerdict.SAME_RAY_CHAR_ODD):
@@ -121,6 +125,8 @@ def _classify_indices(
 
 
 def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:
+    from .linalg import FieldVector
+
     if phi.spec != psi.spec:
         raise FieldMismatchError("states over different fields")
     if len(phi) != len(psi):
@@ -194,12 +200,13 @@ def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
             else:
                 counts[verdict] = 1
                 first[verdict] = (a, b)
+    coeffs = spec.coeffs
     sample_witnesses = {}
     for verdict, (a, b) in first.items():
         _, obstruction, _ = _classify_indices(spec, a, b)
         sample_witnesses[verdict.value] = {
-            "phi": FieldVector.from_indices(spec, a).to_json(),
-            "psi": FieldVector.from_indices(spec, b).to_json(),
+            "phi": [list(coeffs[x]) for x in a],
+            "psi": [list(coeffs[x]) for x in b],
             "obstruction_vanishes": not any(obstruction),
         }
     report = {
@@ -253,6 +260,8 @@ def permutation_clone_check(
     Returns the induced mapping when it does; an identity mapping means u
     clones every element of the set.
     """
+    from .linalg import is_unitary, tensor
+
     states = list(states)
     if not states:
         raise DimensionMismatchError("empty state set")

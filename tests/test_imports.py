@@ -101,7 +101,7 @@ def test_unknown_names_raise_attribute_error():
 _BASE = {"gqt", "gqt.cli", "gqt.errors", "gqt.field"}
 _GEOMETRY = {"gqt.linalg", "gqt.kernel"}
 _PROTOCOLS = {"gqt.linalg", "gqt.protocols"}
-_NOGO = {"gqt.linalg", "gqt.nogo"}
+_NOGO = {"gqt.nogo"}
 _GEOCODE = _GEOMETRY | _PROTOCOLS | {"gqt.geocode"}
 JOBS = [
     (["field", "--p", "2", "--element", "t+1"], _BASE),
@@ -128,13 +128,17 @@ print(json.dumps({{"gqt": sorted(m for m in sys.modules if m == "gqt" or m.start
 """
 
 
-def _loaded(body: str) -> dict:
-    """The gqt modules a fresh interpreter has loaded after running ``body``."""
+def _fresh(source: str) -> str:
+    """What a fresh interpreter with ``gqt`` on its path prints when it runs ``source``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(body=body)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _loaded(body: str) -> dict:
+    """The gqt modules a fresh interpreter has loaded after running ``body``."""
+    return json.loads(_fresh(_PROBE.format(body=body)).splitlines()[-1])
 
 
 def test_import_gqt_loads_no_submodule():
@@ -149,3 +153,27 @@ def test_job_loads_only_its_subcommands_modules(argv, modules, tmp_path):
     body = f"from gqt.cli import run\nrun({argv + ['--out', str(out)]!r})"
     assert _loaded(body) == {"gqt": sorted(modules), "dataclasses": False}
     assert out.read_text()
+
+
+# The object API of ``gqt.nogo``, which imports what it needs from ``gqt.linalg`` on use.
+_NOGO_OBJECT_CALLS = """
+from gqt.field import build_field
+from gqt.linalg import FieldMatrix, FieldVector, standard_form
+from gqt.nogo import clone_obstruction, delete_obstruction, permutation_clone_check
+spec = build_field(3, 2)
+phi, psi = FieldVector(spec, [1, spec.gen]), FieldVector(spec, [spec.gen, 1])
+ident = FieldMatrix(spec, [[int(i == j) for j in range(4)] for i in range(4)])
+result = [clone_obstruction(phi, psi).to_json(), delete_obstruction(phi, phi.scale(2)).to_json(),
+          permutation_clone_check(ident, [phi], phi, standard_form(spec, 4)),
+          permutation_clone_check(ident, [phi, psi], phi)]
+"""
+
+
+def test_nogo_object_api_runs_when_nogo_loads_first():
+    out = _fresh("import json, sys\nimport gqt.nogo\nprint('gqt.linalg' in sys.modules)\n"
+                 + _NOGO_OBJECT_CALLS + "print(json.dumps(result))")
+    linalg_loaded, result = out.splitlines()
+    assert linalg_loaded == "False"
+    namespace = {}
+    exec(_NOGO_OBJECT_CALLS, namespace)
+    assert result == json.dumps(namespace["result"])

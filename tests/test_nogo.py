@@ -186,12 +186,13 @@ def test_permutation_clone_dimension_checks(gf4):
 
 
 def _object_classification(phi, psi):
-    """The classification in FieldElement arithmetic, independent of the index core."""
+    """The classification through ``tensor()`` and FieldElement arithmetic,
+    independent of the index core."""
     n = len(phi)
-    obstruction = [phi[i] * psi[j] + psi[i] * phi[j] for i in range(n) for j in range(n)]
+    obstruction = tensor(phi, psi) + tensor(psi, phi)
     entrywise_zero = all(
         (phi[i] * psi[j] + psi[i] * phi[j]).is_zero() for i in range(n) for j in range(n))
-    obstruction_zero = all(e.is_zero() for e in obstruction)
+    obstruction_zero = obstruction.is_zero()
     commutators = all(
         (phi[i] * phi[j] - phi[j] * phi[i]).is_zero() for i in range(n) for j in range(n))
     witness = None
@@ -206,16 +207,21 @@ def _object_classification(phi, psi):
                        else CloneVerdict.SAME_RAY_CHAR_ODD)
         else:
             verdict = CloneVerdict.INDEPENDENT
-    return (verdict, tuple(e.index for e in obstruction), witness,
+    return (verdict, obstruction.indices(), witness,
             entrywise_zero == obstruction_zero, commutators)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_index_core_matches_object_arithmetic(p):
+@pytest.mark.parametrize("p,dim,second_modulus", [
+    pytest.param(2, 2, False, id="2"),
+    pytest.param(3, 2, False, id="3"),
+    pytest.param(2, 3, False, id="2-dim3"),
+    pytest.param(3, 2, True, id="3-mod-t2+t+2"),
+])
+def test_index_core_matches_object_arithmetic(modulus_change, p, dim, second_modulus):
     """Verdict, obstruction, witness, entrywise agreement and commutators, every pair."""
-    spec = build_field(p, 2)
-    for phi in all_vectors(spec, 2):
-        for psi in all_vectors(spec, 2):
+    spec = modulus_change[1] if second_modulus else build_field(p, 2)
+    for phi in all_vectors(spec, dim):
+        for psi in all_vectors(spec, dim):
             expected = _object_classification(phi, psi)
             assert _classify_indices(spec, phi.indices(), psi.indices()) == expected[:3]
             c = clone_obstruction(phi, psi)
