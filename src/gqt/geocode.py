@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateSpanError,
@@ -43,9 +43,9 @@ from .errors import (
     SelfOrthogonalStateError,
 )
 from .field import FieldSpec
+from .forms import _pair, _rref
 from .kernel import (
     KernelGeometry,
-    ProjectivePoint,
     Ray,
     _meet,
     _normalize_ray,
@@ -53,8 +53,11 @@ from .kernel import (
     _polar,
     standard_kernel,
 )
-from .linalg import FieldMatrix, FieldVector, _pair, _rref, random_unitary
+from .linalg import FieldMatrix, FieldVector, random_unitary
 from .protocols import sdc_bits, sdc_decode, sdc_encode, sdc_messages
+
+if TYPE_CHECKING:
+    from .points import ProjectivePoint
 
 SERIALIZATION_VERSION = 1
 
@@ -114,6 +117,10 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
 
 
 def _point(spec: FieldSpec, ray: Ray) -> ProjectivePoint:
+    """The point of a ray, importing ``gqt.points`` on first use: a ``geocode
+    roundtrip`` sweep builds a point only for a witness."""
+    from .points import ProjectivePoint
+
     return ProjectivePoint(FieldVector.from_indices(spec, ray))
 
 

@@ -1,4 +1,4 @@
-"""Self-orthogonal geometry of a Hermitian form: points, lines, polarity.
+"""Self-orthogonal geometry of a Hermitian form: points, lines, One-or-All.
 
 For the standard form in dimension 4 over GF(q^2) the point set is the
 Hermitian surface X0^(q+1) + X1^(q+1) + X2^(q+1) + X3^(q+1) = 0, a
@@ -10,8 +10,12 @@ self-orthogonality at once, one pass per nonzero Gram entry, then finds
 each totally isotropic line once from the polar of a point: the lines
 through a point P join P to the kernel points of a complement of P in P^perp.
 Every point lies on the same number of lines, so a point whose lines are
-all found already is not scanned.  ``ProjectivePoint`` objects and polar
-rows are derived only when a caller reads them.
+all found already is not scanned.  Polar rows are derived only when a
+caller reads them.
+
+This module imports only the index core, ``gqt.forms``.  The object API on
+``ProjectivePoint`` lives in ``gqt.points``, which this module's PEP 562
+``__getattr__`` and ``KernelGeometry.points`` import on first use.
 """
 
 from __future__ import annotations
@@ -19,82 +23,53 @@ from __future__ import annotations
 import itertools
 import os
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .errors import (
-    DependentBasisError,
     InvariantError,
     NotKernelPointError,
     NotUniqueError,
-    SelfOrthogonalInputError,
     TooLargeError,
     ZeroVectorError,
 )
 from .field import FieldSpec
-from .linalg import (
-    FieldVector,
+from .forms import (
     HermitianForm,
     _matvec,
     _null_basis,
-    _pair,
+    _rows_json,
     _rref,
-    random_unitary,
+    _unitary_rows,
     standard_form,
 )
+
+if TYPE_CHECKING:
+    from .points import ProjectivePoint
+
+# The object API that ``gqt.points`` defines and this module serves.
+_POINTS_API = frozenset({
+    "ProjectivePoint", "collinear", "enumerate_projective_points", "hermitian_curve",
+    "is_self_orthogonal", "normalize_ray", "polar_hyperplane", "polar_of_subspace",
+    "polar_point", "unique_meet",
+})
+
+
+def __getattr__(name: str):
+    """Serve a ``gqt.points`` name from this module, importing it on first access."""
+    if name not in _POINTS_API:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import points
+
+    return getattr(points, name)
+
 
 # Default desk-scale guard for enumeration; GQT_GUARD_OVERRIDE=1 lifts it.
 _MAX_DIM = 4
 _MAX_Q = 5
 
 
-class ProjectivePoint:
-    """Normalized ray: leftmost nonzero coordinate equals 1.
-
-    ``ray`` holds the element indices of ``coords``; equality and hashing
-    read it.
-    """
-
-    __slots__ = ("coords", "ray")
-
-    def __init__(self, coords: FieldVector):
-        self.coords = normalize_ray(coords)
-        self.ray = self.coords.indices()
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords.spec
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ProjectivePoint) and self.ray == other.ray
-                and self.spec == other.spec)
-
-    def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.k, self.ray))
-
-    def __repr__(self) -> str:
-        return "pt(" + ", ".join(str(e) for e in self.coords) + ")"
-
-    def to_json(self) -> list:
-        return self.coords.to_json()
-
-
 Ray = Tuple[int, ...]
-
-
-def normalize_ray(v: FieldVector) -> FieldVector:
-    """Scale so the leftmost nonzero coordinate is 1."""
-    mul, inv = v.spec.mul, v.spec.inv
-    return FieldVector.from_indices(v.spec, _normalize_ray(v.indices(), mul, inv))
-
-
-def enumerate_projective_points(spec: FieldSpec, dim: int) -> Iterator[FieldVector]:
-    """All normalized rays of PG(dim-1, order), deterministic order."""
-    for ray in _index_rays(spec.order, dim):
-        yield FieldVector.from_indices(spec, ray)
-
-
-def is_self_orthogonal(v: FieldVector, f: HermitianForm) -> bool:
-    return f.evaluate(v, v).is_zero()
 
 
 class KernelGeometry:
@@ -115,6 +90,9 @@ class KernelGeometry:
 
     @cached_property
     def points(self) -> Tuple[ProjectivePoint, ...]:
+        from .linalg import FieldVector
+        from .points import ProjectivePoint
+
         return tuple(ProjectivePoint(FieldVector.from_indices(self.spec, r)) for r in self.rays)
 
     @cached_property
@@ -150,10 +128,10 @@ class KernelGeometry:
         return {
             "field": self.spec.to_json(),
             "dim": self.form.dim,
-            "gram": self.form.gram.to_json(),
+            "gram": _rows_json(self.form.gram_rows, self.spec),
             "num_points": len(self.rays),
             "num_lines": len(self.lines),
-            "points": [[list(self.spec.coeffs[x]) for x in r] for r in self.rays],
+            "points": _rows_json(self.rays, self.spec),
             "lines": [sorted(line) for line in self.lines],
         }
 
@@ -218,7 +196,7 @@ def _isotropic_rays(f: HermitianForm) -> List[Ray]:
     rays = list(_index_rays(spec.order, f.dim))
     cols = list(zip(*rays))
     values = [0] * len(rays)
-    for col, grow in zip(cols, f.gram.indices()):
+    for col, grow in zip(cols, f.gram_rows):
         conj = [frob[x] for x in col]
         for g, other in zip(grow, cols):
             if g:
@@ -314,34 +292,11 @@ def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, 
 def unitary_escapes(geom: KernelGeometry, seed: int, samples: int) -> int:
     """How many of ``samples`` seeded unitaries fail to permute points and lines.
 
-    Unitary ``s`` is ``random_unitary(geom.form, seed + s)``; it escapes when
-    its ``_permutation`` is None.
+    Unitary ``s`` is ``random_unitary(geom.form, seed + s)``, drawn as index
+    rows; it escapes when its ``_permutation`` is None.
     """
-    return sum(_permutation(random_unitary(geom.form, seed + s).indices(), geom) is None
+    return sum(_permutation(_unitary_rows(geom.form, seed + s), geom) is None
                for s in range(samples))
-
-
-def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> bool:
-    """True iff <x,y> = 0; cross-checked against shared lines."""
-    i, j = geom.index_of(x), geom.index_of(y)
-    by_form = geom.form.evaluate(x.coords, y.coords).is_zero()
-    if i == j:
-        return True
-    by_lines = bool(geom.incidence[i] & geom.incidence[j])
-    if by_form != by_lines:
-        raise InvariantError(
-            f"form and incidence disagree on collinearity of points {i} and {j}"
-        )
-    return by_form
-
-
-# --- polarity -----------------------------------------------------------------
-
-def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
-    """Coefficients c with pi(v) = {w : sum c_i w_i = 0}; c = conj(v) gram."""
-    if v.is_zero():
-        raise ZeroVectorError("the polar of the zero vector is undefined")
-    return FieldVector.from_indices(f.spec, f._row(v.indices()))
 
 
 def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]:
@@ -352,25 +307,6 @@ def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]
     """
     reduced, pivots = _rref(rows, f.spec)
     return len(pivots), _null_basis(reduced, pivots, f.dim, f.spec)
-
-
-def polar_of_subspace(basis: Sequence[FieldVector], f: HermitianForm) -> List[FieldVector]:
-    """Basis of the intersection of the polar hyperplanes of a subspace."""
-    basis = list(basis)
-    if not basis:
-        raise DependentBasisError("empty basis")
-    rank, polar = _polar([polar_hyperplane(v, f).indices() for v in basis], f)
-    if rank < len(basis):
-        raise DependentBasisError("basis vectors are linearly dependent")
-    return [FieldVector.from_indices(f.spec, v) for v in polar]
-
-
-def polar_point(basis: Sequence[FieldVector], f: HermitianForm) -> ProjectivePoint:
-    """Polar of a hyperplane-spanning basis, as a single projective point."""
-    polar = polar_of_subspace(basis, f)
-    if len(polar) != 1:
-        raise NotUniqueError(f"polar has dimension {len(polar)}, expected a point")
-    return ProjectivePoint(polar[0])
 
 
 # --- axioms and derived objects -------------------------------------------------
@@ -462,29 +398,9 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     }
 
 
-def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[ProjectivePoint]:
-    """Kernel points in the polar plane of a non-self-orthogonal point.
-
-    One polar row conj(x) G is paired with x (the self-orthogonality test)
-    and with every kernel ray.
-    """
-    spec = geom.spec
-    row = geom.form._row(x.ray)
-    if _pair(row, x.ray, spec) == 0:
-        raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")
-    return [geom.points[i] for i, r in enumerate(geom.rays) if _pair(row, r, spec) == 0]
-
-
 def _meet(line: FrozenSet[int], curve: Iterable[int]) -> int:
     """Index of the single kernel point on both a line and a curve (as indices)."""
     common = line.intersection(curve)
     if len(common) != 1:
         raise NotUniqueError(f"line meets curve in {len(common)} points, expected 1")
     return next(iter(common))
-
-
-def unique_meet(line: FrozenSet[int], curve: Sequence[ProjectivePoint],
-                geom: KernelGeometry) -> ProjectivePoint:
-    """The single common point of a kernel line and a Hermitian curve."""
-    rays = {p.ray for p in curve if p.spec == geom.spec}
-    return geom.points[_meet(line, (i for i in line if geom.rays[i] in rays))]

@@ -1,27 +1,37 @@
-"""Exact vectors, matrices and Hermitian forms over a FieldSpec.
+"""Exact vectors and matrices over a FieldSpec: the object API of the index core.
 
-Vectors are column-style: operators act on the left.  The form convention
-conjugates the FIRST argument, <x,y> = sum conj(x_i) * gram_ij * y_j, and
-is reflexive: conj(<x,y>) = <y,x>.
+``FieldVector`` and ``FieldMatrix`` hold element indices and compute
+through ``gqt.forms``, the index core, which also defines ``HermitianForm``
+and ``standard_form`` (re-exported here).  The checks and the sampler
+below are thin wrappers over the core's row-level versions, so each rule
+is defined once.  Vectors are column-style: operators act on the left.
 """
 
 from __future__ import annotations
 
-import random
-from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import (
-    DegenerateFormError,
     DimensionMismatchError,
     FieldMismatchError,
-    NoInvolutionError,
-    NotHermitianError,
     NotSquareError,
-    NotUnitaryError,
     SingularMatrixError,
 )
 from .field import FieldElement, FieldSpec
+from .forms import HermitianForm as HermitianForm
+from .forms import standard_form as standard_form
+from .forms import (
+    _identity,
+    _is_hermitian_rows,
+    _is_unitary_rows,
+    _kron,
+    _matvec,
+    _null_basis,
+    _pair,
+    _rows_json,
+    _rref,
+    _unitary_rows,
+)
 
 
 class FieldVector:
@@ -210,72 +220,7 @@ class FieldMatrix:
         return "mat[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
     def to_json(self) -> list:
-        coeffs = self.spec.coeffs
-        return [[list(coeffs[i]) for i in row] for row in self._rows]
-
-
-def _pair(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> int:
-    """The index of sum_i a_i b_i, for element indices a and b."""
-    add, mul = spec.add, spec.mul
-    acc = 0
-    for x, y in zip(a, b):
-        acc = add[acc][mul[x][y]]
-    return acc
-
-
-def _matvec(rows: Sequence[Sequence[int]], v: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
-    """The index tuple of the matrix-vector product, for element indices rows and v."""
-    return tuple([_pair(row, v, spec) for row in rows])
-
-
-def _rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> Tuple[List[Sequence[int]], List[int]]:
-    """Reduced row echelon form of a matrix of element indices.
-
-    Returns the reduced rows (a new list; the input is not changed) and
-    the pivot columns.  A matrix with no rows has rank 0.  Callers holding
-    ``FieldMatrix`` or ``FieldVector`` objects convert at their edges.
-    """
-    add, neg, mul, inv = spec.add, spec.neg, spec.mul, spec.inv
-    rows = list(rows)
-    nrows = len(rows)
-    pivots: List[int] = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r] = list(map(mul[inv[rows[r][c]]].__getitem__, rows[r]))
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                m = mul[neg[f]]
-                rows[i] = [add[a][m[b]] for a, b in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _null_basis(rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,
-                spec: FieldSpec) -> List[List[int]]:
-    """Canonical null-space basis of a reduced matrix, as index lists.
-
-    One vector per free column: 1 there, minus the column's entries at the
-    pivot coordinates, 0 elsewhere.
-    """
-    neg = spec.neg
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = neg[rows[r][fc]]
-        basis.append(v)
-    return basis
+        return _rows_json(self._rows, self.spec)
 
 
 def nullspace(m: FieldMatrix) -> List[FieldVector]:
@@ -284,21 +229,12 @@ def nullspace(m: FieldMatrix) -> List[FieldVector]:
     return [FieldVector.from_indices(m.spec, v) for v in _null_basis(rows, pivots, m.ncols, m.spec)]
 
 
-def _identity(n: int) -> List[List[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def identity_matrix(spec: FieldSpec, n: int) -> FieldMatrix:
     return FieldMatrix.from_indices(spec, _identity(n))
 
 
 def basis_vector(spec: FieldSpec, n: int, i: int) -> FieldVector:
     return FieldVector(spec, [spec.one if j == i else spec.zero for j in range(n)])
-
-
-def _kron(a: Sequence[int], b: Sequence[int], spec: FieldSpec) -> Tuple[int, ...]:
-    """The index tuple of a (x) b = (a_0 b_0, a_0 b_1, ...), for element indices a and b."""
-    return tuple([row[y] for row in map(spec.mul.__getitem__, a) for y in b])
 
 
 def tensor(a, b):
@@ -318,64 +254,7 @@ def tensor(a, b):
 
 def is_hermitian_matrix(a: FieldMatrix) -> bool:
     """True iff the conjugate transpose equals a."""
-    if not a.is_square():
-        raise NotSquareError("hermitian test requires a square matrix")
-    if a.spec.q is None:
-        raise NoInvolutionError("Hermitian forms need an even extension degree")
-    return a.conj_transpose() == a
-
-
-class HermitianForm:
-    """Nondegenerate Hermitian form given by its Gram matrix, over the matrix's field."""
-
-    def __init__(self, gram: FieldMatrix):
-        if not is_hermitian_matrix(gram):
-            raise NotHermitianError("Gram matrix is not Hermitian")
-        if gram.rank() < gram.nrows:
-            raise DegenerateFormError("Gram matrix is singular")
-        self.spec = gram.spec
-        self.gram = gram
-        self.dim = gram.nrows
-
-    def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError(
-                f"form has dim {self.dim}, got vectors of length {len(x)}, {len(y)}"
-            )
-        return FieldElement(self.spec, _pair(self._row(x.indices()), y.indices(), self.spec))
-
-    def _row(self, x: Sequence[int]) -> Tuple[int, ...]:
-        """conj(x) gram for element indices x: <x, y> is ``_pair`` of it with y."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError(f"form has dim {self.dim}, got a vector of length {len(x)}")
-        add, mul, frob = self.spec.add, self.spec.mul, self.spec.frob
-        row = [0] * self.dim
-        for xi, grow in zip(x, self.gram.indices()):
-            if xi:
-                m = mul[frob[xi]]
-                for j, g in enumerate(grow):
-                    if g:
-                        row[j] = add[row[j]][m[g]]
-        return tuple(row)
-
-    def is_standard(self) -> bool:
-        return self.gram == identity_matrix(self.spec, self.dim)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HermitianForm) and self.gram == other.gram
-
-    def __repr__(self) -> str:
-        return f"HermitianForm(dim={self.dim})"
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": self.gram.to_json()}
-
-
-def standard_form(spec: FieldSpec, dim: int) -> HermitianForm:
-    """The identity-Gram form sum conj(x_i) y_i."""
-    if dim < 1:
-        raise DimensionMismatchError("dimension must be >= 1")
-    return HermitianForm(identity_matrix(spec, dim))
+    return _is_hermitian_rows(a.indices(), a.spec)
 
 
 def evaluate_form(f: HermitianForm, x: FieldVector, y: FieldVector) -> FieldElement:
@@ -386,69 +265,14 @@ def is_unitary(u: FieldMatrix, f: HermitianForm) -> bool:
     """True iff u preserves f: conj_transpose(u) @ gram @ u == gram."""
     if not u.is_square() or u.nrows != f.dim:
         raise DimensionMismatchError("operator dimension does not match the form")
-    return u.conj_transpose() @ f.gram @ u == f.gram
-
-
-# --- seeded unitary sampler ---------------------------------------------------
-
-_PRODUCT_LENGTH = 16
-
-
-class _UnitaryTables(NamedTuple):
-    """Field-only tables of the unitary sampler, in draw order, as element indices."""
-
-    norm_one: Tuple[int, ...]  # nonzero x with norm(x) = 1
-    units: Tuple[Tuple[int, int], ...]  # norm(a) + norm(c) = 1
-
-
-@lru_cache(maxsize=None)
-def _unitary_tables(spec: FieldSpec) -> _UnitaryTables:
-    """The sampler's tables of ``spec``, built on first use and shared."""
-    add, mul, frob = spec.add, spec.mul, spec.frob
-    norms = [mul[x][frob[x]] for x in range(spec.order)]
-    return _UnitaryTables(
-        norm_one=tuple(x for x in range(1, spec.order) if norms[x] == 1),
-        units=tuple((a, c) for a, na in enumerate(norms) for c, nc in enumerate(norms)
-                    if add[na][nc] == 1),
-    )
+    if u.spec != f.spec:
+        raise FieldMismatchError("operands over different fields")
+    return _is_unitary_rows(u.indices(), f)
 
 
 def random_unitary(f: HermitianForm, seed: int) -> FieldMatrix:
-    """Seeded product of generators; always post-verified against the form.
+    """Seeded product of generators, always post-verified against the standard form f.
 
-    Generators: coordinate permutations, diagonals of norm-1 scalars, and
-    two-coordinate block unitaries [[a, b], [c, d]].  Only the standard
-    (identity-Gram) form is supported; the sampler makes no uniformity
-    claim.  Each generator acts on the rows of the product so far.
+    The sampler is ``gqt.forms._unitary_rows``; this wraps its rows.
     """
-    if not f.is_standard():
-        raise NotUnitaryError("random_unitary supports only the standard form")
-    spec, n = f.spec, f.dim
-    add, neg, mul, frob = spec.add, spec.neg, spec.mul, spec.frob
-    rng = random.Random(seed)
-    norm_one, units = _unitary_tables(spec)
-    rows = _identity(n)
-    kinds = ["perm", "diag"] + (["block"] if n >= 2 else [])
-    for _ in range(_PRODUCT_LENGTH):
-        kind = rng.choice(kinds)
-        if kind == "perm":
-            # row i of the permutation matrix has its 1 in column perm[i]
-            perm = list(range(n))
-            rng.shuffle(perm)
-            rows = [rows[j] for j in perm]
-        elif kind == "diag":
-            scales = [mul[rng.choice(norm_one)] for _ in range(n)]
-            rows = [[m[x] for x in row] for m, row in zip(scales, rows)]
-        else:
-            i, j = sorted(rng.sample(range(n), 2))
-            a, c = rng.choice(units)
-            # (conj(c), -conj(a)) is orthogonal to (a, c), and its norm is N(c) + N(a) = 1
-            # because -1 lies in the subfield and squares to 1: no rescale is needed.
-            b, d = frob[c], neg[frob[a]]
-            ri, rj = rows[i], rows[j]
-            rows[i] = [add[mul[a][x]][mul[b][y]] for x, y in zip(ri, rj)]
-            rows[j] = [add[mul[c][x]][mul[d][y]] for x, y in zip(ri, rj)]
-    acc = FieldMatrix.from_indices(spec, rows)
-    if not is_unitary(acc, f):
-        raise NotUnitaryError("sampler produced a non-unitary matrix")  # pragma: no cover
-    return acc
+    return FieldMatrix.from_indices(f.spec, _unitary_rows(f, seed))

@@ -27,13 +27,8 @@ from .errors import (
     ZeroStateError,
 )
 from .field import FieldSpec
-from .linalg import (
-    FieldMatrix,
-    FieldVector,
-    _rref,
-    identity_matrix,
-    tensor,
-)
+from .forms import _rref
+from .linalg import FieldMatrix, FieldVector, identity_matrix, tensor
 
 # --- gates ----------------------------------------------------------------------
 

@@ -15,7 +15,8 @@ the bytes it prints::
     python tests/golden_jobs.py gqt
     python tests/golden_jobs.py python -m gqt.cli
 
-It prints one line per mismatch and a count, and exits 1 on any mismatch.
+It prints one line per mismatch, with the last line the job wrote to
+stderr, and a count; it exits 1 on any mismatch.
 Standard library only, and no ``assert``: the checks must hold under
 ``python -O`` too.
 """
@@ -37,6 +38,9 @@ JOBS = {
     "kernel_enumerate": {q: ["kernel", "enumerate"] for q in (2, 3, 5)},
     "kernel_enumerate_csv": {q: ["kernel", "enumerate", "--csv"] for q in (2, 3, 5)},
     "verify": {q: ["verify", "--samples", "5", "--seed", "0"] for q in (2, 3)},
+    # GF(16): the unitary sampler and the form checks on a larger field and
+    # with more samples than any other job.
+    "verify_gf16": {2: ["verify", "--k", "4", "--samples", "20", "--seed", "0"]},
     "geocode_roundtrip": {
         q: ["geocode", "roundtrip", "--seed", "0", "--trials", trials]
         for q, trials in ((2, "200"), (3, "100"))
@@ -107,7 +111,9 @@ def main(command: list) -> int:
         proc = subprocess.run(command + job_argv(job, q), capture_output=True)
         if proc.returncode != 0 or not matches(job, q, proc.stdout):
             failed += 1
-            print(f"MISMATCH {golden_name(job, q)} (exit {proc.returncode})")
+            stderr = proc.stderr.decode(errors="replace").strip().splitlines()
+            print(f"MISMATCH {golden_name(job, q)} (exit {proc.returncode})"
+                  + (f": {stderr[-1]}" if stderr else ""))
     print(f"{len(jobs) - failed} of {len(jobs)} golden jobs match")
     return 1 if failed else 0
 

@@ -2,10 +2,11 @@
 
 Every name a ``gqt`` module imports at module level is used in that module:
 deletions tend to leave imports behind, and this catches them
-(``from __future__`` imports are directives and are skipped).  ``import
-gqt`` loads no submodule, every public name still resolves to the object
-its module defines, and a CLI job loads only the modules its subcommand
-runs, none of them through ``dataclasses``.
+(``from __future__`` imports are directives and are skipped, and so is an
+explicit re-export, ``from .forms import standard_form as standard_form``).
+``import gqt`` loads no submodule, every public name still resolves to the
+object its module defines, and a CLI job loads only the modules its
+subcommand runs, none of them through ``dataclasses``.
 """
 
 import ast
@@ -33,19 +34,20 @@ def unused_imports(source: str) -> list:
         if isinstance(node, ast.Import):
             names += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names += [a.asname or a.name for a in node.names]
+            names += [a.asname or a.name for a in node.names if a.asname != a.name]
     return [name for name in names if name not in used]
 
 
 def test_the_check_finds_unused_imports():
     source = ("from __future__ import annotations\nfrom typing import Dict, List\n"
-              "import os.path\nimport re as regex\nx: List[int] = [regex.I]\n")
-    assert unused_imports(source) == ["Dict", "os"]
+              "import os.path\nimport re as regex\nfrom json import dumps as dumps\n"
+              "from json import loads as parse\nx: List[int] = [regex.I]\n")
+    assert unused_imports(source) == ["Dict", "os", "parse"]
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"cli", "errors", "field", "geocode", "kernel",
-                                         "linalg", "nogo", "protocols"}
+    assert {p.stem for p in MODULES} >= {"cli", "errors", "field", "forms", "geocode", "kernel",
+                                         "linalg", "nogo", "points", "protocols"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -60,11 +62,12 @@ def test_module_uses_every_import(path):
 EXPORTED = {
     "errors": "GQTError InvariantError",
     "field": "FieldElement FieldSpec build_field theory_coordinates",
-    "kernel": "KernelGeometry ProjectivePoint collinear enumerate_kernel hermitian_curve "
-              "is_self_orthogonal polar_hyperplane polar_of_subspace unique_meet "
-              "unitary_escapes verify_one_or_all",
-    "linalg": "FieldMatrix FieldVector HermitianForm evaluate_form is_hermitian_matrix "
-              "is_unitary random_unitary standard_form tensor",
+    "forms": "HermitianForm standard_form",
+    "kernel": "KernelGeometry enumerate_kernel unitary_escapes verify_one_or_all",
+    "points": "ProjectivePoint collinear hermitian_curve is_self_orthogonal polar_hyperplane "
+              "polar_of_subspace unique_meet",
+    "linalg": "FieldMatrix FieldVector evaluate_form is_hermitian_matrix is_unitary "
+              "random_unitary tensor",
     "nogo": "CloneClassification CloneVerdict clone_obstruction delete_obstruction "
             "f2_orthogonal_special_case permutation_clone_check",
     "protocols": "ProtocolTranscript bell_basis bell_state measure_modal possible_branches "
@@ -88,19 +91,37 @@ def test_exported_name_is_its_modules_object(module, name):
     assert name in gqt.__all__ and name in dir(gqt)
 
 
+# Names that moved out of ``gqt.kernel`` and ``gqt.linalg`` keep their old
+# import paths: the kernel serves the ``gqt.points`` names on first access,
+# and ``gqt.linalg`` re-exports the forms.
+OLD_PATHS = [("kernel", name) for name in EXPORTED["points"].split()] + [
+    ("kernel", "normalize_ray"), ("kernel", "enumerate_projective_points"),
+    ("kernel", "polar_point"), ("linalg", "HermitianForm"), ("linalg", "standard_form")]
+
+
+@pytest.mark.parametrize("module,name", OLD_PATHS, ids=[f"{m}.{n}" for m, n in OLD_PATHS])
+def test_moved_name_keeps_its_old_import_path(module, name):
+    namespace = {}
+    exec(f"from gqt.{module} import {name}", namespace)
+    defining = "forms" if name in EXPORTED["forms"].split() else "points"
+    assert namespace[name] is getattr(importlib.import_module(f"gqt.{defining}"), name)
+
+
 def test_unknown_names_raise_attribute_error():
     for name in ("no_such_name", "dataclass"):
         with pytest.raises(AttributeError, match=name):
             getattr(gqt, name)
     with pytest.raises(ImportError):
         exec("from gqt import no_such_name", {})
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("gqt.kernel").no_such_name
 
 
 # --- what a fresh interpreter loads -------------------------------------------------
 
 _BASE = {"gqt", "gqt.cli", "gqt.errors", "gqt.field"}
-_GEOMETRY = {"gqt.linalg", "gqt.kernel"}
-_PROTOCOLS = {"gqt.linalg", "gqt.protocols"}
+_GEOMETRY = {"gqt.forms", "gqt.kernel"}
+_PROTOCOLS = {"gqt.forms", "gqt.linalg", "gqt.protocols"}
 _NOGO = {"gqt.nogo"}
 _GEOCODE = _GEOMETRY | _PROTOCOLS | {"gqt.geocode"}
 JOBS = [
@@ -115,9 +136,11 @@ JOBS = [
     (["noclone", "scan", "--p", "2"], _BASE | _NOGO),
     (["nodelete", "scan", "--p", "2"], _BASE | _NOGO),
     (["geocode", "roundtrip", "--p", "2", "--seed", "1", "--trials", "2"], _BASE | _GEOCODE),
-    (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "t;1;1;0"], _BASE | _GEOCODE),
+    # encode and decode print points, which the roundtrip sweep never builds
+    (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "t;1;1;0"],
+     _BASE | _GEOCODE | {"gqt.points"}),
     (["geocode", "decode", "--p", "2", "--seed", "5", "--bitstream", "babea7"],
-     _BASE | _GEOCODE),
+     _BASE | _GEOCODE | {"gqt.points"}),
 ]
 
 _PROBE = """
@@ -177,3 +200,42 @@ def test_nogo_object_api_runs_when_nogo_loads_first():
     namespace = {}
     exec(_NOGO_OBJECT_CALLS, namespace)
     assert result == json.dumps(namespace["result"])
+
+
+# The object API of ``gqt.kernel``, served from ``gqt.points``, which imports
+# ``gqt.linalg``; ``KernelGeometry.points`` imports both on first read.
+_KERNEL_OBJECT_CALLS = """
+from gqt.field import build_field
+from gqt.kernel import (ProjectivePoint, collinear, hermitian_curve, polar_point,
+                        standard_kernel)
+from gqt.linalg import FieldVector
+spec = build_field(2, 2)
+geom = standard_kernel(spec, 4)
+x = ProjectivePoint(FieldVector(spec, [1, 0, 0, 0]))
+basis = [FieldVector(spec, v) for v in ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]
+p, q = geom.points[0], geom.points[1]
+result = [[pt.to_json() for pt in geom.points], [pt.to_json() for pt in hermitian_curve(x, geom)],
+          polar_point(basis, geom.form).to_json(), x.to_json(), collinear(p, q, geom),
+          [collinear(p, r, geom) for r in geom.points]]
+"""
+
+
+def test_kernel_object_api_runs_when_kernel_loads_first():
+    out = _fresh("import json, sys\nimport gqt.kernel\n"
+                 "print(sorted(m for m in ('gqt.linalg', 'gqt.points') if m in sys.modules))\n"
+                 + _KERNEL_OBJECT_CALLS + "print(json.dumps(result))")
+    loaded, result = out.splitlines()
+    assert loaded == "[]"
+    namespace = {}
+    exec(_KERNEL_OBJECT_CALLS, namespace)
+    assert result == json.dumps(namespace["result"])
+
+
+def test_the_form_api_loads_no_object_class():
+    loaded = _loaded("from gqt import standard_form\nfrom gqt.field import build_field\n"
+                     "standard_form(build_field(3, 2), 4)")["gqt"]
+    assert loaded == ["gqt", "gqt.errors", "gqt.field", "gqt.forms"]
+    # reading the Gram matrix as an object loads ``gqt.linalg``
+    body = "from gqt import standard_form\nfrom gqt.field import build_field\n" \
+           "print(standard_form(build_field(3, 2), 2).gram)"
+    assert "gqt.linalg" in _loaded(body)["gqt"]

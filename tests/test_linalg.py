@@ -18,10 +18,10 @@ from gqt.errors import (
     SingularMatrixError,
 )
 from gqt.field import build_field
+from gqt.forms import _unitary_tables
 from gqt.linalg import (
     FieldMatrix,
     _rref,
-    _unitary_tables,
     FieldVector,
     HermitianForm,
     basis_vector,
