@@ -9,7 +9,7 @@ pattern of Scientific Python SPEC 1).
 
 __version__ = "0.1.0"
 
-# Module -> the public names it serves (gqt.kernel also serves those of gqt.points).
+# Module -> the public names it defines.
 _EXPORTS = {
     "errors": ("GQTError", "InvariantError"),
     "field": ("FieldElement", "FieldSpec", "build_field", "theory_coordinates"),
@@ -17,8 +17,8 @@ _EXPORTS = {
     "kernel": ("KernelGeometry", "enumerate_kernel", "unitary_escapes", "verify_one_or_all"),
     "points": ("ProjectivePoint", "collinear", "hermitian_curve", "is_self_orthogonal",
                "polar_hyperplane", "polar_of_subspace", "unique_meet"),
-    "linalg": ("FieldMatrix", "FieldVector", "evaluate_form", "is_hermitian_matrix",
-               "is_unitary", "random_unitary", "tensor"),
+    "linalg": ("FieldMatrix", "FieldVector", "is_hermitian_matrix", "is_unitary",
+               "random_unitary", "tensor"),
     "nogo": ("CloneClassification", "CloneVerdict", "clone_obstruction", "delete_obstruction",
              "f2_orthogonal_special_case", "permutation_clone_check"),
     "protocols": ("ProtocolTranscript", "bell_basis", "bell_state", "measure_modal",

@@ -125,6 +125,30 @@ def _check_prime(p: int) -> None:
         raise NotPrimeError(f"{p} is not prime")
 
 
+def _field_modulus(p: int, k: int, modulus: Optional[Sequence[int]]) -> tuple:
+    """The reduced modulus of GF(p^k), or ``_first_irreducible(p, k)`` for None; no tables.
+
+    The order is bounded before any search: p first (so the primality test
+    stays cheap), then p^k one factor at a time.
+    """
+    _check_prime(p)
+    if k < 1:
+        raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
+    order = 1
+    for _ in range(k):
+        order *= p
+        if order > _TABLE_LIMIT:
+            raise TooLargeError(f"GF({p}^{k}) has order above the limit {_TABLE_LIMIT}")
+    if modulus is None:
+        return _first_irreducible(p, k)
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise DegreeMismatchError(f"modulus must be monic of degree {k}, got {list(modulus)}")
+    if not _is_irreducible(modulus, p):
+        raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over F_{p}")
+    return modulus
+
+
 class FieldSpec:
     """GF(p^k) with a fixed monic irreducible modulus.
 
@@ -137,42 +161,21 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int, modulus: Optional[Sequence[int]] = None):
-        # Bound the order before any search or table: p first (so the
-        # primality test stays cheap), then p^k one factor at a time.
-        _check_prime(p)
-        if k < 1:
-            raise DegreeMismatchError(f"extension degree must be >= 1, got {k}")
-        order = 1
-        for _ in range(k):
-            order *= p
-            if order > _TABLE_LIMIT:
-                raise TooLargeError(f"GF({p}^{k}) has order above the limit {_TABLE_LIMIT}")
-        if modulus is None:
-            modulus = _first_irreducible(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise DegreeMismatchError(
-                    f"modulus must be monic of degree {k}, got {list(modulus)}"
-                )
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over F_{p}")
+        self.modulus = _field_modulus(p, k, modulus)
         self.p = p
         self.k = k
-        self.modulus = modulus
-        self.order = order
+        self.order = order = p ** k
         self.q = p ** (k // 2) if k % 2 == 0 else None
 
         self.coeffs = [self._digits(n) for n in range(order)]
         self._build_tables()
-        self._subfield = None
         self._kappa_index = None
         if self.q is not None:
-            self._subfield = frozenset(n for n in range(order) if self.frob_i(n) == n)
-            if len(self._subfield) != self.q:
+            subfield = frozenset(n for n in range(order) if self.frob_i(n) == n)
+            if len(subfield) != self.q:
                 raise InvariantError(f"fixed field of x -> x^{self.q} has "
-                                     f"{len(self._subfield)} elements, expected {self.q}")
-            self._kappa_index = next(n for n in range(order) if n not in self._subfield)
+                                     f"{len(subfield)} elements, expected {self.q}")
+            self._kappa_index = next(n for n in range(order) if n not in subfield)
 
     # -- construction-time helpers --
 
@@ -278,9 +281,6 @@ class FieldSpec:
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
         return FieldElement(self, self._index_of(_poly_mod(coeffs, self.modulus, self.p)))
 
-    def from_index(self, n: int) -> "FieldElement":
-        return FieldElement(self, n % self.order)
-
     def from_int(self, n: int) -> "FieldElement":
         """Image of the integer n under the prime-field embedding; a constant is its own index."""
         return FieldElement(self, n % self.p)
@@ -326,12 +326,6 @@ class FieldSpec:
 
     def elements(self) -> Iterator["FieldElement"]:
         for n in range(self.order):
-            yield FieldElement(self, n)
-
-    def subfield_elements(self) -> Iterator["FieldElement"]:
-        if self._subfield is None:
-            raise NoInvolutionError("no distinguished subfield for odd degree")
-        for n in sorted(self._subfield):
             yield FieldElement(self, n)
 
     # -- identity / serialization --
@@ -484,11 +478,16 @@ _fields = {}  # (p, k, modulus as given) and (p, reduced modulus) -> the one Fie
 
 
 def build_field(p: int, k: int, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
-    """GF(p^k), one object per field; the default modulus is ``_first_irreducible(p, k)``."""
+    """GF(p^k), one object per field; the default modulus is ``_first_irreducible(p, k)``.
+
+    A new spelling of a field already built is looked up before any table is.
+    """
     key = (p, k, tuple(modulus) if modulus is not None else None)
     if key not in _fields:
-        spec = FieldSpec(p, k, key[2])  # validates before the modulus is reduced
-        _fields[key] = _fields.setdefault((p, spec.modulus), spec)
+        field = (p, _field_modulus(p, k, key[2]))
+        if field not in _fields:
+            _fields[field] = FieldSpec(p, k, field[1])
+        _fields[key] = _fields[field]
     return _fields[key]
 
 

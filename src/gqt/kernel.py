@@ -14,8 +14,8 @@ all found already is not scanned.  Polar rows are derived only when a
 caller reads them.
 
 This module imports only the index core, ``gqt.forms``.  The object API on
-``ProjectivePoint`` lives in ``gqt.points``, which this module's PEP 562
-``__getattr__`` and ``KernelGeometry.points`` import on first use.
+``ProjectivePoint`` lives in ``gqt.points``, which ``KernelGeometry.points``
+imports on first use.
 """
 
 from __future__ import annotations
@@ -46,23 +46,6 @@ from .forms import (
 
 if TYPE_CHECKING:
     from .points import ProjectivePoint
-
-# The object API that ``gqt.points`` defines and this module serves.
-_POINTS_API = frozenset({
-    "ProjectivePoint", "collinear", "enumerate_projective_points", "hermitian_curve",
-    "is_self_orthogonal", "normalize_ray", "polar_hyperplane", "polar_of_subspace",
-    "polar_point", "unique_meet",
-})
-
-
-def __getattr__(name: str):
-    """Serve a ``gqt.points`` name from this module, importing it on first access."""
-    if name not in _POINTS_API:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import points
-
-    return getattr(points, name)
-
 
 # Default desk-scale guard for enumeration; GQT_GUARD_OVERRIDE=1 lifts it.
 _MAX_DIM = 4

@@ -2,14 +2,14 @@
 
 ``FieldVector`` and ``FieldMatrix`` hold element indices and compute
 through ``gqt.forms``, the index core, which also defines ``HermitianForm``
-and ``standard_form`` (re-exported here).  The checks and the sampler
-below are thin wrappers over the core's row-level versions, so each rule
-is defined once.  Vectors are column-style: operators act on the left.
+and ``standard_form``.  The checks and the sampler below are thin
+wrappers over the core's row-level versions, so each rule is defined
+once.  Vectors are column-style: operators act on the left.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -18,8 +18,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import FieldElement, FieldSpec
-from .forms import HermitianForm as HermitianForm
-from .forms import standard_form as standard_form
 from .forms import (
     _identity,
     _is_hermitian_rows,
@@ -32,6 +30,9 @@ from .forms import (
     _rref,
     _unitary_rows,
 )
+
+if TYPE_CHECKING:
+    from .forms import HermitianForm
 
 
 class FieldVector:
@@ -255,10 +256,6 @@ def tensor(a, b):
 def is_hermitian_matrix(a: FieldMatrix) -> bool:
     """True iff the conjugate transpose equals a."""
     return _is_hermitian_rows(a.indices(), a.spec)
-
-
-def evaluate_form(f: HermitianForm, x: FieldVector, y: FieldVector) -> FieldElement:
-    return f.evaluate(x, y)
 
 
 def is_unitary(u: FieldMatrix, f: HermitianForm) -> bool:

@@ -33,7 +33,8 @@ from .errors import (
 from .field import FieldElement, FieldSpec, build_field
 
 if TYPE_CHECKING:
-    from .linalg import FieldMatrix, FieldVector, HermitianForm
+    from .forms import HermitianForm
+    from .linalg import FieldMatrix, FieldVector
 
 # Largest exhaustive scan, in state pairs, unless GQT_GUARD_OVERRIDE=1.
 _MAX_SCAN_PAIRS = 10 ** 6

@@ -2,10 +2,8 @@
 
 ``ProjectivePoint`` wraps a normalized ray as a ``FieldVector``; the
 functions here take and return such objects and compute through the
-index routines of ``gqt.kernel`` and ``gqt.forms``.  ``gqt.kernel``
-serves every public name of this module too, so ``from gqt.kernel import
-ProjectivePoint`` keeps working; a kernel job imports neither this
-module nor ``gqt.linalg``.
+index routines of ``gqt.kernel`` and ``gqt.forms``.  A kernel job
+imports neither this module nor ``gqt.linalg``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 import pytest
 
 from gqt.field import build_field
+from gqt.forms import standard_form
 from gqt.kernel import enumerate_kernel
-from gqt.linalg import standard_form
 
 
 @pytest.fixture(scope="session")

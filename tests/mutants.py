@@ -1,0 +1,106 @@
+"""The mutation table: edits to ``src/gqt`` that named tests must catch.
+
+Each entry is (file, exact old text, new text, tests expected to fail).
+An entry states a claim of the form "test T catches mutant M": a later
+change can make T stop catching M, and replaying the table notices.  Run
+it from anywhere::
+
+    python tests/mutants.py
+
+The runner copies ``src/`` and ``tests/`` into a temporary directory and
+first runs every named test there unedited: they must pass.  Then, for
+each entry, it applies the one edit in that copy, runs the entry's tests
+with ``pytest -x`` and restores the file.  A mutant is killed when pytest
+reports a failed test (exit 1); any other outcome is a survivor.  An entry
+whose old text does not occur exactly once in its file is stale: the code
+it names has changed, so the entry must be retired or rewritten, and it
+counts as a failure, not a skip.  The runner prints killed, survived or
+stale per entry and a count, and exits 1 on any survivor or stale entry.
+Standard library only, and no ``assert``: the checks must hold under
+``python -O`` too.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/gqt, old text, new text, tests expected to fail)
+MUTANTS = [
+    # The four ``raise InvariantError`` guards, each disabled; each test
+    # breaks its invariant on purpose.
+    ("field.py", "            if len(subfield) != self.q:\n", "            if False:\n",
+     ["tests/test_invariants.py::test_field_spec_invariant_failure"]),
+    ("kernel.py", "        elif len(through[i]) != per_point:\n", "        elif False:\n",
+     ["tests/test_kernel.py::test_unequal_line_counts_raise"]),
+    ("points.py", "    if by_form != by_lines:\n", "    if False:\n",
+     ["tests/test_invariants.py::test_collinear_invariant_failure"]),
+    ("protocols.py", "    if char2 and system != (tensor(basis[0][1], phi)\n",
+     "    if False and system != (tensor(basis[0][1], phi)\n",
+     ["tests/test_invariants.py::test_teleport_char2_invariant_failure"]),
+    # The unitary sampler's post-check, disabled.
+    ("forms.py", "    if not _is_unitary_rows(rows, f):\n", "    if False:\n",
+     ["tests/test_forms.py::test_sampler_post_check_catches_a_non_unitary_draw"]),
+    # The tensor obstruction a_i b_j + b_i a_j read as a_i b_j twice.
+    ("nogo.py", "add[mul[ai][bj]][mul[bi][aj]]", "add[mul[ai][bj]][mul[ai][bj]]",
+     ["tests/test_nogo.py::test_obstruction_vanishing_characterization"]),
+    # One-or-All accepting a point that sees none of a line.
+    ("kernel.py", "            if count not in (1, size):\n",
+     "            if count not in (0, 1, size):\n",
+     ["tests/test_kernel.py::test_one_or_all_negative_control"]),
+    # The line scan skipping the points whose lines are not all found yet.
+    ("kernel.py", "        if len(through[i]) == per_point:\n",
+     "        if per_point and len(through[i]) < per_point:\n",
+     ["tests/test_kernel.py::test_polar_plane_scan_runs_only_for_points_with_lines_left"]),
+]
+
+
+def pytest_run(tree: Path, tests: list) -> int:
+    """The exit status of ``pytest -x`` on ``tests`` in ``tree``, importing gqt from its src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=tree, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    """Replay every entry; 1 on any survivor, stale entry or failing unedited test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        code = pytest_run(tree, named)
+        if code != 0:
+            print(f"the named tests fail on the unedited source (pytest exit {code})")
+            return 1
+        failed = 0
+        for number, (name, old, new, tests) in enumerate(MUTANTS, 1):
+            path = tree / "src" / "gqt" / name
+            source = path.read_text()
+            label = f"{number} {name}: {old.strip()!r} -> {new.strip()!r}"
+            if source.count(old) != 1:
+                failed += 1
+                print(f"STALE    {label} (old text occurs {source.count(old)} times)")
+                continue
+            path.write_text(source.replace(old, new))
+            try:
+                code = pytest_run(tree, tests)
+            finally:
+                path.write_text(source)
+            if code == 1:
+                print(f"killed   {label}")
+            else:
+                failed += 1
+                print(f"SURVIVED {label} (pytest exit {code})")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

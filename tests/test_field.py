@@ -15,7 +15,8 @@ from gqt.errors import (
     ReducibleModulusError,
     TooLargeError,
 )
-from gqt.field import FieldSpec, build_field, is_prime, parse_coefficients, theory_coordinates
+from gqt.field import (FieldElement, FieldSpec, build_field, is_prime, parse_coefficients,
+                       theory_coordinates)
 
 
 def test_gf4_default_modulus(gf4):
@@ -60,6 +61,19 @@ def test_build_field_returns_one_object_per_field():
     # the public constructor still builds a fresh, equal spec
     fresh = FieldSpec(3, 2)
     assert fresh is not gf9 and fresh == gf9 and hash(fresh) == hash(gf9)
+
+
+def test_new_spelling_of_a_held_field_builds_no_tables(monkeypatch):
+    gf9 = build_field(3, 2)
+    calls = []
+    build_tables = FieldSpec._build_tables
+    monkeypatch.setattr(FieldSpec, "_build_tables",
+                        lambda self: calls.append(self) or build_tables(self))
+    assert build_field(3, 2, (7, 3, 4)) is gf9
+    assert calls == []
+    # the checks still run first: p = 0 is refused before the modulus is reduced mod p
+    with pytest.raises(NotPrimeError):
+        build_field(0, 2, (7, 3, 4))
 
 
 def test_gf4_arithmetic_examples(gf4):
@@ -264,7 +278,7 @@ def test_element_and_modulus_text_read_one_integer_grammar(gf9):
 @given(data=st.data())
 def test_from_string_inverts_str(p, k, data):
     spec = build_field(p, k)
-    x = spec.from_index(data.draw(st.integers(0, spec.order - 1)))
+    x = FieldElement(spec, data.draw(st.integers(0, spec.order - 1)))
     assert spec.from_string(str(x)) == x
 
 
@@ -295,7 +309,7 @@ def test_json_encoding(gf4):
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 def test_distributivity_random_gf9(a, b, c):
     spec = build_field(3, 2)
-    x, y, z = spec.from_index(a), spec.from_index(b), spec.from_index(c)
+    x, y, z = FieldElement(spec, a), FieldElement(spec, b), FieldElement(spec, c)
     assert x * (y + z) == x * y + x * z
     assert (x + y) * z == x * z + y * z
 

@@ -36,14 +36,7 @@ from gqt.geocode import (
     roundtrip_sweep,
     serialize_points,
 )
-from gqt.kernel import (
-    ProjectivePoint,
-    _normalize_ray,
-    enumerate_projective_points,
-    hermitian_curve,
-    normalize_ray,
-    unique_meet,
-)
+from gqt.kernel import _normalize_ray
 from gqt.linalg import (
     FieldMatrix,
     FieldVector,
@@ -52,6 +45,13 @@ from gqt.linalg import (
     is_unitary,
     nullspace,
     random_unitary,
+)
+from gqt.points import (
+    ProjectivePoint,
+    enumerate_projective_points,
+    hermitian_curve,
+    normalize_ray,
+    unique_meet,
 )
 from gqt.protocols import sdc_decode, sdc_encode, sdc_messages
 

@@ -2,11 +2,11 @@
 
 Every name a ``gqt`` module imports at module level is used in that module:
 deletions tend to leave imports behind, and this catches them
-(``from __future__`` imports are directives and are skipped, and so is an
-explicit re-export, ``from .forms import standard_form as standard_form``).
-``import gqt`` loads no submodule, every public name still resolves to the
-object its module defines, and a CLI job loads only the modules its
-subcommand runs, none of them through ``dataclasses``.
+(``from __future__`` imports are directives and are skipped; no module
+re-exports a name).  ``import gqt`` loads no submodule, every public name
+resolves to the object its one defining module defines, and a CLI job
+loads only the modules its subcommand runs, none of them through
+``dataclasses``.
 """
 
 import ast
@@ -34,7 +34,7 @@ def unused_imports(source: str) -> list:
         if isinstance(node, ast.Import):
             names += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names += [a.asname or a.name for a in node.names if a.asname != a.name]
+            names += [a.asname or a.name for a in node.names]
     return [name for name in names if name not in used]
 
 
@@ -42,7 +42,7 @@ def test_the_check_finds_unused_imports():
     source = ("from __future__ import annotations\nfrom typing import Dict, List\n"
               "import os.path\nimport re as regex\nfrom json import dumps as dumps\n"
               "from json import loads as parse\nx: List[int] = [regex.I]\n")
-    assert unused_imports(source) == ["Dict", "os", "parse"]
+    assert unused_imports(source) == ["Dict", "os", "dumps", "parse"]
 
 
 def test_every_module_is_checked():
@@ -66,8 +66,7 @@ EXPORTED = {
     "kernel": "KernelGeometry enumerate_kernel unitary_escapes verify_one_or_all",
     "points": "ProjectivePoint collinear hermitian_curve is_self_orthogonal polar_hyperplane "
               "polar_of_subspace unique_meet",
-    "linalg": "FieldMatrix FieldVector evaluate_form is_hermitian_matrix is_unitary "
-              "random_unitary tensor",
+    "linalg": "FieldMatrix FieldVector is_hermitian_matrix is_unitary random_unitary tensor",
     "nogo": "CloneClassification CloneVerdict clone_obstruction delete_obstruction "
             "f2_orthogonal_special_case permutation_clone_check",
     "protocols": "ProtocolTranscript bell_basis bell_state measure_modal possible_branches "
@@ -78,7 +77,7 @@ EXPORTS = [(module, name) for module, names in EXPORTED.items() for name in name
 
 
 def test_every_exported_name_is_listed():
-    assert len(EXPORTS) == 47
+    assert len(EXPORTS) == 46
     assert sorted(gqt.__all__) == sorted(name for _, name in EXPORTS)
 
 
@@ -87,24 +86,9 @@ def test_exported_name_is_its_modules_object(module, name):
     namespace = {}
     exec(f"from gqt import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"gqt.{module}"), name)
+    assert namespace[name].__module__ == f"gqt.{module}"
     assert getattr(gqt, name) is namespace[name]
     assert name in gqt.__all__ and name in dir(gqt)
-
-
-# Names that moved out of ``gqt.kernel`` and ``gqt.linalg`` keep their old
-# import paths: the kernel serves the ``gqt.points`` names on first access,
-# and ``gqt.linalg`` re-exports the forms.
-OLD_PATHS = [("kernel", name) for name in EXPORTED["points"].split()] + [
-    ("kernel", "normalize_ray"), ("kernel", "enumerate_projective_points"),
-    ("kernel", "polar_point"), ("linalg", "HermitianForm"), ("linalg", "standard_form")]
-
-
-@pytest.mark.parametrize("module,name", OLD_PATHS, ids=[f"{m}.{n}" for m, n in OLD_PATHS])
-def test_moved_name_keeps_its_old_import_path(module, name):
-    namespace = {}
-    exec(f"from gqt.{module} import {name}", namespace)
-    defining = "forms" if name in EXPORTED["forms"].split() else "points"
-    assert namespace[name] is getattr(importlib.import_module(f"gqt.{defining}"), name)
 
 
 def test_unknown_names_raise_attribute_error():
@@ -115,6 +99,12 @@ def test_unknown_names_raise_attribute_error():
         exec("from gqt import no_such_name", {})
     with pytest.raises(AttributeError, match="no_such_name"):
         importlib.import_module("gqt.kernel").no_such_name
+    # no module serves another module's public names
+    for module, name in (("kernel", "ProjectivePoint"), ("linalg", "standard_form")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(importlib.import_module(f"gqt.{module}"), name)
+        with pytest.raises(ImportError):
+            exec(f"from gqt.{module} import {name}", {})
 
 
 # --- what a fresh interpreter loads -------------------------------------------------
@@ -181,7 +171,8 @@ def test_job_loads_only_its_subcommands_modules(argv, modules, tmp_path):
 # The object API of ``gqt.nogo``, which imports what it needs from ``gqt.linalg`` on use.
 _NOGO_OBJECT_CALLS = """
 from gqt.field import build_field
-from gqt.linalg import FieldMatrix, FieldVector, standard_form
+from gqt.forms import standard_form
+from gqt.linalg import FieldMatrix, FieldVector
 from gqt.nogo import clone_obstruction, delete_obstruction, permutation_clone_check
 spec = build_field(3, 2)
 phi, psi = FieldVector(spec, [1, spec.gen]), FieldVector(spec, [spec.gen, 1])
@@ -202,13 +193,13 @@ def test_nogo_object_api_runs_when_nogo_loads_first():
     assert result == json.dumps(namespace["result"])
 
 
-# The object API of ``gqt.kernel``, served from ``gqt.points``, which imports
+# The object API of the kernel geometry, ``gqt.points``, which imports
 # ``gqt.linalg``; ``KernelGeometry.points`` imports both on first read.
 _KERNEL_OBJECT_CALLS = """
 from gqt.field import build_field
-from gqt.kernel import (ProjectivePoint, collinear, hermitian_curve, polar_point,
-                        standard_kernel)
+from gqt.kernel import standard_kernel
 from gqt.linalg import FieldVector
+from gqt.points import ProjectivePoint, collinear, hermitian_curve, polar_point
 spec = build_field(2, 2)
 geom = standard_kernel(spec, 4)
 x = ProjectivePoint(FieldVector(spec, [1, 0, 0, 0]))
@@ -221,11 +212,13 @@ result = [[pt.to_json() for pt in geom.points], [pt.to_json() for pt in hermitia
 
 
 def test_kernel_object_api_runs_when_kernel_loads_first():
+    # the kernel does not serve the object names, and reading one loads nothing
     out = _fresh("import json, sys\nimport gqt.kernel\n"
+                 "print(getattr(gqt.kernel, 'ProjectivePoint', None))\n"
                  "print(sorted(m for m in ('gqt.linalg', 'gqt.points') if m in sys.modules))\n"
                  + _KERNEL_OBJECT_CALLS + "print(json.dumps(result))")
-    loaded, result = out.splitlines()
-    assert loaded == "[]"
+    absent, loaded, result = out.splitlines()
+    assert absent == "None" and loaded == "[]"
     namespace = {}
     exec(_KERNEL_OBJECT_CALLS, namespace)
     assert result == json.dumps(namespace["result"])

@@ -10,9 +10,10 @@ import gqt.protocols
 from gqt.cli import run
 from gqt.errors import GQTError, InvariantError
 from gqt.field import FieldSpec, build_field
-from gqt.kernel import KernelGeometry, collinear
+from gqt.kernel import KernelGeometry
 from gqt.linalg import FieldVector
 from gqt.nogo import CloneVerdict
+from gqt.points import collinear
 
 
 def test_invariant_error_is_a_domain_error():

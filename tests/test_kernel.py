@@ -12,12 +12,21 @@ from gqt.errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from gqt.field import build_field
+from gqt.field import FieldElement, build_field
+from gqt.forms import HermitianForm, standard_form
 from gqt.kernel import (
     KernelGeometry,
+    enumerate_kernel,
+    standard_kernel,
+    unitary_escapes,
+    verify_one_or_all,
+    verify_report,
+)
+from gqt.linalg import FieldMatrix, FieldVector, is_unitary, random_unitary
+from gqt.nogo import scan
+from gqt.points import (
     ProjectivePoint,
     collinear,
-    enumerate_kernel,
     enumerate_projective_points,
     hermitian_curve,
     is_self_orthogonal,
@@ -25,21 +34,8 @@ from gqt.kernel import (
     polar_hyperplane,
     polar_of_subspace,
     polar_point,
-    standard_kernel,
     unique_meet,
-    unitary_escapes,
-    verify_one_or_all,
-    verify_report,
 )
-from gqt.linalg import (
-    FieldMatrix,
-    FieldVector,
-    HermitianForm,
-    is_unitary,
-    random_unitary,
-    standard_form,
-)
-from gqt.nogo import scan
 
 
 def surface_oracle_count(spec, dim):
@@ -332,8 +328,8 @@ def test_polar_of_kernel_line_is_itself(gf4, kernel_q2):
 def test_double_polarity_rank_on_2_subspaces(gf9, form9_dim4):
     rng = random.Random(7)
     for _ in range(50):
-        a = FieldVector(gf9, [gf9.from_index(rng.randrange(81)) for _ in range(4)])
-        b = FieldVector(gf9, [gf9.from_index(rng.randrange(81)) for _ in range(4)])
+        a = FieldVector(gf9, [FieldElement(gf9, rng.randrange(81) % 9) for _ in range(4)])
+        b = FieldVector(gf9, [FieldElement(gf9, rng.randrange(81) % 9) for _ in range(4)])
         m = FieldMatrix(gf9, [list(a.entries), list(b.entries)])
         if m.rank() != 2:
             continue
@@ -555,9 +551,9 @@ def test_change_of_modulus_carries_conjugates_norms_kernel_and_scans(modulus_cha
     first, second, image = modulus_change
     assert sorted(image) == list(range(second.order))
     for x in first.elements():
-        y = second.from_index(image[x.index])
-        assert second.from_index(image[x.conj().index]) == y.conj()
-        assert second.from_index(image[x.norm().index]) == y.norm()
+        y = FieldElement(second, image[x.index])
+        assert FieldElement(second, image[x.conj().index]) == y.conj()
+        assert FieldElement(second, image[x.norm().index]) == y.norm()
     geom, moved = standard_kernel(first, 4), standard_kernel(second, 4)
     points = [moved.index_of(ProjectivePoint(FieldVector.from_indices(
         second, [image[c] for c in ray]))) for ray in geom.rays]

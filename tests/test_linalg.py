@@ -17,21 +17,18 @@ from gqt.errors import (
     NotUnitaryError,
     SingularMatrixError,
 )
-from gqt.field import build_field
-from gqt.forms import _unitary_tables
+from gqt.field import FieldElement, build_field
+from gqt.forms import HermitianForm, _unitary_tables, standard_form
 from gqt.linalg import (
     FieldMatrix,
     _rref,
     FieldVector,
-    HermitianForm,
     basis_vector,
-    evaluate_form,
     identity_matrix,
     is_hermitian_matrix,
     is_unitary,
     nullspace,
     random_unitary,
-    standard_form,
     tensor,
 )
 
@@ -42,16 +39,16 @@ def all_vectors(spec, dim):
 
 
 def random_vector(spec, dim, rng):
-    return FieldVector(spec, [spec.from_index(rng.randrange(spec.order)) for _ in range(dim)])
+    return FieldVector(spec, [FieldElement(spec, rng.randrange(spec.order)) for _ in range(dim)])
 
 
 def random_hermitian(spec, dim, rng):
-    sub = list(spec.subfield_elements())
+    sub = [x for x in spec.elements() if x.conj() == x]
     rows = [[spec.zero] * dim for _ in range(dim)]
     for i in range(dim):
         rows[i][i] = rng.choice(sub)
         for j in range(i + 1, dim):
-            e = spec.from_index(rng.randrange(spec.order))
+            e = FieldElement(spec, rng.randrange(spec.order))
             rows[i][j] = e
             rows[j][i] = e.conj()
     return FieldMatrix(spec, rows)
@@ -78,11 +75,11 @@ def test_form_requires_hermitian_invertible_gram(gf4):
 
 def test_evaluate_form_examples(gf4, form4_dim2):
     e1 = basis_vector(gf4, 2, 0)
-    assert evaluate_form(form4_dim2, e1, e1) == gf4.one
+    assert form4_dim2.evaluate(e1, e1) == gf4.one
     v = FieldVector(gf4, [gf4.one, gf4.gen])
-    assert evaluate_form(form4_dim2, v, v).is_zero()
+    assert form4_dim2.evaluate(v, v).is_zero()
     with pytest.raises(DimensionMismatchError):
-        evaluate_form(form4_dim2, e1, FieldVector(gf4, [1, 0, 0]))
+        form4_dim2.evaluate(e1, FieldVector(gf4, [1, 0, 0]))
 
 
 def test_reflexivity_exhaustive_gf4_dim2(gf4, form4_dim2):
@@ -100,8 +97,8 @@ def test_sesquilinearity_random(p, form4_dim2, form9_dim4):
         a = random_vector(spec, form.dim, rng)
         b = random_vector(spec, form.dim, rng)
         c = random_vector(spec, form.dim, rng)
-        alpha = spec.from_index(rng.randrange(spec.order))
-        beta = spec.from_index(rng.randrange(spec.order))
+        alpha = FieldElement(spec, rng.randrange(spec.order))
+        beta = FieldElement(spec, rng.randrange(spec.order))
         # additivity in both slots
         assert form.evaluate(a + b, c) == form.evaluate(a, c) + form.evaluate(b, c)
         assert form.evaluate(a, b + c) == form.evaluate(a, b) + form.evaluate(a, c)
@@ -224,7 +221,7 @@ def test_unit_blocks_are_unitary_as_drawn(p):
     spec = build_field(p, 2)
     f = standard_form(spec, 2)
     for a, c in _unitary_tables(spec).units:
-        a, c = spec.from_index(a), spec.from_index(c)
+        a, c = FieldElement(spec, a), FieldElement(spec, c)
         assert is_unitary(FieldMatrix(spec, [[a, c.conj()], [c, -a.conj()]]), f)
 
 

@@ -6,8 +6,9 @@ import pytest
 
 import gqt.nogo
 from gqt.errors import DimensionMismatchError, NotUnitaryError, TooLargeError
-from gqt.field import build_field
-from gqt.linalg import FieldMatrix, FieldVector, random_unitary, standard_form, tensor
+from gqt.field import FieldElement, build_field
+from gqt.forms import standard_form
+from gqt.linalg import FieldMatrix, FieldVector, random_unitary, tensor
 from gqt.nogo import (
     CloneVerdict,
     _classify_indices,
@@ -110,8 +111,8 @@ def test_obstruction_vanishing_characterization(p):
 def test_delete_obstruction_matches_clone(gf9):
     rng = random.Random(3)
     for _ in range(100):
-        phi = FieldVector(gf9, [gf9.from_index(rng.randrange(9)) for _ in range(2)])
-        psi = FieldVector(gf9, [gf9.from_index(rng.randrange(9)) for _ in range(2)])
+        phi = FieldVector(gf9, [FieldElement(gf9, rng.randrange(9)) for _ in range(2)])
+        psi = FieldVector(gf9, [FieldElement(gf9, rng.randrange(9)) for _ in range(2)])
         c = clone_obstruction(phi, psi)
         d = delete_obstruction(phi, psi)
         assert d.kind == "delete" and c.kind == "clone"

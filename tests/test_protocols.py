@@ -12,14 +12,9 @@ from gqt.errors import (
     NotInSpanError,
     ZeroStateError,
 )
-from gqt.linalg import (
-    FieldMatrix,
-    FieldVector,
-    identity_matrix,
-    is_unitary,
-    standard_form,
-    tensor,
-)
+from gqt.field import FieldElement
+from gqt.forms import standard_form
+from gqt.linalg import FieldMatrix, FieldVector, identity_matrix, is_unitary, tensor
 from gqt.protocols import (
     anti_diagonal,
     bell_basis,
@@ -276,8 +271,8 @@ def test_change_of_modulus_carries_teleport_and_sdc_transcripts(modulus_change):
 
     for seed, (alpha, beta) in enumerate(nonzero_pairs(first)):
         assert_maps(teleport(alpha, beta, first, seed),
-                    teleport(second.from_index(image[alpha.index]),
-                             second.from_index(image[beta.index]), second, seed))
+                    teleport(FieldElement(second, image[alpha.index]),
+                             FieldElement(second, image[beta.index]), second, seed))
     for bits in sdc_messages(first):
         assert_maps(sdc_transcript(bits, first, seed=0), sdc_transcript(bits, second, seed=0))
 
