@@ -230,12 +230,6 @@ class FieldSpec:
     def add_i(self, a: int, b: int) -> int:
         return self.add[a][b]
 
-    def neg_i(self, a: int) -> int:
-        return self.neg[a]
-
-    def sub_i(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     def mul_i(self, a: int, b: int) -> int:
         return self.mul[a][b]
 
@@ -243,13 +237,6 @@ class FieldSpec:
         if a == 0:
             raise DivisionByZeroError("inverse of zero")
         return self.inv[a]
-
-    def pow_i(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise DivisionByZeroError("inverse of zero")
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def frob_i(self, a: int) -> int:
         if self.frob is None:
@@ -349,6 +336,19 @@ class FieldSpec:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
 
+def _ray(v: tuple, spec: FieldSpec) -> Optional[tuple]:
+    """The index tuple v scaled so its first nonzero entry is 1 (v itself when
+    that entry is 1): one tuple per ray.  None for the zero vector, which spans
+    no ray."""
+    for x in v:
+        if x:
+            if x == 1:
+                return v
+            m = spec.mul[spec.inv[x]]
+            return tuple([m[y] for y in v])
+    return None
+
+
 class FieldElement:
     """Single element of a FieldSpec; immutable value object."""
 
@@ -383,16 +383,16 @@ class FieldElement:
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_i(self.index, b))
+        return FieldElement(self.spec, self.spec.add[self.index][self.spec.neg[b]])
 
     def __rsub__(self, other):
         b = self._operand(other)
         if b is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_i(b, self.index))
+        return FieldElement(self.spec, self.spec.add[b][self.spec.neg[self.index]])
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_i(self.index))
+        return FieldElement(self.spec, self.spec.neg[self.index])
 
     def __mul__(self, other):
         b = self._operand(other)
@@ -415,7 +415,12 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.mul_i(b, self.spec.inv_i(self.index)))
 
     def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_i(self.index, e))
+        spec = self.spec
+        if self.index == 0:
+            if e < 0:
+                raise DivisionByZeroError("inverse of zero")
+            return FieldElement(spec, 0 if e else 1)
+        return FieldElement(spec, spec._exp[spec._log[self.index] * e % (spec.order - 1)])
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec.inv_i(self.index))

@@ -42,13 +42,13 @@ from .errors import (
     NotUnitaryError,
     SelfOrthogonalStateError,
 )
-from .field import FieldSpec
+from .field import FieldSpec, _ray
 from .forms import _pair, _rref
 from .kernel import (
     KernelGeometry,
     Ray,
+    _guard,
     _meet,
-    _normalize_ray,
     _permutation,
     _polar,
     standard_kernel,
@@ -60,6 +60,10 @@ if TYPE_CHECKING:
     from .points import ProjectivePoint
 
 SERIALIZATION_VERSION = 1
+
+# Largest ``geocode roundtrip`` sweep, in trials, unless GQT_GUARD_OVERRIDE=1:
+# each degenerate trial keeps a witness.
+_MAX_TRIALS = 100_000
 
 
 class GeoParams:
@@ -150,7 +154,6 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
     if None in indices:
         r = rays[indices.index(None)]
         raise NotKernelPointError(f"{_point(spec, r)!r} is not a kernel point")
-    mul, inv = spec.mul, spec.inv
     # Pull back by index and read the polar rows the geometry keeps.
     rank, polar = _polar([geom.rows[params._pull[i]] for i in indices], geom.form)
     if rank < 3:
@@ -159,7 +162,7 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
         raise DependentBasisError("basis vectors are linearly dependent")
     if len(polar) != 1:
         raise NotUniqueError(f"polar has dimension {len(polar)}, expected a point")
-    return _normalize_ray(tuple(polar[0]), mul, inv)
+    return _ray(tuple(polar[0]), spec)
 
 
 def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
@@ -212,7 +215,6 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
             f"bitstream length must be a positive multiple of {per_point}"
         )
     index = _element_bits(spec)[1]
-    mul, inv = spec.mul, spec.inv
     rays = []
     for start in range(0, len(bits), per_point):
         ray = []
@@ -223,9 +225,10 @@ def _bits_to_rays(bits: str, spec: FieldSpec, dim: int) -> List[Ray]:
                          if c >= spec.p)
                 raise MalformedBitstreamError(f"coefficient {c} out of range for p={spec.p}")
             ray.append(index[word])
-        if not any(ray):
+        ray = _ray(tuple(ray), spec)
+        if ray is None:
             raise MalformedBitstreamError("decoded point is the zero vector")
-        rays.append(_normalize_ray(tuple(ray), mul, inv))
+        rays.append(ray)
     return rays
 
 
@@ -346,7 +349,6 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     rng = random.Random(seed)
     dim = geom.form.dim
     order = spec.order
-    mul, inv = spec.mul, spec.inv
     successes = 0
     degenerate = 0
     skipped = 0
@@ -357,9 +359,9 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     done = 0
     while done < trials:
         ray = tuple(rng.randrange(order) for _ in range(dim))
-        if not any(ray):
+        key = _ray(ray, spec)
+        if key is None:
             continue
-        key = _normalize_ray(ray, mul, inv)
         if key not in outcomes:
             try:
                 sent = _encode_ray(key, params)
@@ -403,6 +405,7 @@ def _standard_params(spec: FieldSpec, seed: int) -> GeoParams:
 
 def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
     """The ``gqt geocode roundtrip`` report: the sweep, its field and shared lines."""
+    _guard(trials > _MAX_TRIALS, f"roundtrip guard: trials <= {_MAX_TRIALS}")
     params = _standard_params(spec, seed)
     return {**roundtrip_sweep(params, trials, seed).to_json(), "field": spec.to_json(),
             "params": {"line_indices": list(params.line_indices), "seed": seed}}

@@ -31,9 +31,8 @@ from .errors import (
     NotKernelPointError,
     NotUniqueError,
     TooLargeError,
-    ZeroVectorError,
 )
-from .field import FieldSpec
+from .field import FieldSpec, _ray
 from .forms import (
     HermitianForm,
     _matvec,
@@ -47,9 +46,11 @@ from .forms import (
 if TYPE_CHECKING:
     from .points import ProjectivePoint
 
-# Default desk-scale guard for enumeration; GQT_GUARD_OVERRIDE=1 lifts it.
+# Default desk-scale guards for enumeration and for the unitaries ``verify``
+# samples; GQT_GUARD_OVERRIDE=1 lifts them.
 _MAX_DIM = 4
 _MAX_Q = 5
+_MAX_SAMPLES = 1000
 
 
 Ray = Tuple[int, ...]
@@ -137,15 +138,16 @@ class KernelGeometry:
         return buf.getvalue()
 
 
+def _guard(refused: bool, bound: str) -> None:
+    """Raise ``TooLarge`` naming ``bound`` when ``refused``, unless GQT_GUARD_OVERRIDE=1."""
+    if refused and os.environ.get("GQT_GUARD_OVERRIDE") != "1":
+        raise TooLargeError(f"{bound}; set GQT_GUARD_OVERRIDE=1")
+
+
 def enumeration_guard(spec: FieldSpec, dim: int) -> None:
     """Refuse a desk-scale-breaking enumeration before anything is built."""
-    if os.environ.get("GQT_GUARD_OVERRIDE") == "1":
-        return
-    if dim > _MAX_DIM or (spec.q or 0) > _MAX_Q:  # odd degree: no q, NoInvolution
-        raise TooLargeError(
-            f"enumeration guard: dim <= {_MAX_DIM} and q <= {_MAX_Q}; "
-            "set GQT_GUARD_OVERRIDE=1"
-        )
+    _guard(dim > _MAX_DIM or (spec.q or 0) > _MAX_Q,  # odd degree: no q, NoInvolution
+           f"enumeration guard: dim <= {_MAX_DIM} and q <= {_MAX_Q}")
 
 
 def _index_rays(order: int, dim: int) -> Iterator[Ray]:
@@ -154,17 +156,6 @@ def _index_rays(order: int, dim: int) -> Iterator[Ray]:
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(order), repeat=dim - lead - 1):
             yield prefix + tail
-
-
-def _normalize_ray(w: Ray, mul: List[List[int]], inv: List[int]) -> Ray:
-    """Scale element indices w so that the leading nonzero entry becomes 1."""
-    for x in w:
-        if x:
-            if x == 1:
-                return w
-            row = mul[inv[x]]
-            return tuple(row[y] for y in w)
-    raise ZeroVectorError("the zero vector spans no ray")
 
 
 def _isotropic_rays(f: HermitianForm) -> List[Ray]:
@@ -208,7 +199,7 @@ def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
     """All self-orthogonal rays and all totally isotropic projective lines."""
     spec = f.spec
     enumeration_guard(spec, f.dim)
-    add, mul, inv = spec.add, spec.mul, spec.inv
+    add, mul = spec.add, spec.mul
     rays = _isotropic_rays(f)
     ray_index = {r: i for i, r in enumerate(rays)}
 
@@ -227,7 +218,7 @@ def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
         basis = _polar_complement(u, f)
         cols = list(zip(*basis))
         for c in _index_rays(spec.order, len(basis)):
-            j = ray_index.get(_normalize_ray(_matvec(cols, c, spec), mul, inv))
+            j = ray_index.get(_ray(_matvec(cols, c, spec), spec))
             if j is None or any(j in line for line in through[i]):
                 continue
             v = rays[j]
@@ -235,7 +226,7 @@ def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
             for lam in range(1, spec.order):
                 row = mul[lam]
                 w = tuple(add[row[a]][b] for a, b in zip(u, v))
-                members.add(ray_index[_normalize_ray(w, mul, inv)])
+                members.add(ray_index[_ray(w, spec)])
             line = frozenset(members)
             for a in line:
                 through[a].append(line)
@@ -262,10 +253,7 @@ def _permutation(u: Sequence[Ray], geom: KernelGeometry) -> Optional[Tuple[int, 
     the lines onto lines, as every unitary of the form does.
     """
     spec = geom.spec
-    mul, inv = spec.mul, spec.inv
-    images = [_matvec(u, r, spec) for r in geom.rays]
-    image = [geom._point_index.get(_normalize_ray(w, mul, inv)) if any(w) else None
-             for w in images]
+    image = [geom._point_index.get(_ray(_matvec(u, r, spec), spec)) for r in geom.rays]
     if None in image or len(set(image)) != len(image):
         return None
     lines = {frozenset(image[i] for i in line) for line in geom.lines}
@@ -361,6 +349,7 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
 def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
     """The ``gqt verify`` report: the standard kernel's counts and axioms, and
     how many of ``samples`` seeded unitaries escape it."""
+    _guard(samples > _MAX_SAMPLES, f"verify guard: samples <= {_MAX_SAMPLES}")
     geom = standard_kernel(spec, dim)
     degrees = sorted({len(lines) for lines in geom.incidence})
     sizes = sorted({len(line) for line in geom.lines})

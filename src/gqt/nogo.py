@@ -30,7 +30,7 @@ from .errors import (
     NotUnitaryError,
     TooLargeError,
 )
-from .field import FieldElement, FieldSpec, build_field
+from .field import FieldElement, FieldSpec, _ray, build_field
 
 if TYPE_CHECKING:
     from .forms import HermitianForm
@@ -85,18 +85,9 @@ def _commutators_vanish(spec: FieldSpec) -> bool:
     return all(row[b] == mul[b][a] for a, row in enumerate(mul) for b in range(a))
 
 
-def _ray(a: IndexVector, spec: FieldSpec) -> Optional[IndexVector]:
-    """The state a scaled to lead entry 1, one tuple per ray; None for the zero state."""
-    for x in a:
-        if x:
-            m = spec.mul[spec.inv[x]]
-            return tuple([m[y] for y in a])
-    return None
-
-
 def _verdict(spec: FieldSpec, ray_a: Optional[IndexVector],
              ray_b: Optional[IndexVector]) -> CloneVerdict:
-    """The verdict of a pair, read off the two states' ``_ray`` values."""
+    """The verdict of a pair, read off the two states' ``field._ray`` values."""
     if ray_a is None or ray_b is None:
         return CloneVerdict.ZERO_STATE
     if ray_a == ray_b:

@@ -17,9 +17,9 @@ from .errors import (
     SelfOrthogonalInputError,
     ZeroVectorError,
 )
-from .field import FieldSpec
+from .field import FieldSpec, _ray
 from .forms import HermitianForm, _pair
-from .kernel import KernelGeometry, _index_rays, _meet, _normalize_ray, _polar
+from .kernel import KernelGeometry, _index_rays, _meet, _polar
 from .linalg import FieldVector
 
 
@@ -56,8 +56,10 @@ class ProjectivePoint:
 
 def normalize_ray(v: FieldVector) -> FieldVector:
     """Scale so the leftmost nonzero coordinate is 1."""
-    mul, inv = v.spec.mul, v.spec.inv
-    return FieldVector.from_indices(v.spec, _normalize_ray(v.indices(), mul, inv))
+    ray = _ray(v.indices(), v.spec)
+    if ray is None:
+        raise ZeroVectorError("the zero vector spans no ray")
+    return FieldVector.from_indices(v.spec, ray)
 
 
 def enumerate_projective_points(spec: FieldSpec, dim: int) -> Iterator[FieldVector]:

@@ -20,13 +20,14 @@ from .errors import (
     Char2MessageUnsupportedError,
     Char2NotSupportedError,
     DimensionMismatchError,
+    FieldMismatchError,
     InvariantError,
     NotBellRayError,
     NotChar2Error,
     NotInSpanError,
     ZeroStateError,
 )
-from .field import FieldSpec
+from .field import FieldSpec, _ray
 from .forms import _rref
 from .linalg import FieldMatrix, FieldVector, identity_matrix, tensor
 
@@ -292,13 +293,13 @@ def sdc_decode(state: FieldVector, spec: FieldSpec) -> str:
     """Identify the Bell ray and invert the gate rule."""
     if len(state) != 4:
         raise DimensionMismatchError("expected a two-qubit state")
-    if state.is_zero():
+    if state.spec != spec:
+        raise FieldMismatchError("the state lies over another field")
+    ray = _ray(state.indices(), spec)
+    if ray is None:
         raise NotBellRayError("zero state")
     for label, vec in bell_basis(spec):
-        # scalar multiple test: state = lam * vec
-        lead = next(i for i, e in enumerate(vec.entries) if not e.is_zero())
-        lam = state[lead] / vec[lead]
-        if not lam.is_zero() and vec.scale(lam) == state:
+        if _ray(vec.indices(), spec) == ray:
             return _BELL_TABLE[label][0]
     raise NotBellRayError("state is not a nonzero multiple of a Bell vector")
 

@@ -56,6 +56,34 @@ MUTANTS = [
     ("kernel.py", "        if len(through[i]) == per_point:\n",
      "        if per_point and len(through[i]) < per_point:\n",
      ["tests/test_kernel.py::test_polar_plane_scan_runs_only_for_points_with_lines_left"]),
+    # The GQ refinement accepting two points that share two lines.
+    ("kernel.py", "                if len(connecting) != 1:\n", "                if False:\n",
+     ["tests/test_kernel.py::test_gq_unique_line_negative_control"]),
+    # ``field._ray`` scaling by the lead entry instead of its inverse: one
+    # entry per module that calls it, each killed by a test of that module.
+    *[("field.py", "            m = spec.mul[spec.inv[x]]\n", "            m = spec.mul[x]\n", [test])
+      for test in ["tests/test_kernel.py::test_kernel_counts_q2_against_oracle",
+                   "tests/test_nogo.py::test_index_core_matches_object_arithmetic",
+                   "tests/test_geocode.py::test_sweep_q2",
+                   "tests/test_protocols.py::test_sdc_roundtrip_gf9"]],
+    # ``sdc_decode`` reading a state over another field by its indices.
+    ("protocols.py", "    if state.spec != spec:\n", "    if False:\n",
+     ["tests/test_protocols.py::test_sdc_decode_refuses_a_state_over_another_field"]),
+    # A degree-2 conjugation sending c0 + c1 t to c0 + c1 t^-1, right only
+    # when N(t) = 1, as under every default quadratic modulus.
+    ("field.py",
+     "        self.frob = None if self.q is None else [0] + [exp[la * self.q % n] for la in logs]\n",
+     "        self.frob = None if self.q is None else [0] + [exp[la * self.q % n] for la in logs]\n"
+     "        if self.k == 2:\n"
+     "            self.frob = [add[c0][self.mul[c1][self.inv[p]]] for c0, c1 in self.coeffs]\n",
+     ["tests/test_kernel.py::test_change_of_modulus_carries_conjugates_norms_kernel_and_scans"]),
+    # The roundtrip's Mismatch witness built from the normalized ray, not
+    # from the state the trial drew.
+    ("geocode.py", '                "state": FieldVector.from_indices(spec, ray).to_json(),\n'
+                   '                "failure": "Mismatch",\n',
+     '                "state": FieldVector.from_indices(spec, key).to_json(),\n'
+     '                "failure": "Mismatch",\n',
+     ["tests/test_geocode.py::test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray"]),
 ]
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import gqt.geocode
 import gqt.kernel
 from gqt.cli import run
+from golden_jobs import JOBS
 
 
 def run_json(capsys, argv):
@@ -331,6 +333,38 @@ def test_guard_override_variable_lifts_the_enumeration_guard(capsys, monkeypatch
     code, report = run_json(capsys, argv)
     assert code == 0
     assert (report["num_points"], report["num_lines"]) == (165, 297)
+
+
+@pytest.mark.parametrize("module,bound,argv", [
+    (gqt.kernel, "_MAX_SAMPLES", ["verify", "--p", "2", "--seed", "0", "--samples"]),
+    (gqt.geocode, "_MAX_TRIALS", ["geocode", "roundtrip", "--p", "2", "--seed", "0", "--trials"]),
+])
+def test_sample_and_trial_counts_are_bounded_before_the_kernel(capsys, monkeypatch, module,
+                                                               bound, argv):
+    monkeypatch.delenv("GQT_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(module, bound, 2)
+    with monkeypatch.context() as m:
+        def no_kernel(spec, dim):
+            raise AssertionError("the kernel was built before the bound was checked")
+
+        m.setattr(module, "standard_kernel", no_kernel)
+        code, report = run_json(capsys, argv + ["3", "--deterministic"])
+    assert (code, report["error"]["type"]) == (1, "TooLarge")
+    assert "set GQT_GUARD_OVERRIDE=1" in report["error"]["message"]
+    assert run_json(capsys, argv + ["2", "--deterministic"])[0] == 0
+    monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
+    assert run_json(capsys, argv + ["3", "--deterministic"])[0] == 0
+
+
+def test_the_count_bounds_sit_above_every_golden_job():
+    counts = {"--samples": [], "--trials": []}
+    for qs in JOBS.values():
+        for argv in qs.values():
+            for flag, values in counts.items():
+                if flag in argv:
+                    values.append(int(argv[argv.index(flag) + 1]))
+    assert max(counts["--samples"]) == 20 < gqt.kernel._MAX_SAMPLES
+    assert max(counts["--trials"]) == 2000 < gqt.geocode._MAX_TRIALS
 
 
 # Malformed or out-of-range arguments across the subcommands.  An exception

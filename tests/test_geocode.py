@@ -16,7 +16,7 @@ from gqt.errors import (
     SelfOrthogonalStateError,
 )
 from gqt import geocode
-from gqt.field import build_field
+from gqt.field import _ray, build_field
 from gqt.geocode import (
     GeoCiphertext,
     GeoParams,
@@ -36,7 +36,6 @@ from gqt.geocode import (
     roundtrip_sweep,
     serialize_points,
 )
-from gqt.kernel import _normalize_ray
 from gqt.linalg import (
     FieldMatrix,
     FieldVector,
@@ -286,7 +285,7 @@ def reference_sweep(params, trials, seed):
         done += 1
         bits = geocode._transmit_bits(geocode._rays_to_bits(sent, spec), spec)
         recovered = geocode._decode_rays(geocode._bits_to_rays(bits, spec, dim), params)
-        if recovered == _normalize_ray(ray, spec.mul, spec.inv):
+        if recovered == _ray(ray, spec):
             successes += 1
         else:
             witnesses.append({
@@ -305,7 +304,7 @@ def drawn_rays(params, report, seed):
     while len(rays) < report.trials + report.self_orthogonal_skipped:
         ray = tuple(rng.randrange(spec.order) for _ in range(params.geom.form.dim))
         if any(ray):
-            rays.append(_normalize_ray(ray, spec.mul, spec.inv))
+            rays.append(_ray(ray, spec))
     return rays
 
 
@@ -343,7 +342,7 @@ def test_sweep_runs_each_ray_once(p, seed, trials, kernel_q2, kernel_q3, monkeyp
     encoded, decoded = [], []
 
     def recording_encode(state, params):
-        encoded.append(_normalize_ray(state, spec.mul, spec.inv))
+        encoded.append(_ray(state, spec))
         return _encode_ray(state, params)
 
     def recording_decode(rays, params):
@@ -371,7 +370,7 @@ def test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray(gf4, kernel_q2
     states = [FieldVector(gf4, w["state"]).indices() for w in report.witnesses
               if w["failure"] == "Mismatch"]
     assert report.successes == 0 and len(states) + report.degenerate == 300
-    assert len(set(states)) > len({_normalize_ray(s, gf4.mul, gf4.inv) for s in states})
+    assert len(set(states)) > len({_ray(s, gf4) for s in states})
 
 
 def test_parse_bitstream(gf4, gf9):

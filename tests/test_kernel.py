@@ -392,6 +392,22 @@ def test_one_or_all_negative_control(kernel_q2):
     assert any(li == len(kernel_q2.lines) for _, li, _ in report.violations)
 
 
+def test_gq_unique_line_negative_control(kernel_q2):
+    # a second copy of line 0 leaves every count as it was, but two points
+    # of that line now share two lines
+    doubled = kernel_q2.lines[0]
+    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (doubled,),
+                              kernel_q2.adjacency)
+    report = verify_one_or_all(tampered)
+    assert report.violations == [] and not report.passed
+    # x on the doubled line sees exactly the meet y of a line L that misses x
+    # but meets the doubled line, and the lines through x and y are its two copies
+    expected = [(x, li) for li, line in enumerate(tampered.lines) if line & doubled
+                for x in sorted(doubled - line)]
+    assert len(expected) == 40  # 5 points, 2 more lines through each, 4 points off each
+    assert report.gq_unique_line_failures == expected
+
+
 def test_unitary_action_permutes_kernel(kernel_q2):
     f = kernel_q2.form
     point_set = set(kernel_q2.points)

@@ -6,13 +6,12 @@ import pytest
 
 import gqt.nogo
 from gqt.errors import DimensionMismatchError, NotUnitaryError, TooLargeError
-from gqt.field import FieldElement, build_field
+from gqt.field import FieldElement, _ray, build_field
 from gqt.forms import standard_form
 from gqt.linalg import FieldMatrix, FieldVector, random_unitary, tensor
 from gqt.nogo import (
     CloneVerdict,
     _classify_indices,
-    _ray,
     clone_obstruction,
     delete_obstruction,
     f2_orthogonal_special_case,

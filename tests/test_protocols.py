@@ -7,6 +7,7 @@ from gqt.errors import (
     Char2MessageUnsupportedError,
     Char2NotSupportedError,
     DimensionMismatchError,
+    FieldMismatchError,
     NotBellRayError,
     NotChar2Error,
     NotInSpanError,
@@ -209,11 +210,11 @@ def test_teleport_char2_rejects_odd_char(gf9):
 
 
 def test_sdc_roundtrip_gf9(gf9):
+    # decode tolerates scalar multiples, t among them: t^-1 = 2t is not t
     for bits in ("00", "10", "01", "11"):
-        assert sdc_decode(sdc_encode(bits, gf9), gf9) == bits
+        for c in list(gf9.elements())[1:]:
+            assert sdc_decode(sdc_encode(bits, gf9).scale(c), gf9) == bits
     assert sdc_decode(FieldVector(gf9, [1, 0, 0, gf9.from_int(-1)]), gf9) == "10"
-    # decode tolerates scalar multiples
-    assert sdc_decode(bell_state(gf9).scale(gf9.from_int(2)), gf9) == "00"
 
 
 def test_sdc_char2(gf4):
@@ -234,6 +235,12 @@ def test_sdc_errors(gf9):
         sdc_decode(FieldVector(gf9, [1, 1, 0, 0]), gf9)
     with pytest.raises(NotBellRayError):
         sdc_decode(FieldVector(gf9, [0, 0, 0, 0]), gf9)
+
+
+def test_sdc_decode_refuses_a_state_over_another_field(gf4, gf9):
+    # GF(9)'s phi+ has the indices of GF(4)'s, so only the field tells them apart
+    with pytest.raises(FieldMismatchError):
+        sdc_decode(bell_state(gf9), gf4)
 
 
 def test_sdc_transcript(gf9):
