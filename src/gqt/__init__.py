@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 # Module -> the public names it defines.
 _EXPORTS = {
     "errors": ("GQTError", "InvariantError"),
-    "field": ("FieldElement", "FieldSpec", "build_field", "theory_coordinates"),
+    "field": ("FieldSpec", "build_field"),
+    "elements": ("FieldElement", "theory_coordinates"),
     "forms": ("HermitianForm", "standard_form"),
     "kernel": ("KernelGeometry", "enumerate_kernel", "unitary_escapes", "verify_one_or_all"),
     "points": ("ProjectivePoint", "collinear", "hermitian_curve", "is_self_orthogonal",

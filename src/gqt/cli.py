@@ -1,7 +1,7 @@
 """Command-line front end: argument parsing and dispatch.
 
 Each subcommand is one call into the module that owns its data and
-returns the finished report: ``field`` (field, theory), ``kernel`` (kernel
+returns the finished report: ``elements`` (field, theory), ``kernel`` (kernel
 enumerate, verify), ``protocols`` (teleport, sdc), ``nogo`` (noclone and
 nodelete scan) and ``geocode`` (geocode roundtrip, encode, decode).
 
@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import GQTError
-from .field import build_field, field_report, parse_coefficients, theory_coordinates
+from .field import build_field
 
 
 def _add_field_args(p: argparse.ArgumentParser) -> None:
@@ -59,87 +59,124 @@ def _positive(text: str) -> int:
 
 
 def _field_from_args(args) -> "FieldSpec":
-    modulus = parse_coefficients(args.modulus) if args.modulus is not None else None
+    modulus = args.modulus
+    if modulus is not None:  # the coefficient grammar is in the object layer
+        from .elements import parse_coefficients
+        modulus = parse_coefficients(modulus)
     return build_field(args.p, args.k, modulus)
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: ``fill(parser)`` adds its arguments on its first parse,
+    so a job builds the arguments of the one subcommand it runs."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _group(dest: str, *commands):
+    """The ``fill`` of a command with subcommands, each given as (name, help, fill)."""
+    def fill(p: argparse.ArgumentParser) -> None:
+        sub = p.add_subparsers(dest=dest, required=True)
+        for name, help_text, fill_command in commands:
+            sub.add_parser(name, help=help_text, fill=fill_command)
+    return fill
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with its help text; each adds its arguments when it parses."""
     parser = argparse.ArgumentParser(
         prog="gqt",
         description="Exact finite-field quantum states, kernel geometry and protocols",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    p = sub.add_parser("field", help="inspect GF(p^k): conjugation, norms, splitting")
-    _add_field_args(p)
-    p.add_argument("--element", type=str, default=None,
-                   help="element to analyze, as 't+1' or '1,1'")
-    _add_common(p, _cmd_field)
+    def field(p):
+        _add_field_args(p)
+        p.add_argument("--element", type=str, default=None,
+                       help="element to analyze, as 't+1' or '1,1'")
+        _add_common(p, _cmd_field)
+    sub.add_parser("field", help="inspect GF(p^k): conjugation, norms, splitting", fill=field)
 
-    p = sub.add_parser("theory", help="instantiate a theory lattice point (i, m, p)")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--pp", type=int, required=True, help="prime characteristic")
-    _add_common(p, _cmd_theory)
+    def theory(p):
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--pp", type=int, required=True, help="prime characteristic")
+        _add_common(p, _cmd_theory)
+    sub.add_parser("theory", help="instantiate a theory lattice point (i, m, p)", fill=theory)
 
-    p = sub.add_parser("kernel", help="self-orthogonal geometry")
-    ksub = p.add_subparsers(dest="kernel_command", required=True)
-    ke = ksub.add_parser("enumerate", help="enumerate points and lines")
-    _add_field_args(ke)
-    ke.add_argument("--dim", type=_positive, default=4)
-    ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
-    _add_common(ke, _cmd_kernel_enumerate)
+    def kernel_enumerate(ke):
+        _add_field_args(ke)
+        ke.add_argument("--dim", type=_positive, default=4)
+        ke.add_argument("--csv", action="store_true", help="CSV catalog instead of JSON")
+        _add_common(ke, _cmd_kernel_enumerate)
+    sub.add_parser("kernel", help="self-orthogonal geometry", fill=_group(
+        "kernel_command", ("enumerate", "enumerate points and lines", kernel_enumerate)))
 
-    p = sub.add_parser("verify", help="axioms: one-or-all, degrees, unitary action")
-    _add_field_args(p)
-    p.add_argument("--dim", type=_positive, default=4)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
-    _add_common(p, _cmd_verify)
+    def verify(p):
+        _add_field_args(p)
+        p.add_argument("--dim", type=_positive, default=4)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--samples", type=_count, default=20, help="unitaries to sample")
+        _add_common(p, _cmd_verify)
+    sub.add_parser("verify", help="axioms: one-or-all, degrees, unitary action", fill=verify)
 
-    p = sub.add_parser("teleport", help="teleport a state (alpha, beta)")
-    _add_field_args(p)
-    p.add_argument("--alpha", type=str, required=True)
-    p.add_argument("--beta", type=str, required=True)
-    p.add_argument("--char2", action="store_true", help="use the characteristic-2 variant")
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p, _cmd_teleport)
+    def teleport(p):
+        _add_field_args(p)
+        p.add_argument("--alpha", type=str, required=True)
+        p.add_argument("--beta", type=str, required=True)
+        p.add_argument("--char2", action="store_true", help="use the characteristic-2 variant")
+        p.add_argument("--seed", type=int, required=True)
+        _add_common(p, _cmd_teleport)
+    sub.add_parser("teleport", help="teleport a state (alpha, beta)", fill=teleport)
 
-    p = sub.add_parser("sdc", help="super-dense coding round trip")
-    _add_field_args(p)
-    p.add_argument("--message", type=str, required=True, help="two bits, e.g. 01")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, _cmd_sdc)
+    def sdc(p):
+        _add_field_args(p)
+        p.add_argument("--message", type=str, required=True, help="two bits, e.g. 01")
+        p.add_argument("--seed", type=int, default=0)
+        _add_common(p, _cmd_sdc)
+    sub.add_parser("sdc", help="super-dense coding round trip", fill=sdc)
 
-    for name, kind, help_text in [("noclone", "clone", "cloneability scan"),
-                                  ("nodelete", "delete", "deletability scan")]:
-        p = sub.add_parser(name, help=help_text)
-        nsub = p.add_subparsers(dest=f"{name}_command", required=True)
-        ns = nsub.add_parser("scan", help="classify every state pair exhaustively")
+    def nogo_scan(ns):
         _add_field_args(ns)
         ns.add_argument("--dim", type=_positive, default=2)
         _add_common(ns, _cmd_nogo_scan)
-        ns.set_defaults(kind=kind)
+    for name, kind, help_text in [("noclone", "clone", "cloneability scan"),
+                                  ("nodelete", "delete", "deletability scan")]:
+        p = sub.add_parser(name, help=help_text, fill=_group(
+            f"{name}_command", ("scan", "classify every state pair exhaustively", nogo_scan)))
+        p.set_defaults(kind=kind)
 
-    p = sub.add_parser("geocode", help="kernel-geometry coding scheme")
-    gsub = p.add_subparsers(dest="geocode_command", required=True)
-    gr = gsub.add_parser("roundtrip", help="batch encode/transmit/decode sweep")
-    _add_field_args(gr)
-    gr.add_argument("--seed", type=int, required=True)
-    gr.add_argument("--trials", type=_count, default=100)
-    _add_common(gr, _cmd_geocode_roundtrip)
-    ge = gsub.add_parser("encode", help="encode a single state")
-    _add_field_args(ge)
-    ge.add_argument("--state", type=str, required=True,
-                    help="semicolon-separated coordinates, e.g. '1;0;t;t+1'")
-    ge.add_argument("--seed", type=int, required=True)
-    _add_common(ge, _cmd_geocode_encode)
-    gd = gsub.add_parser("decode", help="decode a hex/bit ciphertext")
-    _add_field_args(gd)
-    gd.add_argument("--bitstream", type=str, required=True)
-    gd.add_argument("--seed", type=int, required=True)
-    _add_common(gd, _cmd_geocode_decode)
+    def geocode_roundtrip(gr):
+        _add_field_args(gr)
+        gr.add_argument("--seed", type=int, required=True)
+        gr.add_argument("--trials", type=_count, default=100)
+        _add_common(gr, _cmd_geocode_roundtrip)
+
+    def geocode_encode(ge):
+        _add_field_args(ge)
+        ge.add_argument("--state", type=str, required=True,
+                        help="semicolon-separated coordinates, e.g. '1;0;t;t+1'")
+        ge.add_argument("--seed", type=int, required=True)
+        _add_common(ge, _cmd_geocode_encode)
+
+    def geocode_decode(gd):
+        _add_field_args(gd)
+        gd.add_argument("--bitstream", type=str, required=True)
+        gd.add_argument("--seed", type=int, required=True)
+        _add_common(gd, _cmd_geocode_decode)
+    sub.add_parser("geocode", help="kernel-geometry coding scheme", fill=_group(
+        "geocode_command", ("roundtrip", "batch encode/transmit/decode sweep", geocode_roundtrip),
+        ("encode", "encode a single state", geocode_encode),
+        ("decode", "decode a hex/bit ciphertext", geocode_decode)))
 
     return parser
 
@@ -149,10 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 # and its imports; ``field`` and ``errors`` are loaded above for every job.
 
 def _cmd_field(args) -> dict:
+    from .elements import field_report
+
     return field_report(_field_from_args(args), args.element)
 
 
 def _cmd_theory(args) -> dict:
+    from .elements import theory_coordinates
+
     return theory_coordinates(args.i, args.m, args.pp).to_json()
 
 

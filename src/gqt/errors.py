@@ -7,6 +7,8 @@ code is its class name without the ``Error`` suffix unless its body sets one.
 
 from __future__ import annotations
 
+import os
+
 
 class GQTError(Exception):
     """Base class for all domain errors."""
@@ -97,6 +99,12 @@ class DependentBasisError(GQTError):
 
 class TooLargeError(GQTError):
     pass
+
+
+def _guard(refused: bool, bound: str) -> None:
+    """Raise ``TooLarge`` naming ``bound`` when ``refused``, unless GQT_GUARD_OVERRIDE=1."""
+    if refused and os.environ.get("GQT_GUARD_OVERRIDE") != "1":
+        raise TooLargeError(f"{bound}; set GQT_GUARD_OVERRIDE=1")
 
 
 class NotKernelPointError(GQTError):

@@ -15,14 +15,17 @@ When the extension degree k is even the field carries the conjugation
 x -> x^q with q = p^(k/2); the fixed subfield has order q, and a
 distinguished element ``kappa`` outside the subfield gives every element
 a unique splitting a + kappa*b with a, b in the subfield.
+
+This module is the index core; ``FieldElement``, the element-text grammar and
+the reports are in ``gqt.elements``, which ``FieldSpec`` imports on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Union
 
 from .errors import (
     DegreeMismatchError,
@@ -35,6 +38,9 @@ from .errors import (
     ReducibleModulusError,
     TooLargeError,
 )
+
+if TYPE_CHECKING:
+    from .elements import FieldElement
 
 # Largest field order; every field gets full arithmetic tables.
 _TABLE_LIMIT = 1024
@@ -99,24 +105,6 @@ def _first_irreducible(p: int, k: int) -> tuple:
     raise ReducibleModulusError(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
-# An integer is ASCII [+-]?[0-9]+ in both grammars below; spaces may surround
-# every token.  An element is one or more terms, each after the first led by
-# + or -: a term is an integer, or [integer [*]] t[^integer].
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
-_TERM_RE = re.compile(r"([+-]?)\s*(?:([0-9]+)\s*(?:\*\s*(?=t))?)?(t(?:\^([0-9]+))?)?")
-
-
-def parse_coefficients(text: str) -> List[int]:
-    """Comma-separated integers, e.g. ``'1,0,1'``, low degree first."""
-    parts = text.split(",")
-    if all(map(_INT_RE.fullmatch, parts)):
-        try:  # int() refuses text beyond the interpreter's digit limit
-            return [int(c) for c in parts]
-        except ValueError:
-            pass
-    raise ParseError(f"expected comma-separated integers, got {text[:20]!r}")
-
-
 def _check_prime(p: int) -> None:
     """Refuse p above ``_TABLE_LIMIT`` before the primality test, then a non-prime p."""
     if p > _TABLE_LIMIT:
@@ -147,6 +135,14 @@ def _field_modulus(p: int, k: int, modulus: Optional[Sequence[int]]) -> tuple:
     if not _is_irreducible(modulus, p):
         raise ReducibleModulusError(f"modulus {list(modulus)} is reducible over F_{p}")
     return modulus
+
+
+@lru_cache(maxsize=None)
+def _elements():
+    """The object layer, ``gqt.elements``, imported on the first call."""
+    from . import elements
+
+    return elements
 
 
 class FieldSpec:
@@ -243,62 +239,43 @@ class FieldSpec:
             raise NoInvolutionError(f"GF({self.p}^{self.k}) has odd degree, no conjugation")
         return self.frob[a]
 
-    # -- public element constructors --
+    # -- public element constructors: ``gqt.elements`` loads on the first call --
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
+        return _elements().FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+        return _elements().FieldElement(self, 1)
 
     @property
     def gen(self) -> "FieldElement":
         """The class of t (index p) when k > 1, else 1."""
-        return FieldElement(self, self.p if self.k > 1 else 1)
+        return _elements().FieldElement(self, self.p if self.k > 1 else 1)
 
     @property
     def kappa(self) -> "FieldElement":
         """First element outside the fixed subfield, in index order."""
         if self._kappa_index is None:
             raise NoInvolutionError("kappa requires an even extension degree")
-        return FieldElement(self, self._kappa_index)
+        return _elements().FieldElement(self, self._kappa_index)
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, self._index_of(_poly_mod(coeffs, self.modulus, self.p)))
+        index = self._index_of(_poly_mod(coeffs, self.modulus, self.p))
+        return _elements().FieldElement(self, index)
 
     def from_int(self, n: int) -> "FieldElement":
         """Image of the integer n under the prime-field embedding; a constant is its own index."""
-        return FieldElement(self, n % self.p)
+        return _elements().FieldElement(self, n % self.p)
 
     def from_string(self, text: str) -> "FieldElement":
         """Parse a polynomial in t, e.g. 't+1', '2*t^3 + t', or at most k
         comma-separated coefficients, low degree first, e.g. '1,1'."""
-        if "," in text:
-            return self.parse(parse_coefficients(text))
-        coeffs = [0] * self.k
-        terms = [term.strip() for term in re.split(r"(?=[+-])", text)]
-        if len(terms) > 1 and not terms[0]:
-            del terms[0]  # the blank text in front of a leading sign
-        for term in terms:
-            m = _TERM_RE.fullmatch(term)
-            if not m or not (m.group(2) or m.group(3)):
-                raise ParseError(f"cannot parse field element term {term[:20]!r}")
-            sign, coef_s, t_part, exp_s = m.groups()
-            try:  # int() refuses text beyond the interpreter's digit limit
-                coef = int(coef_s) if coef_s else 1
-                exp = int(exp_s) if exp_s else (1 if t_part else 0)
-            except ValueError:
-                raise ParseError(f"number too long in field element term {term[:20]!r}") from None
-            if exp >= self.k:
-                raise ParseError(f"exponent exceeds degree {self.k - 1} in field element term "
-                                 f"{term[:20]!r}")
-            coeffs[exp] = (coeffs[exp] + (-coef if sign == "-" else coef)) % self.p
-        return self.element(coeffs)
+        return _elements().parse_element(self, text)
 
     def parse(self, value: Union[str, int, Sequence[int], "FieldElement"]) -> "FieldElement":
-        if isinstance(value, FieldElement):
+        if isinstance(value, _elements().FieldElement):
             if value.spec != self:
                 raise FieldMismatchError("element belongs to a different field")
             return value
@@ -313,7 +290,7 @@ class FieldSpec:
 
     def elements(self) -> Iterator["FieldElement"]:
         for n in range(self.order):
-            yield FieldElement(self, n)
+            yield _elements().FieldElement(self, n)
 
     # -- identity / serialization --
 
@@ -349,136 +326,6 @@ def _ray(v: tuple, spec: FieldSpec) -> Optional[tuple]:
     return None
 
 
-class FieldElement:
-    """Single element of a FieldSpec; immutable value object."""
-
-    __slots__ = ("spec", "index")
-
-    def __init__(self, spec: FieldSpec, index: int):
-        self.spec = spec
-        self.index = index
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.spec.coeffs[self.index]
-
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def _operand(self, other) -> Optional[int]:
-        """The index ``FieldSpec.parse`` reads from an element or int; None for other types."""
-        if isinstance(other, (FieldElement, int)):
-            return self.spec.parse(other).index
-        return None
-
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_i(self.index, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add[self.index][self.spec.neg[b]])
-
-    def __rsub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add[b][self.spec.neg[self.index]])
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg[self.index])
-
-    def __mul__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.index, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.index, self.spec.inv_i(b)))
-
-    def __rtruediv__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(b, self.spec.inv_i(self.index)))
-
-    def __pow__(self, e: int):
-        spec = self.spec
-        if self.index == 0:
-            if e < 0:
-                raise DivisionByZeroError("inverse of zero")
-            return FieldElement(spec, 0 if e else 1)
-        return FieldElement(spec, spec._exp[spec._log[self.index] * e % (spec.order - 1)])
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_i(self.index))
-
-    def conj(self) -> "FieldElement":
-        """Conjugation x -> x^q; requires even extension degree."""
-        return FieldElement(self.spec, self.spec.frob_i(self.index))
-
-    def norm(self) -> "FieldElement":
-        """Multiplicative norm x * conj(x) = x^(q+1); lands in the subfield."""
-        return self * self.conj()
-
-    def decompose(self) -> tuple:
-        """Unique (a, b) with self = a + kappa*b and a, b in the subfield."""
-        kappa = self.spec.kappa
-        denom = kappa - kappa.conj()
-        b = (self - self.conj()) / denom
-        a = self - kappa * b
-        return (a, b)
-
-    def component_square_sum(self) -> "FieldElement":
-        """Secondary Born quantity a^2 + b^2 from the kappa-splitting.
-
-        Agrees with norm() only when kappa^2 = -1; both readings are exposed.
-        """
-        a, b = self.decompose()
-        return a * a + b * b
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec.p, self.spec.k, self.index))
-
-    def __str__(self) -> str:
-        terms = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                terms.append(str(c))
-            elif e == 1:
-                terms.append("t" if c == 1 else f"{c}*t")
-            else:
-                terms.append(f"t^{e}" if c == 1 else f"{c}*t^{e}")
-        return " + ".join(reversed(terms)) if terms else "0"
-
-    def __repr__(self) -> str:
-        return f"<{self} in GF({self.spec.p}^{self.spec.k})>"
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-
 _fields = {}  # (p, k, modulus as given) and (p, reduced modulus) -> the one FieldSpec
 
 
@@ -494,52 +341,3 @@ def build_field(p: int, k: int, modulus: Optional[Iterable[int]] = None) -> Fiel
             _fields[field] = FieldSpec(p, k, field[1])
         _fields[key] = _fields[field]
     return _fields[key]
-
-
-class TheoryDescriptor:
-    """One point (i, m, p) of the theory lattice: GF(p^2i) in dimension m."""
-
-    def __init__(self, i: int, m: int, field: FieldSpec):
-        self.i, self.m, self.field = i, m, field
-
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "m": self.m,
-            "p": self.field.p,
-            "field": self.field.to_json(),
-            "subfield_order": self.field.q,
-            "dimension": self.m,
-            "involution": f"x -> x^{self.field.q}",
-        }
-
-
-def theory_coordinates(i: int, m: int, p: int) -> TheoryDescriptor:
-    """Instantiate the theory at lattice point (i, m, p): GF(p^2i), dim m."""
-    _check_prime(p)
-    if i < 1 or m < 1:
-        raise ParseError(f"i and m must be positive, got i={i}, m={m}")
-    return TheoryDescriptor(i=i, m=m, field=build_field(p, 2 * i))
-
-
-def field_report(spec: FieldSpec, element: Optional[str] = None) -> dict:
-    """The ``gqt field`` report: the field, and the analysis of ``element`` text if given."""
-    report = {
-        "field": spec.to_json(),
-        "order": spec.order,
-        "q": spec.q,
-        "kappa": spec.kappa.to_json() if spec.q else None,
-    }
-    if element is not None:
-        x = spec.parse(element)
-        entry = {"element": x.to_json(), "text": str(x)}
-        if spec.q:
-            a, b = x.decompose()
-            entry.update({
-                "conjugate": x.conj().to_json(),
-                "norm": x.norm().to_json(),
-                "split": {"a": a.to_json(), "b": b.to_json()},
-                "component_square_sum": x.component_square_sum().to_json(),
-            })
-        report["analysis"] = entry
-    return report

@@ -24,9 +24,10 @@ from .errors import (
     NotSquareError,
     NotUnitaryError,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 if TYPE_CHECKING:
+    from .elements import FieldElement
     from .linalg import FieldMatrix, FieldVector
 
 Rows = Tuple[Tuple[int, ...], ...]
@@ -154,6 +155,8 @@ class HermitianForm:
         return FieldMatrix.from_indices(self.spec, self.gram_rows)
 
     def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
+        from .elements import FieldElement
+
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError(
                 f"form has dim {self.dim}, got vectors of length {len(x)}, {len(y)}"

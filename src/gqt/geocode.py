@@ -41,13 +41,13 @@ from .errors import (
     NotUniqueError,
     NotUnitaryError,
     SelfOrthogonalStateError,
+    _guard,
 )
 from .field import FieldSpec, _ray
 from .forms import _pair, _rref
 from .kernel import (
     KernelGeometry,
     Ray,
-    _guard,
     _meet,
     _permutation,
     _polar,

@@ -21,7 +21,6 @@ imports on first use.
 from __future__ import annotations
 
 import itertools
-import os
 from functools import cached_property
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
@@ -30,7 +29,7 @@ from .errors import (
     InvariantError,
     NotKernelPointError,
     NotUniqueError,
-    TooLargeError,
+    _guard,
 )
 from .field import FieldSpec, _ray
 from .forms import (
@@ -136,12 +135,6 @@ class KernelGeometry:
         for i, line in enumerate(self.lines):
             w.writerow(["line", i, " ".join(str(j) for j in sorted(line))])
         return buf.getvalue()
-
-
-def _guard(refused: bool, bound: str) -> None:
-    """Raise ``TooLarge`` naming ``bound`` when ``refused``, unless GQT_GUARD_OVERRIDE=1."""
-    if refused and os.environ.get("GQT_GUARD_OVERRIDE") != "1":
-        raise TooLargeError(f"{bound}; set GQT_GUARD_OVERRIDE=1")
 
 
 def enumeration_guard(spec: FieldSpec, dim: int) -> None:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple, Union
 
+from .elements import FieldElement
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NotSquareError,
     SingularMatrixError,
 )
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .forms import (
     _identity,
     _is_hermitian_rows,

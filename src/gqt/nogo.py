@@ -19,7 +19,6 @@ check it entrywise, a_i b_j = -(b_i a_j), in element arithmetic.
 from __future__ import annotations
 
 import itertools
-import os
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
@@ -28,11 +27,12 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NotUnitaryError,
-    TooLargeError,
+    _guard,
 )
-from .field import FieldElement, FieldSpec, _ray, build_field
+from .field import FieldSpec, _ray, build_field
 
 if TYPE_CHECKING:
+    from .elements import FieldElement
     from .forms import HermitianForm
     from .linalg import FieldMatrix, FieldVector
 
@@ -117,6 +117,7 @@ def _classify_indices(
 
 
 def _classify(phi: FieldVector, psi: FieldVector, kind: str) -> CloneClassification:
+    from .elements import FieldElement
     from .linalg import FieldVector
 
     if phi.spec != psi.spec:
@@ -157,17 +158,14 @@ def _scan_guard(order: int, dim: int) -> None:
     """Refuse more than ``_MAX_SCAN_PAIRS`` pairs before anything is allocated."""
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {dim}")
-    if os.environ.get("GQT_GUARD_OVERRIDE") == "1":
-        return
     # (order^dim)^2 one factor at a time, so a huge dim stops early.
     pairs = 1
     for _ in range(2 * dim):
         pairs *= order
         if pairs > _MAX_SCAN_PAIRS:
-            raise TooLargeError(
-                f"scan guard: GF({order})^{dim} has more than {_MAX_SCAN_PAIRS} state pairs; "
-                "set GQT_GUARD_OVERRIDE=1"
-            )
+            break
+    _guard(pairs > _MAX_SCAN_PAIRS,
+           f"scan guard: GF({order})^{dim} has more than {_MAX_SCAN_PAIRS} state pairs")
 
 
 def scan(spec: FieldSpec, dim: int, kind: str) -> dict:
@@ -218,22 +216,19 @@ def f2_orthogonal_special_case() -> dict:
     """Check alpha^2 = alpha (and beta^2 = beta) across the fields of order <= 9.
 
     It holds for every element exactly in F_2; every larger field yields a
-    counterexample, which is recorded.
+    counterexample, the first in index order, which is recorded.
     """
     results = []
     for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
         spec = build_field(p, k)
-        counterexample = None
-        for x in spec.elements():
-            if x * x != x:
-                counterexample = x
-                break
+        counterexample = next((x for x in range(spec.order) if spec.mul[x][x] != x), None)
         results.append({
             "p": p,
             "k": k,
             "order": spec.order,
             "idempotent_everywhere": counterexample is None,
-            "counterexample": counterexample.to_json() if counterexample else None,
+            "counterexample": (None if counterexample is None
+                               else {"coeffs": list(spec.coeffs[counterexample])}),
         })
     only_f2 = all(
         r["idempotent_everywhere"] == (r["order"] == 2) for r in results

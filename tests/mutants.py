@@ -64,7 +64,7 @@ MUTANTS = [
     *[("field.py", "            m = spec.mul[spec.inv[x]]\n", "            m = spec.mul[x]\n", [test])
       for test in ["tests/test_kernel.py::test_kernel_counts_q2_against_oracle",
                    "tests/test_nogo.py::test_index_core_matches_object_arithmetic",
-                   "tests/test_geocode.py::test_sweep_q2",
+                   "tests/test_geocode.py::test_bits_to_rays_normalizes_every_vector_of_gf4_4",
                    "tests/test_protocols.py::test_sdc_roundtrip_gf9"]],
     # ``sdc_decode`` reading a state over another field by its indices.
     ("protocols.py", "    if state.spec != spec:\n", "    if False:\n",
@@ -84,6 +84,21 @@ MUTANTS = [
      '                "state": FieldVector.from_indices(spec, key).to_json(),\n'
      '                "failure": "Mismatch",\n',
      ["tests/test_geocode.py::test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray"]),
+    # A subcommand's parser filled in when it is built, not on its first parse.
+    ("cli.py", "        self._fill = fill\n",
+     "        self._fill = None\n        if fill is not None:\n            fill(self)\n",
+     ["tests/test_cli.py::test_a_job_fills_in_only_its_own_subcommands_parsers"]),
+    # ``FieldSpec.zero`` built at index 1.
+    ("field.py", "        return _elements().FieldElement(self, 0)\n",
+     "        return _elements().FieldElement(self, 1)\n",
+     ["tests/test_field.py::test_gf4_arithmetic_examples"]),
+    # The f2 special case's table test inverted: x * x == x read as a counterexample.
+    ("nogo.py", "if spec.mul[x][x] != x)", "if spec.mul[x][x] == x)",
+     ["tests/test_nogo.py::test_f2_special_case"]),
+    # ``errors._guard``, the one reader of GQT_GUARD_OVERRIDE, never refusing.
+    ("errors.py", '    if refused and os.environ.get("GQT_GUARD_OVERRIDE") != "1":\n',
+     "    if False:\n",
+     ["tests/test_nogo.py::test_scan_bound_keeps_desk_scale_and_override_lifts_it"]),
 ]
 
 

@@ -12,8 +12,9 @@ import time
 import pytest
 
 from gqt.cli import run
+from gqt.elements import FieldElement
 from gqt.errors import ZeroStateError
-from gqt.field import FieldElement, build_field
+from gqt.field import build_field
 from gqt.forms import standard_form
 from gqt.geocode import agree_parameters, roundtrip_sweep
 from gqt.kernel import enumerate_kernel, verify_one_or_all

@@ -1,11 +1,13 @@
+import argparse
+import itertools
 import json
 
 import pytest
 
 import gqt.geocode
 import gqt.kernel
-from gqt.cli import run
-from golden_jobs import JOBS
+from gqt.cli import build_parser, run
+from golden_jobs import GOLDEN, JOBS
 
 
 def run_json(capsys, argv):
@@ -407,3 +409,78 @@ def test_malformed_arguments_never_escape(capsys, monkeypatch, line):
     if code == 1:
         assert "type" in json.loads(out)["error"]
     assert "Traceback" not in err
+
+
+# --- the parser, pinned ---------------------------------------------------------------
+# One job per leaf command.  ``golden/cli_parser.json`` holds what every parser
+# on a job's path (the root, the command and its subcommand) had after parsing
+# it, recorded before the subcommand parsers began to add their arguments on
+# first parse.  Read as data, not as ``--help`` text, it holds on every
+# supported Python, although their help layouts differ.
+PARSED_JOBS = [
+    ["field", "--p", "2"],
+    ["theory", "--i", "1", "--m", "2", "--pp", "3"],
+    ["kernel", "enumerate", "--p", "2"],
+    ["verify", "--p", "2", "--seed", "0"],
+    ["teleport", "--p", "3", "--alpha", "1", "--beta", "t", "--seed", "0"],
+    ["sdc", "--p", "2", "--message", "01"],
+    ["noclone", "scan", "--p", "2"],
+    ["nodelete", "scan", "--p", "2"],
+    ["geocode", "roundtrip", "--p", "2", "--seed", "1"],
+    ["geocode", "encode", "--p", "2", "--seed", "1", "--state", "1;0;0;0"],
+    ["geocode", "decode", "--p", "2", "--seed", "1", "--bitstream", "00"],
+]
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of ``parser`` by name; empty for a leaf."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)),
+                {})
+
+
+def _arguments(parser: argparse.ArgumentParser) -> list:
+    """Each action of ``parser`` as data, with the names and help of its subcommands."""
+    out = []
+    for action in parser._actions:
+        entry = {"options": action.option_strings, "dest": action.dest, "default": action.default,
+                 "required": action.required, "help": action.help}
+        if isinstance(action, argparse._SubParsersAction):
+            entry["commands"] = [[c.dest, c.help] for c in action._choices_actions]
+        out.append(entry)
+    return out
+
+
+def parser_record() -> dict:
+    """Each parser's arguments, by command path, and each job's parsed namespace."""
+    parsers, namespaces = {}, {}
+    for argv in PARSED_JOBS:
+        root = build_parser()
+        args = vars(root.parse_args(argv))
+        words = list(itertools.takewhile(lambda w: not w.startswith("-"), argv))
+        node = root
+        for depth in range(len(words) + 1):
+            parsers[" ".join(words[:depth])] = _arguments(node)
+            node = _subcommands(node).get(words[depth]) if depth < len(words) else None
+        namespaces[" ".join(words)] = {k: getattr(v, "__name__", v) for k, v in args.items()}
+    return {"parsers": parsers, "namespaces": namespaces}
+
+
+def test_every_parser_holds_its_recorded_arguments():
+    assert parser_record() == json.loads((GOLDEN / "cli_parser.json").read_text())
+
+
+def test_a_job_fills_in_only_its_own_subcommands_parsers():
+    root = build_parser()
+    root.parse_args(["geocode", "encode", "--p", "2", "--seed", "1", "--state", "1;0;0;0"])
+    filled, bare, todo = [], [], [("", root)]
+    while todo:
+        path, parser = todo.pop()
+        for name, sub in _subcommands(parser).items():
+            todo.append((f"{path} {name}".strip(), sub))
+            if [a.dest for a in sub._actions] == ["help"]:
+                bare.append(f"{path} {name}".strip())
+            else:
+                filled.append(f"{path} {name}".strip())
+    assert sorted(filled) == ["geocode", "geocode encode"]
+    assert sorted(bare) == ["field", "geocode decode", "geocode roundtrip", "kernel", "noclone",
+                            "nodelete", "sdc", "teleport", "theory", "verify"]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gqt.field
+from gqt.elements import FieldElement, parse_coefficients, theory_coordinates
 from gqt.errors import (
     DegreeMismatchError,
     DivisionByZeroError,
@@ -15,8 +16,7 @@ from gqt.errors import (
     ReducibleModulusError,
     TooLargeError,
 )
-from gqt.field import (FieldElement, FieldSpec, build_field, is_prime, parse_coefficients,
-                       theory_coordinates)
+from gqt.field import FieldSpec, build_field, is_prime
 
 
 def test_gf4_default_modulus(gf4):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -138,6 +139,18 @@ def test_deserialize_malformed(gf4, gf9):
     for dim in (0, -1):
         with pytest.raises(DimensionMismatchError):
             deserialize_points("0101", gf4, dim)
+
+
+def test_bits_to_rays_normalizes_every_vector_of_gf4_4(gf4):
+    """``_bits_to_rays`` on the bits of every nonzero vector of GF(4)^4 as it
+    stands, against a normalization that does not call ``field._ray``: the one
+    multiple lambda * v, over every nonzero lambda, whose first nonzero entry is 1."""
+    vectors = [v for v in itertools.product(range(gf4.order), repeat=4) if any(v)]
+    rays = _bits_to_rays(_rays_to_bits(vectors, gf4), gf4, 4)
+    assert len(rays) == len(vectors) == 255
+    for v, ray in zip(vectors, rays):
+        multiples = [tuple(gf4.mul[lam][x] for x in v) for lam in range(1, gf4.order)]
+        assert [ray] == [w for w in multiples if next(x for x in w if x) == 1]
 
 
 def test_transmit_rejects_empty():

@@ -46,8 +46,8 @@ def test_the_check_finds_unused_imports():
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"cli", "errors", "field", "forms", "geocode", "kernel",
-                                         "linalg", "nogo", "points", "protocols"}
+    assert {p.stem for p in MODULES} >= {"cli", "elements", "errors", "field", "forms", "geocode",
+                                         "kernel", "linalg", "nogo", "points", "protocols"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -61,7 +61,8 @@ def test_module_uses_every_import(path):
 # ``gqt._EXPORTS`` so that a name dropped there fails here.
 EXPORTED = {
     "errors": "GQTError InvariantError",
-    "field": "FieldElement FieldSpec build_field theory_coordinates",
+    "field": "FieldSpec build_field",
+    "elements": "FieldElement theory_coordinates",
     "forms": "HermitianForm standard_form",
     "kernel": "KernelGeometry enumerate_kernel unitary_escapes verify_one_or_all",
     "points": "ProjectivePoint collinear hermitian_curve is_self_orthogonal polar_hyperplane "
@@ -100,7 +101,8 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         importlib.import_module("gqt.kernel").no_such_name
     # no module serves another module's public names
-    for module, name in (("kernel", "ProjectivePoint"), ("linalg", "standard_form")):
+    for module, name in (("kernel", "ProjectivePoint"), ("linalg", "standard_form"),
+                         ("field", "FieldElement"), ("field", "theory_coordinates")):
         with pytest.raises(AttributeError, match=name):
             getattr(importlib.import_module(f"gqt.{module}"), name)
         with pytest.raises(ImportError):
@@ -109,15 +111,20 @@ def test_unknown_names_raise_attribute_error():
 
 # --- what a fresh interpreter loads -------------------------------------------------
 
+# ``gqt.elements``, the object layer of the field, loads in the ``field`` and
+# ``theory`` jobs, in the jobs that build vectors and for a ``--modulus``
+# argument; the table jobs (geometry, scans) never compile it.
 _BASE = {"gqt", "gqt.cli", "gqt.errors", "gqt.field"}
+_ELEMENTS = {"gqt.elements"}
 _GEOMETRY = {"gqt.forms", "gqt.kernel"}
-_PROTOCOLS = {"gqt.forms", "gqt.linalg", "gqt.protocols"}
+_PROTOCOLS = _ELEMENTS | {"gqt.forms", "gqt.linalg", "gqt.protocols"}
 _NOGO = {"gqt.nogo"}
 _GEOCODE = _GEOMETRY | _PROTOCOLS | {"gqt.geocode"}
 JOBS = [
-    (["field", "--p", "2", "--element", "t+1"], _BASE),
-    (["theory", "--i", "1", "--m", "2", "--pp", "3"], _BASE),
-    (["field", "--p", "4"], _BASE),  # a domain error
+    (["field", "--p", "2", "--element", "t+1"], _BASE | _ELEMENTS),
+    (["theory", "--i", "1", "--m", "2", "--pp", "3"], _BASE | _ELEMENTS),
+    (["field", "--p", "4"], _BASE | _ELEMENTS),  # a domain error
+    (["field", "--p", "3", "--modulus", "1,0,1"], _BASE | _ELEMENTS),
     (["kernel", "enumerate", "--p", "2"], _BASE | _GEOMETRY),
     (["kernel", "enumerate", "--p", "2", "--csv"], _BASE | _GEOMETRY),
     (["verify", "--p", "2", "--seed", "0", "--samples", "1"], _BASE | _GEOMETRY),
@@ -125,6 +132,7 @@ JOBS = [
     (["sdc", "--p", "2", "--message", "01"], _BASE | _PROTOCOLS),
     (["noclone", "scan", "--p", "2"], _BASE | _NOGO),
     (["nodelete", "scan", "--p", "2"], _BASE | _NOGO),
+    (["noclone", "scan", "--p", "3", "--modulus", "2,2,1"], _BASE | _NOGO | _ELEMENTS),
     (["geocode", "roundtrip", "--p", "2", "--seed", "1", "--trials", "2"], _BASE | _GEOCODE),
     # encode and decode print points, which the roundtrip sweep never builds
     (["geocode", "encode", "--p", "2", "--seed", "5", "--state", "t;1;1;0"],

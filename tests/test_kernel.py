@@ -3,6 +3,7 @@ import random
 import pytest
 
 import gqt.kernel
+from gqt.elements import FieldElement
 from gqt.errors import (
     DependentBasisError,
     InvariantError,
@@ -12,7 +13,7 @@ from gqt.errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from gqt.field import FieldElement, build_field
+from gqt.field import build_field
 from gqt.forms import HermitianForm, standard_form
 from gqt.kernel import (
     KernelGeometry,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqt.elements import FieldElement
 from gqt.errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -17,7 +18,7 @@ from gqt.errors import (
     NotUnitaryError,
     SingularMatrixError,
 )
-from gqt.field import FieldElement, build_field
+from gqt.field import build_field
 from gqt.forms import HermitianForm, _unitary_tables, standard_form
 from gqt.linalg import (
     FieldMatrix,

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import gqt.nogo
+from gqt.elements import FieldElement
 from gqt.errors import DimensionMismatchError, NotUnitaryError, TooLargeError
-from gqt.field import FieldElement, _ray, build_field
+from gqt.field import _ray, build_field
 from gqt.forms import standard_form
 from gqt.linalg import FieldMatrix, FieldVector, random_unitary, tensor
 from gqt.nogo import (
@@ -130,6 +131,10 @@ def test_f2_special_case():
         else:
             assert not r["idempotent_everywhere"]
             assert r["counterexample"] is not None
+        # the tables' counterexample is the first that element arithmetic finds
+        spec = build_field(r["p"], r["k"])
+        first = next((x for x in spec.elements() if x * x != x), None)
+        assert r["counterexample"] == (first.to_json() if first is not None else None)
 
 
 def test_permutation_clone_cnot_on_f2_basis():
@@ -254,8 +259,10 @@ def test_scan_bound_keeps_desk_scale_and_override_lifts_it(monkeypatch, gf4):
     gqt.nogo._scan_guard(25, 2)  # p=5: 390,625 pairs
     gqt.nogo._scan_guard(9, 3)  # p=3, dim 3: 531,441 pairs
     monkeypatch.setattr(gqt.nogo, "_MAX_SCAN_PAIRS", 255)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError) as exc:
         scan(gf4, 2, "clone")
+    assert str(exc.value) == ("scan guard: GF(4)^2 has more than 255 state pairs; "
+                              "set GQT_GUARD_OVERRIDE=1")
     monkeypatch.setenv("GQT_GUARD_OVERRIDE", "1")
     assert scan(gf4, 2, "clone")["pairs"] == 256
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gqt.elements import FieldElement
 from gqt.errors import (
     BadMessageError,
     Char2MessageUnsupportedError,
@@ -13,7 +14,6 @@ from gqt.errors import (
     NotInSpanError,
     ZeroStateError,
 )
-from gqt.field import FieldElement
 from gqt.forms import standard_form
 from gqt.linalg import FieldMatrix, FieldVector, identity_matrix, is_unitary, tensor
 from gqt.protocols import (
