@@ -71,54 +71,26 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.index == 0
 
-    def _operand(self, other) -> Optional[int]:
-        """The index ``FieldSpec.parse`` reads from an element or int; None for other types."""
-        if isinstance(other, (FieldElement, int)):
-            return self.spec.parse(other).index
-        return None
+    def _binary(index):
+        """The operator computing ``index(spec, a, b)``, a the index of self and b the
+        index ``spec.parse`` reads from the other operand, an element or an int."""
+        def op(self, other):
+            if not isinstance(other, (FieldElement, int)):
+                return NotImplemented
+            spec = self.spec
+            return FieldElement(spec, index(spec, self.index, spec.parse(other).index))
+        return op
 
-    def __add__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_i(self.index, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add[self.index][self.spec.neg[b]])
-
-    def __rsub__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add[b][self.spec.neg[self.index]])
+    __add__ = __radd__ = _binary(lambda spec, a, b: spec.add_i(a, b))
+    __sub__ = _binary(lambda spec, a, b: spec.add[a][spec.neg[b]])
+    __rsub__ = _binary(lambda spec, a, b: spec.add[b][spec.neg[a]])
+    __mul__ = __rmul__ = _binary(lambda spec, a, b: spec.mul_i(a, b))
+    __truediv__ = _binary(lambda spec, a, b: spec.mul_i(a, spec.inv_i(b)))
+    __rtruediv__ = _binary(lambda spec, a, b: spec.mul_i(b, spec.inv_i(a)))
+    del _binary
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg[self.index])
-
-    def __mul__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.index, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(self.index, self.spec.inv_i(b)))
-
-    def __rtruediv__(self, other):
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_i(b, self.spec.inv_i(self.index)))
 
     def __pow__(self, e: int):
         spec = self.spec

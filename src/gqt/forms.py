@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence, Tuple
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
+    FieldMismatchError,
     NoInvolutionError,
     NotHermitianError,
     NotSquareError,
@@ -157,6 +158,8 @@ class HermitianForm:
     def evaluate(self, x: FieldVector, y: FieldVector) -> FieldElement:
         from .elements import FieldElement
 
+        if x.spec != self.spec or y.spec != self.spec:
+            raise FieldMismatchError("vectors and form over different fields")
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError(
                 f"form has dim {self.dim}, got vectors of length {len(x)}, {len(y)}"

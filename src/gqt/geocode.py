@@ -10,8 +10,9 @@ points; ``GeoParams`` computes that permutation once and inverts it.
 Every stage has an index-level core that works on element-index rays and
 field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
 ``_bits_to_rays`` and ``_decode_rays``.  ``roundtrip_sweep`` runs each
-distinct ray through them once; the public functions convert to and
-from ``FieldVector``/``ProjectivePoint`` objects at their edges.
+distinct ray through them once and builds no objects, not even for its
+witnesses; the public functions convert to and from
+``FieldVector``/``ProjectivePoint`` objects at their edges.
 
 Transport carries the bitstream over the super-dense channel.  Each field
 gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
@@ -44,7 +45,7 @@ from .errors import (
     _guard,
 )
 from .field import FieldSpec, _ray
-from .forms import _pair, _rref
+from .forms import _pair, _rows_json, _rref
 from .kernel import (
     KernelGeometry,
     Ray,
@@ -122,7 +123,7 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
 
 def _point(spec: FieldSpec, ray: Ray) -> ProjectivePoint:
     """The point of a ray, importing ``gqt.points`` on first use: a ``geocode
-    roundtrip`` sweep builds a point only for a witness."""
+    roundtrip`` sweep builds no point."""
     from .points import ProjectivePoint
 
     return ProjectivePoint(FieldVector.from_indices(spec, ray))
@@ -168,6 +169,8 @@ def _decode_rays(rays: Sequence[Ray], params: GeoParams) -> Ray:
 def geo_encode(state: FieldVector, params: GeoParams) -> GeoCiphertext:
     """Three curve points on the shared lines, pushed through the unitary."""
     spec = params.geom.spec
+    if state.spec != spec:
+        raise FieldMismatchError("state and parameters over different fields")
     return GeoCiphertext(tuple(_point(spec, r) for r in _encode_ray(state.indices(), params)))
 
 
@@ -341,8 +344,9 @@ class RoundTripReport:
 def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripReport:
     """Seeded random non-self-orthogonal states through the full pipeline.
 
-    Each distinct ray runs the index-level cores, encode to decode, once;
-    trials reuse its outcome, and objects are built only for witnesses.
+    Each distinct ray runs the index-level cores, encode to decode, once, and
+    trials reuse its outcome.  It builds no objects: a witness's rays are written
+    as coefficient lists by ``forms._rows_json``, as ``kernel enumerate`` writes points.
     """
     geom = params.geom
     spec = geom.spec
@@ -377,15 +381,14 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
         done += 1
         if outcome is DegenerateSpanError:
             degenerate += 1
-            witnesses.append({"state": FieldVector.from_indices(spec, ray).to_json(),
-                              "failure": "DegenerateSpan"})
+            witnesses.append({"state": _rows_json([ray], spec)[0], "failure": "DegenerateSpan"})
         elif outcome == key:
             successes += 1
         else:
             witnesses.append({
-                "state": FieldVector.from_indices(spec, ray).to_json(),
+                "state": _rows_json([ray], spec)[0],
                 "failure": "Mismatch",
-                "recovered": _point(spec, outcome).to_json(),
+                "recovered": _rows_json([outcome], spec)[0],
             })
     return RoundTripReport(
         trials=trials,

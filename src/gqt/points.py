@@ -12,6 +12,7 @@ from typing import FrozenSet, Iterator, List, Sequence
 
 from .errors import (
     DependentBasisError,
+    FieldMismatchError,
     InvariantError,
     NotUniqueError,
     SelfOrthogonalInputError,
@@ -89,6 +90,8 @@ def collinear(x: ProjectivePoint, y: ProjectivePoint, geom: KernelGeometry) -> b
 
 def polar_hyperplane(v: FieldVector, f: HermitianForm) -> FieldVector:
     """Coefficients c with pi(v) = {w : sum c_i w_i = 0}; c = conj(v) gram."""
+    if v.spec != f.spec:
+        raise FieldMismatchError("vector and form over different fields")
     if v.is_zero():
         raise ZeroVectorError("the polar of the zero vector is undefined")
     return FieldVector.from_indices(f.spec, f._row(v.indices()))
@@ -120,6 +123,8 @@ def hermitian_curve(x: ProjectivePoint, geom: KernelGeometry) -> List[Projective
     and with every kernel ray.
     """
     spec = geom.spec
+    if x.spec != spec:
+        raise FieldMismatchError("point and geometry over different fields")
     row = geom.form._row(x.ray)
     if _pair(row, x.ray, spec) == 0:
         raise SelfOrthogonalInputError("curve basepoint must not be self-orthogonal")

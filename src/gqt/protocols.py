@@ -81,6 +81,8 @@ def decompose_in_basis(state: FieldVector, basis: Sequence[FieldVector]) -> List
     if not basis:
         raise DimensionMismatchError("the measurement basis is empty")
     spec = state.spec
+    if any(b.spec != spec for b in basis):
+        raise FieldMismatchError("state and basis over different fields")
     d = len(basis[0])
     if any(len(b) != d for b in basis):
         raise DimensionMismatchError("basis vectors of unequal length")

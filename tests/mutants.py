@@ -79,9 +79,9 @@ MUTANTS = [
      ["tests/test_kernel.py::test_change_of_modulus_carries_conjugates_norms_kernel_and_scans"]),
     # The roundtrip's Mismatch witness built from the normalized ray, not
     # from the state the trial drew.
-    ("geocode.py", '                "state": FieldVector.from_indices(spec, ray).to_json(),\n'
+    ("geocode.py", '                "state": _rows_json([ray], spec)[0],\n'
                    '                "failure": "Mismatch",\n',
-     '                "state": FieldVector.from_indices(spec, key).to_json(),\n'
+     '                "state": _rows_json([key], spec)[0],\n'
      '                "failure": "Mismatch",\n',
      ["tests/test_geocode.py::test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray"]),
     # A subcommand's parser filled in when it is built, not on its first parse.
@@ -99,6 +99,33 @@ MUTANTS = [
     ("errors.py", '    if refused and os.environ.get("GQT_GUARD_OVERRIDE") != "1":\n',
      "    if False:\n",
      ["tests/test_nogo.py::test_scan_bound_keeps_desk_scale_and_override_lifts_it"]),
+    # ``FieldElement.__rsub__`` computing self - other instead of other - self.
+    ("elements.py", "spec.add[b][spec.neg[a]]", "spec.add[a][spec.neg[b]]",
+     ["tests/test_field.py::test_each_operator_and_its_reflection_read_their_table_formula"]),
+    # The operand rule's type test disabled: ``[1] * x`` parses the list.
+    ("elements.py", "            if not isinstance(other, (FieldElement, int)):\n",
+     "            if False:\n",
+     ["tests/test_field.py::test_operands_other_than_elements_and_ints_raise_type_error"]),
+    # Each object-API entry's field check disabled, reading one field's
+    # indices in another's tables.
+    *[(name, old, old.replace(old.strip(), "if False:"),
+       [f"tests/test_linalg.py::test_object_entries_refuse_operands_over_another_field[{entry}]"])
+      for name, old, entry in [
+          ("forms.py", "        if x.spec != self.spec or y.spec != self.spec:\n", "evaluate-x"),
+          ("points.py", "    if v.spec != f.spec:\n", "polar_hyperplane"),
+          ("points.py", "    if x.spec != spec:\n", "hermitian_curve"),
+          ("protocols.py", "    if any(b.spec != spec for b in basis):\n", "decompose-state"),
+          ("geocode.py", "    if state.spec != spec:\n", "geo_encode")]],
+    # The reference oracles of the kernel, scan and sweep tests, one mutant
+    # each: the isotropy test without the conjugation, each state's first
+    # pair kept as (psi, phi), a success read against the drawn state
+    # rather than its ray.
+    ("kernel.py", "        conj = [frob[x] for x in col]\n", "        conj = list(col)\n",
+     ["tests/test_kernel.py::test_enumeration_matches_brute_force_q2"]),
+    ("nogo.py", "                first[verdict] = (a, b)\n", "                first[verdict] = (b, a)\n",
+     ["tests/test_nogo.py::test_scan_matches_the_per_pair_reference"]),
+    ("geocode.py", "        elif outcome == key:\n", "        elif outcome == ray:\n",
+     ["tests/test_geocode.py::test_sweep_matches_the_per_trial_reference"]),
 ]
 
 

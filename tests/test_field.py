@@ -96,6 +96,38 @@ def test_operands_other_than_elements_and_ints_raise_type_error(gf9, op):
         op(gf9.gen)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_operator_and_its_reflection_read_their_table_formula(p):
+    spec = build_field(p, 2)
+    add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+    formulas = {  # the index of x op y, from the indices a of x and b of y
+        "add": lambda a, b: add[a][b],
+        "sub": lambda a, b: add[a][neg[b]],
+        "mul": lambda a, b: mul[a][b],
+        "truediv": lambda a, b: mul[a][inv[b]],
+    }
+
+    def check(name, call, a, b):
+        if name == "truediv" and b == 0:
+            with pytest.raises(DivisionByZeroError):
+                call()
+        else:
+            result = call()
+            assert result.spec is spec and result.index == formulas[name](a, b)
+
+    for name in formulas:
+        op, rop = f"__{name}__", f"__r{name}__"
+        for a, b in itertools.product(range(spec.order), repeat=2):
+            x, y = FieldElement(spec, a), FieldElement(spec, b)
+            check(name, lambda: getattr(x, op)(y), a, b)
+            check(name, lambda: getattr(y, rop)(x), a, b)
+        # an int operand on either side is read as ``spec.from_int``
+        for n, a in itertools.product(range(-p, 2 * p + 1), range(spec.order)):
+            x, m = FieldElement(spec, a), spec.from_int(n).index
+            check(name, lambda: getattr(x, op)(n), a, m)
+            check(name, lambda: getattr(x, rop)(n), m, a)
+
+
 def test_int_and_mixed_field_operands(gf4, gf9):
     for x in gf9.elements():
         assert 1 - x == -(x - 1) and 5 - x == gf9.from_int(5) - x

@@ -386,6 +386,27 @@ def test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray(gf4, kernel_q2
     assert len(set(states)) > len({_ray(s, gf4) for s in states})
 
 
+@pytest.mark.parametrize("decoder", ["real", "wrong"])
+def test_the_sweep_builds_no_objects(gf4, kernel_q2, monkeypatch, decoder):
+    # GF(4) seed 0 draws degenerate witnesses; a decoder that returns a kernel
+    # point makes every other trial a Mismatch witness with a recovered ray
+    params = agree_parameters(kernel_q2, 0)
+    if decoder == "wrong":
+        wrong = params.geom.rays[0]
+        monkeypatch.setattr(geocode, "_decode_rays", lambda rays, params: wrong)
+    _sdc_codebook(gf4)  # built from the protocol's objects on first use
+    expected = roundtrip_sweep(params, 200, 0).to_json()
+    assert expected["witnesses"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built an object")
+
+    for cls, name in [(FieldVector, "__init__"), (FieldVector, "from_indices"),
+                      (ProjectivePoint, "__init__")]:
+        monkeypatch.setattr(cls, name, refuse)
+    assert roundtrip_sweep(params, 200, 0).to_json() == expected
+
+
 def test_parse_bitstream(gf4, gf9):
     bits = format(0xBABEA7, "024b")
     assert parse_bitstream(bits, gf4, 4) == bits

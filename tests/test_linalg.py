@@ -20,6 +20,7 @@ from gqt.errors import (
 )
 from gqt.field import build_field
 from gqt.forms import HermitianForm, _unitary_tables, standard_form
+from gqt.geocode import agree_parameters, geo_encode
 from gqt.linalg import (
     FieldMatrix,
     _rref,
@@ -32,6 +33,14 @@ from gqt.linalg import (
     random_unitary,
     tensor,
 )
+from gqt.points import (
+    ProjectivePoint,
+    hermitian_curve,
+    is_self_orthogonal,
+    polar_hyperplane,
+    polar_point,
+)
+from gqt.protocols import bell_basis, bell_state, decompose_in_basis, possible_branches
 
 
 def all_vectors(spec, dim):
@@ -135,6 +144,39 @@ def test_products_over_different_fields_are_refused(gf4, gf9):
         m9 @ FieldMatrix(gf4, [["t", 1], [1, 0]])
     with pytest.raises(FieldMismatchError):  # compared unequal and answered False
         is_unitary(identity_matrix(gf9, 2), standard_form(gf4, 2))
+
+
+# Each object-API entry given operands over GF(4) and GF(9), which would
+# otherwise read one field's indices in the other's tables.
+MIXED_FIELD_CALLS = {
+    "evaluate-x": lambda k2, k3: k3.form.evaluate(FieldVector(k2.spec, [1, "t", 0, 0]),
+                                                  FieldVector(k3.spec, [1, 0, 0, 0])),
+    "evaluate-y": lambda k2, k3: k3.form.evaluate(FieldVector(k3.spec, [1, 0, 0, 0]),
+                                                  FieldVector(k2.spec, [1, "t", 0, 0])),
+    "is_self_orthogonal": lambda k2, k3: is_self_orthogonal(FieldVector(k2.spec, [1, 1, 0, 0]),
+                                                            k3.form),
+    "polar_hyperplane": lambda k2, k3: polar_hyperplane(FieldVector(k2.spec, [1, "t", 0, 0]),
+                                                        k3.form),
+    "polar_point": lambda k2, k3: polar_point([FieldVector(k2.spec, row) for row in
+                                               ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])],
+                                              k3.form),
+    "hermitian_curve": lambda k2, k3: hermitian_curve(
+        ProjectivePoint(FieldVector(k2.spec, [1, 0, 0, 0])), k3),
+    "decompose-state": lambda k2, k3: decompose_in_basis(
+        bell_state(k3.spec), [v for _, v in bell_basis(k2.spec)]),
+    "decompose-basis": lambda k2, k3: decompose_in_basis(
+        bell_state(k2.spec), [v for _, v in bell_basis(k3.spec)]),
+    "possible_branches": lambda k2, k3: possible_branches(
+        bell_state(k3.spec), [FieldVector(k2.spec, [1, 0]), FieldVector(k2.spec, [0, 1])]),
+    "geo_encode": lambda k2, k3: geo_encode(FieldVector(k3.spec, [1, "t", 0, 0]),
+                                            agree_parameters(k2, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(MIXED_FIELD_CALLS))
+def test_object_entries_refuse_operands_over_another_field(kernel_q2, kernel_q3, entry):
+    with pytest.raises(FieldMismatchError):
+        MIXED_FIELD_CALLS[entry](kernel_q2, kernel_q3)
 
 
 def test_is_unitary_examples(gf4, form4_dim2):
