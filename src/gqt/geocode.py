@@ -296,7 +296,7 @@ def _sdc_codebook(spec: FieldSpec) -> Mapping[str, str]:
     shares it.
     """
     width = sdc_bits(spec)
-    return MappingProxyType({m[-width:]: sdc_decode(sdc_encode(m, spec), spec)[-width:]
+    return MappingProxyType({m[-width:]: sdc_decode(sdc_encode(m, spec))[-width:]
                              for m in sdc_messages(spec)})
 
 

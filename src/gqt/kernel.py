@@ -58,18 +58,17 @@ Ray = Tuple[int, ...]
 class KernelGeometry:
     """Enumerated self-orthogonal points and totally isotropic lines.
 
-    Built from each point's element indices (``rays``, in point order), the
-    lines and each point's collinear points (``adjacency``); the points, polar
-    rows conj(v) G (``rows``), point index and lines through each point are
+    Built from each point's element indices (``rays``, in point order) and
+    the lines; the points, polar rows conj(v) G (``rows``), point index, lines
+    through each point and each point's collinear points (``adjacency``) are
     derived on first use.
     """
 
     def __init__(self, form: HermitianForm, rays: Sequence[Ray],
-                 lines: Sequence[FrozenSet[int]], adjacency: Iterable[FrozenSet[int]]):
+                 lines: Sequence[FrozenSet[int]]):
         self.form = form
         self.rays = tuple(rays)
         self.lines = tuple(lines)
-        self.adjacency = tuple(adjacency)
 
     @cached_property
     def points(self) -> Tuple[ProjectivePoint, ...]:
@@ -93,6 +92,12 @@ class KernelGeometry:
             for pi in line:
                 incidence[pi].add(li)
         return tuple(frozenset(s) for s in incidence)
+
+    @cached_property
+    def adjacency(self) -> Tuple[FrozenSet[int], ...]:
+        """The points collinear with each point: the union of its lines, less itself."""
+        return tuple(frozenset().union(*map(self.lines.__getitem__, through)) - {i}
+                     for i, through in enumerate(self.incidence))
 
     @property
     def spec(self) -> FieldSpec:
@@ -229,8 +234,7 @@ def enumerate_kernel(f: HermitianForm) -> KernelGeometry:
         elif len(through[i]) != per_point:
             raise InvariantError(
                 f"point {i} lies on {len(through[i])} lines, point 0 on {per_point}")
-    return KernelGeometry(f, rays, sorted(found, key=sorted),
-                          (frozenset().union(*lines) - {i} for i, lines in enumerate(through)))
+    return KernelGeometry(f, rays, sorted(found, key=sorted))
 
 
 def standard_kernel(spec: FieldSpec, dim: int) -> KernelGeometry:

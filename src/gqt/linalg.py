@@ -160,9 +160,6 @@ class FieldMatrix:
     def ncols(self) -> int:
         return len(self._rows[0])
 
-    def __getitem__(self, ij: Tuple[int, int]) -> FieldElement:
-        return FieldElement(self.spec, self._rows[ij[0]][ij[1]])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldMatrix)
@@ -187,10 +184,6 @@ class FieldMatrix:
         return FieldMatrix.from_indices(spec, [
             [_pair(row, col, spec) for col in cols] for row in self._rows
         ])
-
-    def scale(self, c: Union[FieldElement, int, str]) -> "FieldMatrix":
-        m = self.spec.mul[self.spec.parse(c).index]
-        return FieldMatrix.from_indices(self.spec, [map(m.__getitem__, row) for row in self._rows])
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix.from_indices(self.spec, zip(*self._rows))

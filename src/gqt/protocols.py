@@ -189,25 +189,25 @@ def teleport(alpha, beta, spec: FieldSpec, seed: int,
              branch: Optional[int] = None) -> ProtocolTranscript:
     """Odd-characteristic teleportation; Bob recovers the input exactly.
 
-    ``branch`` forces a measurement outcome (for exhaustive sweeps);
-    otherwise the seeded generator picks among the possible branches.
+    ``branch`` in range(4) forces a measurement outcome (for exhaustive
+    sweeps); otherwise the seeded generator picks among the possible branches.
     """
     if spec.p == 2:
         raise Char2NotSupportedError(
             "characteristic 2 collapses the Bell basis; use teleport_char2"
         )
-    return _teleport("teleport", alpha, beta, spec, seed, branch)
+    return _teleport(alpha, beta, spec, seed, branch)
 
 
 def teleport_char2(alpha, beta, spec: FieldSpec, seed: int,
                    branch: Optional[int] = None) -> ProtocolTranscript:
-    """Characteristic-2 teleportation via the doubled entangled resource."""
+    """Characteristic-2 teleportation via the doubled resource; ``branch`` in range(2)."""
     if spec.p != 2:
         raise NotChar2Error("this variant requires characteristic 2")
-    return _teleport("teleport_char2", alpha, beta, spec, seed, branch)
+    return _teleport(alpha, beta, spec, seed, branch)
 
 
-def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
+def _teleport(alpha, beta, spec: FieldSpec, seed: int,
               branch: Optional[int]) -> ProtocolTranscript:
     """The one teleportation body: joint state, Bell measurement, correction.
 
@@ -219,13 +219,13 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
     alpha, beta = spec.parse(alpha), spec.parse(beta)
     if alpha.is_zero() and beta.is_zero():
         raise ZeroStateError("input state must be nonzero")
+    char2 = spec.p == 2
     tr = ProtocolTranscript(
-        protocol=protocol,
+        protocol="teleport_char2" if char2 else "teleport",
         spec=spec,
         inputs={"alpha": alpha.to_json(), "beta": beta.to_json()},
         seed=seed,
     )
-    char2 = spec.p == 2
     phi = FieldVector(spec, [alpha, beta])
     system = tensor(phi, bell_state(spec))
     if char2:
@@ -242,10 +242,11 @@ def _teleport(protocol: str, alpha, beta, spec: FieldSpec, seed: int,
     if branch is None:
         idx, residual = measure_modal(system, vectors, seed)
     else:
+        # each residual is a nonzero multiple of (alpha, beta) or its swap
         residuals = decompose_in_basis(system, vectors)
+        if branch not in range(len(residuals)):
+            raise ZeroStateError(f"branch must be in range({len(residuals)}), got {branch}")
         idx, residual = branch, residuals[branch]
-        if residual.is_zero():
-            raise ZeroStateError(f"branch {branch} is impossible for this input")
     label = basis[idx][0]
     if not char2:
         # each branch carries an explicit 1/2 factor; strip it before correcting
@@ -291,12 +292,11 @@ def sdc_encode(bits: str, spec: FieldSpec) -> FieldVector:
     return full @ bell_state(spec)
 
 
-def sdc_decode(state: FieldVector, spec: FieldSpec) -> str:
-    """Identify the Bell ray and invert the gate rule."""
+def sdc_decode(state: FieldVector) -> str:
+    """Identify the Bell ray over the state's field and invert the gate rule."""
     if len(state) != 4:
         raise DimensionMismatchError("expected a two-qubit state")
-    if state.spec != spec:
-        raise FieldMismatchError("the state lies over another field")
+    spec = state.spec
     ray = _ray(state.indices(), spec)
     if ray is None:
         raise NotBellRayError("zero state")
@@ -317,7 +317,7 @@ def sdc_transcript(bits: str, spec: FieldSpec, seed: Optional[int] = None) -> Pr
     tr.record("shared", bell_state(spec))
     encoded = sdc_encode(bits, spec)
     tr.record("encoded", encoded)
-    decoded = sdc_decode(encoded, spec)
+    decoded = sdc_decode(encoded)
     tr.classical_message = decoded
     tr.final_state = encoded
     return tr

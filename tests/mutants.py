@@ -66,9 +66,6 @@ MUTANTS = [
                    "tests/test_nogo.py::test_index_core_matches_object_arithmetic",
                    "tests/test_geocode.py::test_bits_to_rays_normalizes_every_vector_of_gf4_4",
                    "tests/test_protocols.py::test_sdc_roundtrip_gf9"]],
-    # ``sdc_decode`` reading a state over another field by its indices.
-    ("protocols.py", "    if state.spec != spec:\n", "    if False:\n",
-     ["tests/test_protocols.py::test_sdc_decode_refuses_a_state_over_another_field"]),
     # A degree-2 conjugation sending c0 + c1 t to c0 + c1 t^-1, right only
     # when N(t) = 1, as under every default quadratic modulus.
     ("field.py",
@@ -116,6 +113,19 @@ MUTANTS = [
           ("points.py", "    if x.spec != spec:\n", "hermitian_curve"),
           ("protocols.py", "    if any(b.spec != spec for b in basis):\n", "decompose-state"),
           ("geocode.py", "    if state.spec != spec:\n", "geo_encode")]],
+    # A point counted among its own collinear points.
+    ("kernel.py", "frozenset().union(*map(self.lines.__getitem__, through)) - {i}",
+     "frozenset().union(*map(self.lines.__getitem__, through))",
+     ["tests/test_kernel.py::test_enumeration_matches_brute_force_q2"]),
+    # A forced teleport branch taken without its range check.
+    ("protocols.py", "        if branch not in range(len(residuals)):\n", "        if False:\n",
+     ["tests/test_protocols.py::test_teleport_refuses_a_branch_out_of_range"]),
+    # ``geo_decode`` returning a polar that is not a point.
+    ("geocode.py", "    if len(polar) != 1:\n", "    if False:\n",
+     ["tests/test_errors.py::test_each_refusal_raises_its_own_type[geocode-decode-four-points]"]),
+    # ``FieldMatrix`` accepting ragged rows.
+    ("linalg.py", "        if any(len(r) != width for r in rows):\n", "        if False:\n",
+     ["tests/test_errors.py::test_each_refusal_raises_its_own_type[linalg-ragged-rows]"]),
     # The reference oracles of the kernel, scan and sweep tests, one mutant
     # each: the isotropy test without the conjugation, each state's first
     # pair kept as (psi, phi), a success read against the drawn state

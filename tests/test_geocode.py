@@ -237,7 +237,7 @@ def test_codebook_matches_sdc_protocol(p):
     assert sorted(messages) == (["00", "01"] if p == 2 else ["00", "01", "10", "11"])
     assert sorted(codebook) == sorted(m[-width:] for m in messages)
     for message in messages:
-        read = sdc_decode(sdc_encode(message, spec), spec)
+        read = sdc_decode(sdc_encode(message, spec))
         assert codebook[message[-width:]] == read[-width:] == message[-width:]
     assert _sdc_codebook(spec) is _sdc_codebook(spec)
 
@@ -526,7 +526,7 @@ def test_index_trial_matches_object_reference(p, seed, kernel_q2, kernel_q3):
     geom = kernel_q2 if p == 2 else kernel_q3
     spec, form = geom.spec, geom.form
     params = agree_parameters(geom, seed)
-    channel = {m: sdc_decode(sdc_encode(m, spec), spec) for m in sdc_messages(spec)}
+    channel = {m: sdc_decode(sdc_encode(m, spec)) for m in sdc_messages(spec)}
     states = [v for v in enumerate_projective_points(spec, form.dim)
               if not form.evaluate(v, v).is_zero()]
     assert len(states) == {2: 40, 3: 540}[p]

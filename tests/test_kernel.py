@@ -14,7 +14,7 @@ from gqt.errors import (
     ZeroVectorError,
 )
 from gqt.field import build_field
-from gqt.forms import HermitianForm, standard_form
+from gqt.forms import HermitianForm, _pair, standard_form
 from gqt.kernel import (
     KernelGeometry,
     enumerate_kernel,
@@ -131,6 +131,18 @@ def assert_matches_brute_force(f):
     assert geom.rays == tuple(p.ray for p in points)
     assert geom.lines == tuple(lines)
     assert list(geom.adjacency) == adjacency
+
+
+@pytest.mark.parametrize("kernel", ["kernel_q2", "kernel_q3"])
+def test_adjacency_is_derived_from_the_lines(kernel, request):
+    # two kernel points are collinear exactly when they are orthogonal
+    geom = request.getfixturevalue(kernel)
+    spec = geom.spec
+    orthogonal = tuple(frozenset(j for j, ray in enumerate(geom.rays)
+                                 if j != i and not _pair(row, ray, spec))
+                       for i, row in enumerate(geom.rows))
+    built = KernelGeometry(geom.form, geom.rays, geom.lines)
+    assert built.adjacency == geom.adjacency == orthogonal
 
 
 def test_enumeration_matches_brute_force_q2(gf4):
@@ -250,7 +262,7 @@ def test_unitary_escapes_counts_a_broken_geometry(kernel_q2):
         if len(picked) == 3:
             break
     tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays,
-                              kernel_q2.lines[1:] + (frozenset(picked),), kernel_q2.adjacency)
+                              kernel_q2.lines[1:] + (frozenset(picked),))
     assert unitary_escapes(tampered, seed=0, samples=5) > 0
 
 
@@ -386,8 +398,7 @@ def test_one_or_all_negative_control(kernel_q2):
         if len(picked) == 3:
             break
     fake = frozenset(picked)
-    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (fake,),
-                              kernel_q2.adjacency)
+    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (fake,))
     report = verify_one_or_all(tampered)
     assert not report.passed
     assert any(li == len(kernel_q2.lines) for _, li, _ in report.violations)
@@ -397,8 +408,7 @@ def test_gq_unique_line_negative_control(kernel_q2):
     # a second copy of line 0 leaves every count as it was, but two points
     # of that line now share two lines
     doubled = kernel_q2.lines[0]
-    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (doubled,),
-                              kernel_q2.adjacency)
+    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (doubled,))
     report = verify_one_or_all(tampered)
     assert report.violations == [] and not report.passed
     # x on the doubled line sees exactly the meet y of a line L that misses x

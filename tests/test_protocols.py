@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -8,12 +10,12 @@ from gqt.errors import (
     Char2MessageUnsupportedError,
     Char2NotSupportedError,
     DimensionMismatchError,
-    FieldMismatchError,
     NotBellRayError,
     NotChar2Error,
     NotInSpanError,
     ZeroStateError,
 )
+from gqt.field import build_field
 from gqt.forms import standard_form
 from gqt.linalg import FieldMatrix, FieldVector, identity_matrix, is_unitary, tensor
 from gqt.protocols import (
@@ -148,12 +150,10 @@ def test_teleport_worked_example(gf9):
 
 
 def test_teleport_exhaustive_gf9(gf9):
+    # every branch is possible for every nonzero input
     for alpha, beta in nonzero_pairs(gf9):
         for branch in range(4):
-            try:
-                tr = teleport(alpha, beta, gf9, seed=7, branch=branch)
-            except ZeroStateError:
-                continue  # branch impossible for this input
+            tr = teleport(alpha, beta, gf9, seed=7, branch=branch)
             assert tr.final_state == FieldVector(gf9, [alpha, beta])
 
 
@@ -184,11 +184,40 @@ def test_teleport_char2_worked_example(gf4):
 def test_teleport_char2_exhaustive(gf4):
     for alpha, beta in nonzero_pairs(gf4):
         for branch in range(2):
-            try:
-                tr = teleport_char2(alpha, beta, gf4, seed=3, branch=branch)
-            except ZeroStateError:
-                continue
+            tr = teleport_char2(alpha, beta, gf4, seed=3, branch=branch)
             assert tr.final_state == FieldVector(gf4, [alpha, beta])
+
+
+@pytest.mark.parametrize("p, branch", [(3, -1), (3, 4), (2, 2)])
+def test_teleport_refuses_a_branch_out_of_range(p, branch):
+    # unchecked, a negative index reads a branch from the end and one past
+    # the end raises a bare IndexError
+    spec = build_field(p, 2)
+    run, branches = (teleport_char2, 2) if p == 2 else (teleport, 4)
+    with pytest.raises(ZeroStateError, match=rf"range\({branches}\)"):
+        run(1, 2 % p, spec, 0, branch=branch)
+
+
+# SHA-256 of every forced-branch transcript's JSON (sorted keys), nonzero
+# inputs in element order and branches in order, seed 0, recorded before the
+# branch range check replaced a residual-is-zero check that never fired.
+FORCED_BRANCH_TRANSCRIPTS = {
+    2: "ecd68e46612fb8b7367fd4255cedc24c283de121774e538cbf856cf1d0766091",
+    3: "9866f751def4675226094828c2436cccfd27b8bd2aa3b09da39899b4ae06869a",
+    5: "b38a74c21534bb4c21274177369f8134471fe821af102e377ee61de0ed24c64b",
+}
+
+
+@pytest.mark.parametrize("p", sorted(FORCED_BRANCH_TRANSCRIPTS))
+def test_every_forced_branch_keeps_its_transcript(p):
+    spec = build_field(p, 2)
+    run, branches = (teleport_char2, 2) if p == 2 else (teleport, 4)
+    digest = hashlib.sha256()
+    for alpha, beta in nonzero_pairs(spec):
+        for branch in range(branches):
+            tr = run(alpha, beta, spec, 0, branch=branch)
+            digest.update(json.dumps(tr.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == FORCED_BRANCH_TRANSCRIPTS[p]
 
 
 def test_teleport_char2_joint_identity(gf4):
@@ -213,13 +242,13 @@ def test_sdc_roundtrip_gf9(gf9):
     # decode tolerates scalar multiples, t among them: t^-1 = 2t is not t
     for bits in ("00", "10", "01", "11"):
         for c in list(gf9.elements())[1:]:
-            assert sdc_decode(sdc_encode(bits, gf9).scale(c), gf9) == bits
-    assert sdc_decode(FieldVector(gf9, [1, 0, 0, gf9.from_int(-1)]), gf9) == "10"
+            assert sdc_decode(sdc_encode(bits, gf9).scale(c)) == bits
+    assert sdc_decode(FieldVector(gf9, [1, 0, 0, gf9.from_int(-1)])) == "10"
 
 
 def test_sdc_char2(gf4):
     for bits in ("00", "01"):
-        assert sdc_decode(sdc_encode(bits, gf4), gf4) == bits
+        assert sdc_decode(sdc_encode(bits, gf4)) == bits
     for bits in ("10", "11"):
         with pytest.raises(Char2MessageUnsupportedError):
             sdc_encode(bits, gf4)
@@ -232,15 +261,9 @@ def test_sdc_errors(gf9):
     with pytest.raises(BadMessageError):
         sdc_encode("2", gf9)
     with pytest.raises(NotBellRayError):
-        sdc_decode(FieldVector(gf9, [1, 1, 0, 0]), gf9)
+        sdc_decode(FieldVector(gf9, [1, 1, 0, 0]))
     with pytest.raises(NotBellRayError):
-        sdc_decode(FieldVector(gf9, [0, 0, 0, 0]), gf9)
-
-
-def test_sdc_decode_refuses_a_state_over_another_field(gf4, gf9):
-    # GF(9)'s phi+ has the indices of GF(4)'s, so only the field tells them apart
-    with pytest.raises(FieldMismatchError):
-        sdc_decode(bell_state(gf9), gf4)
+        sdc_decode(FieldVector(gf9, [0, 0, 0, 0]))
 
 
 def test_sdc_transcript(gf9):
