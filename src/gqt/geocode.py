@@ -9,28 +9,34 @@ points; ``GeoParams`` computes that permutation once and inverts it.
 
 Every stage has an index-level core that works on element-index rays and
 field tables: ``_encode_ray``, ``_rays_to_bits``, ``_transmit_bits``,
-``_bits_to_rays`` and ``_decode_rays``.  ``roundtrip_sweep`` runs each
-distinct ray through them once and builds no objects, not even for its
+``_bits_to_rays`` and ``_decode_rays``.  ``GeoParams`` keeps the unitary as
+index rows, drawn by ``forms._unitary_rows``.  ``roundtrip_sweep`` runs each
+distinct ray through the cores once and builds no objects, not even for its
 witnesses; the public functions convert to and from
-``FieldVector``/``ProjectivePoint`` objects at their edges.
+``FieldVector``/``ProjectivePoint`` objects at their edges, importing
+``gqt.linalg`` and ``gqt.points`` only then.
 
 Transport carries the bitstream over the super-dense channel.  Each field
-gets a codebook, built on first use from ``sdc_encode`` and ``sdc_decode``
-themselves: every chunk one Bell use carries, and the chunk read back
-after it crossed.  A chunk then costs one lookup instead of a run of the
-protocol.
+gets a codebook, built on first use from ``gqt.bell``'s index-level
+protocol, which ``sdc_encode`` and ``sdc_decode`` wrap: every chunk one
+Bell use carries, and the chunk read back after it crossed.  A chunk then
+costs one lookup instead of a run of the protocol.
 
-The ``geocode`` CLI reports are built here, so this module alone writes
-(``bitstream_hex``) and reads (``parse_bitstream``) the ciphertext hex.
+The ``geocode`` CLI reports are built here on the cores alone, so the
+three jobs compile no object class (``encode`` loads ``gqt.elements`` to
+read its state text), and this module alone writes (``bitstream_hex``)
+and reads (``parse_bitstream``) the ciphertext hex.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Mapping, Sequence, Tuple
 
+from .bell import _sdc_decode, _sdc_encode, sdc_bits, sdc_messages
 from .errors import (
     DegenerateSpanError,
     DependentBasisError,
@@ -45,7 +51,7 @@ from .errors import (
     _guard,
 )
 from .field import FieldSpec, _ray
-from .forms import _pair, _rows_json, _rref
+from .forms import Rows, _pair, _rows_json, _rref, _unitary_rows
 from .kernel import (
     KernelGeometry,
     Ray,
@@ -54,10 +60,9 @@ from .kernel import (
     _polar,
     standard_kernel,
 )
-from .linalg import FieldMatrix, FieldVector, random_unitary
-from .protocols import sdc_bits, sdc_decode, sdc_encode, sdc_messages
 
 if TYPE_CHECKING:
+    from .linalg import FieldMatrix, FieldVector
     from .points import ProjectivePoint
 
 SERIALIZATION_VERSION = 1
@@ -68,7 +73,11 @@ _MAX_TRIALS = 100_000
 
 
 class GeoParams:
-    """Shared lines and unitary; ``_push``/``_pull`` map kernel point indices by eta/eta^-1."""
+    """Shared lines and unitary; ``_push``/``_pull`` map kernel point indices by eta/eta^-1.
+
+    The unitary is kept as rows of element indices (``eta_rows``); ``eta``
+    builds the ``FieldMatrix`` on first read.
+    """
 
     def __init__(self, geom: KernelGeometry, line_indices: Tuple[int, int, int],
                  eta: FieldMatrix):
@@ -77,12 +86,34 @@ class GeoParams:
             raise FieldMismatchError("eta and the geometry are over different fields")
         if (eta.nrows, eta.ncols) != (dim, dim):
             raise DimensionMismatchError(f"eta must be {dim} x {dim}")
-        push = _permutation(eta.indices(), geom)
+        self._set(geom, line_indices, eta.indices())
+
+    @classmethod
+    def _from_rows(cls, geom: KernelGeometry, line_indices: Tuple[int, int, int],
+                   rows: Rows) -> "GeoParams":
+        """The parameters whose unitary has the given rows of element indices."""
+        params = cls.__new__(cls)
+        params._set(geom, line_indices, rows)
+        return params
+
+    def _set(self, geom: KernelGeometry, line_indices: Tuple[int, int, int], rows: Rows) -> None:
+        lines = geom.lines
+        if (len(line_indices) != 3 or any(li not in range(len(lines)) for li in line_indices)
+                or any(lines[a] & lines[b] for a, b in itertools.combinations(line_indices, 2))):
+            raise DegenerateSpanError("the shared lines must be three pairwise disjoint lines "
+                                      f"of the kernel, got line_indices={line_indices!r}")
+        push = _permutation(rows, geom)
         if push is None:
             raise NotUnitaryError("eta must permute the kernel points and lines")
-        self.geom, self.line_indices, self.eta = geom, line_indices, eta
+        self.geom, self.line_indices, self.eta_rows = geom, line_indices, rows
         # point i goes to push[i], so sorting the points by image inverts push
         self._push, self._pull = push, tuple(sorted(range(len(push)), key=push.__getitem__))
+
+    @cached_property
+    def eta(self) -> FieldMatrix:
+        from .linalg import FieldMatrix
+
+        return FieldMatrix.from_indices(self.geom.spec, self.eta_rows)
 
 
 class GeoCiphertext:
@@ -97,11 +128,14 @@ class GeoCiphertext:
         return serialize_points(self.points)
 
     def to_json(self) -> dict:
-        return {
-            "version": SERIALIZATION_VERSION,
-            "points": [p.to_json() for p in self.points],
-            "bitstream": self.bitstream,
-        }
+        spec = _field_of(self.points)
+        rays = [p.ray for p in self.points]
+        return _ciphertext_json(rays, _rays_to_bits(rays, spec), spec)
+
+
+def _ciphertext_json(rays: Sequence[Ray], bits: str, spec: FieldSpec) -> dict:
+    """The JSON form of a ciphertext: its points' rays and their bits."""
+    return {"version": SERIALIZATION_VERSION, "points": _rows_json(rays, spec), "bitstream": bits}
 
 
 def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
@@ -117,13 +151,14 @@ def agree_parameters(geom: KernelGeometry, seed: int) -> GeoParams:
                 break
     if len(chosen) < 3:
         raise ExhaustedSearchError("no three pairwise disjoint lines found")
-    return GeoParams(geom, (chosen[0], chosen[1], chosen[2]),
-                     random_unitary(geom.form, rng.getrandbits(63)))
+    return GeoParams._from_rows(geom, (chosen[0], chosen[1], chosen[2]),
+                                _unitary_rows(geom.form, rng.getrandbits(63)))
 
 
 def _point(spec: FieldSpec, ray: Ray) -> ProjectivePoint:
-    """The point of a ray, importing ``gqt.points`` on first use: a ``geocode
-    roundtrip`` sweep builds no point."""
+    """The point of a ray, importing the object layer on first use: the
+    ``geocode`` reports build a point only for an error message."""
+    from .linalg import FieldVector
     from .points import ProjectivePoint
 
     return ProjectivePoint(FieldVector.from_indices(spec, ray))
@@ -288,15 +323,16 @@ def bitstream_hex(bits: str) -> str:
 
 @lru_cache(maxsize=None)
 def _sdc_codebook(spec: FieldSpec) -> Mapping[str, str]:
-    """Super-dense code words of ``spec``, from ``sdc_encode``/``sdc_decode``.
+    """Super-dense code words of ``spec``, from ``gqt.bell``'s index-level
+    ``_sdc_encode``/``_sdc_decode``, which ``sdc_encode``/``sdc_decode`` wrap.
 
     One Bell use carries ``sdc_bits`` bits, sent as the message that ends
     in them (characteristic 2: 0b).  Maps every such chunk to the chunk
-    ``sdc_decode`` reads back, as a read-only view since every caller
+    ``_sdc_decode`` reads back, as a read-only view since every caller
     shares it.
     """
     width = sdc_bits(spec)
-    return MappingProxyType({m[-width:]: sdc_decode(sdc_encode(m, spec))[-width:]
+    return MappingProxyType({m[-width:]: _sdc_decode(_sdc_encode(m, spec), spec)[-width:]
                              for m in sdc_messages(spec)})
 
 
@@ -341,6 +377,20 @@ class RoundTripReport:
         }
 
 
+def _coordinates(rng: random.Random, order: int) -> Iterator[int]:
+    """``rng.randrange(order)``, over and over, from the same stream.
+
+    Each attempt is one ``getrandbits(order.bit_length())`` and a value of
+    ``order`` or more is drawn again, which is how ``random.Random`` draws
+    ``randrange`` of a positive int (``_randbelow_with_getrandbits``).
+    """
+    getrandbits, width = rng.getrandbits, order.bit_length()
+    while True:
+        r = getrandbits(width)
+        if r < order:
+            yield r
+
+
 def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripReport:
     """Seeded random non-self-orthogonal states through the full pipeline.
 
@@ -350,9 +400,8 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     """
     geom = params.geom
     spec = geom.spec
-    rng = random.Random(seed)
+    coordinates = _coordinates(random.Random(seed), spec.order)
     dim = geom.form.dim
-    order = spec.order
     successes = 0
     degenerate = 0
     skipped = 0
@@ -362,7 +411,7 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     outcomes: dict = {}
     done = 0
     while done < trials:
-        ray = tuple(rng.randrange(order) for _ in range(dim))
+        ray = tuple(itertools.islice(coordinates, dim))
         key = _ray(ray, spec)
         if key is None:
             continue
@@ -417,12 +466,15 @@ def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
 def encode_report(spec: FieldSpec, seed: int, state: str) -> dict:
     """The ``gqt geocode encode`` report for ';'-separated coordinate text."""
     params = _standard_params(spec, seed)
-    ct = geo_encode(FieldVector(spec, state.split(";")), params)
+    # each entry read as ``FieldVector`` reads it
+    rays = _encode_ray(tuple(spec.parse(e).index for e in state.split(";")), params)
+    bits = _rays_to_bits(rays, spec)
+    received = _bits_to_rays(_transmit_bits(bits, spec), spec, params.geom.form.dim)
     return {
         "field": spec.to_json(),
-        "ciphertext": ct.to_json(),
-        "bitstream_hex": bitstream_hex(ct.bitstream),
-        "transmitted_ok": geo_transmit(ct)[1] == list(ct.points),
+        "ciphertext": _ciphertext_json(rays, bits, spec),
+        "bitstream_hex": bitstream_hex(bits),
+        "transmitted_ok": received == list(rays),
     }
 
 
@@ -430,6 +482,6 @@ def decode_report(spec: FieldSpec, seed: int, bitstream: str) -> dict:
     """The ``gqt geocode decode`` report for ciphertext bits or their hex."""
     params = _standard_params(spec, seed)
     dim = params.geom.form.dim
-    bits = parse_bitstream(bitstream, spec, dim)
-    ct = GeoCiphertext(tuple(deserialize_points(bits, spec, dim)))
-    return {"field": spec.to_json(), "recovered_point": geo_decode(ct, params).to_json()}
+    rays = _bits_to_rays(parse_bitstream(bitstream, spec, dim), spec, dim)
+    recovered = _decode_rays(rays, params)
+    return {"field": spec.to_json(), "recovered_point": _rows_json([recovered], spec)[0]}

@@ -6,7 +6,7 @@ significant, so the 8x8 anti-diagonal matrix is exactly index reversal.
 
 Measurement in positive characteristic carries no probability weights:
 every basis direction with a nonzero component is possible, and a seeded
-generator picks one uniformly.  ``all_branches`` enumerates them all so
+generator picks one uniformly.  ``possible_branches`` lists them all so
 correctness checks never depend on the draw.
 """
 
@@ -15,48 +15,54 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .bell import _BELL_TABLE, _PAULI, _indices, _sdc_decode, _sdc_encode, sdc_bits, sdc_messages
 from .errors import (
-    BadMessageError,
-    Char2MessageUnsupportedError,
     Char2NotSupportedError,
     DimensionMismatchError,
     FieldMismatchError,
     InvariantError,
-    NotBellRayError,
     NotChar2Error,
     NotInSpanError,
     ZeroStateError,
 )
-from .field import FieldSpec, _ray
+from .field import FieldSpec
 from .forms import _rref
-from .linalg import FieldMatrix, FieldVector, identity_matrix, tensor
+from .linalg import FieldMatrix, FieldVector, tensor
 
 # --- gates ----------------------------------------------------------------------
 
+def _gate(spec: FieldSpec, name: str) -> FieldMatrix:
+    """The Pauli gate ``name`` of ``gqt.bell``: id, X, Z or ZX."""
+    return FieldMatrix.from_indices(spec, [_indices(spec, row) for row in _PAULI[name]])
+
+
 def gate_x(spec: FieldSpec) -> FieldMatrix:
-    return FieldMatrix(spec, [[0, 1], [1, 0]])
+    return _gate(spec, "X")
 
 
 def gate_z(spec: FieldSpec) -> FieldMatrix:
-    return FieldMatrix(spec, [[1, 0], [0, spec.from_int(-1)]])
+    return _gate(spec, "Z")
 
 
 def gate_zx(spec: FieldSpec) -> FieldMatrix:
-    return gate_z(spec) @ gate_x(spec)
+    return _gate(spec, "ZX")
 
 
 def anti_diagonal(spec: FieldSpec, n: int) -> FieldMatrix:
     """n x n permutation with 1's on the anti-diagonal (index reversal)."""
-    return FieldMatrix.from_indices(spec, [
-        [int(j == n - 1 - i) for j in range(n)] for i in range(n)
-    ])
+    return FieldMatrix.from_indices(spec, [[int(j == n - 1 - i) for j in range(n)]
+                                           for i in range(n)])
 
 
 # --- Bell states -----------------------------------------------------------------
 
+def _bell_vector(spec: FieldSpec, label: str) -> FieldVector:
+    return FieldVector.from_indices(spec, _indices(spec, _BELL_TABLE[label][2]))
+
+
 def bell_state(spec: FieldSpec) -> FieldVector:
     """|00> + |11>, unnormalized."""
-    return FieldVector(spec, _BELL_TABLE["phi+"][2])
+    return _bell_vector(spec, "phi+")
 
 
 def bell_basis(spec: FieldSpec) -> List[Tuple[str, FieldVector]]:
@@ -65,8 +71,8 @@ def bell_basis(spec: FieldSpec) -> List[Tuple[str, FieldVector]]:
     In characteristic 2 the four collapse to two: phi- = phi+, psi- = psi+.
     """
     messages = sdc_messages(spec)
-    return [(label, FieldVector(spec, vec))
-            for label, (message, _, vec) in _BELL_TABLE.items() if message in messages]
+    return [(label, _bell_vector(spec, label))
+            for label, (message, _, _) in _BELL_TABLE.items() if message in messages]
 
 
 # --- modal measurement --------------------------------------------------------------
@@ -88,9 +94,8 @@ def decompose_in_basis(state: FieldVector, basis: Sequence[FieldVector]) -> List
         raise DimensionMismatchError("basis vectors of unequal length")
     total = len(state)
     if total % d != 0:
-        raise DimensionMismatchError(
-            f"state length {total} is not a multiple of basis dimension {d}"
-        )
+        raise DimensionMismatchError(f"state length {total} is not a multiple of basis "
+                                     f"dimension {d}")
     m = total // d
     # state reshaped to d x m; solve B @ R = M with B columns = basis vectors
     nb = len(basis)
@@ -160,29 +165,6 @@ class ProtocolTranscript:
         }
 
 
-# --- gates and branches -----------------------------------------------------------------
-
-# The one gate/branch table: Bell label -> (two-bit message, Pauli gate,
-# Bell vector), in bell_basis order.  Teleportation reports the message of
-# the measured Bell vector and corrects with its gate; super-dense coding
-# encodes a message with its gate and decodes the Bell vector it lands on
-# back to the message.
-_BELL_TABLE = {
-    "phi+": ("00", "id", (1, 0, 0, 1)),
-    "phi-": ("10", "Z", (1, 0, 0, -1)),
-    "psi+": ("01", "X", (0, 1, 1, 0)),
-    "psi-": ("11", "ZX", (0, 1, -1, 0)),
-}
-
-# Pauli gate name -> its builder.
-_GATES = {
-    "id": lambda spec: identity_matrix(spec, 2),
-    "Z": gate_z,
-    "X": gate_x,
-    "ZX": gate_zx,
-}
-
-
 # --- teleportation -----------------------------------------------------------------------
 
 def teleport(alpha, beta, spec: FieldSpec, seed: int,
@@ -193,9 +175,8 @@ def teleport(alpha, beta, spec: FieldSpec, seed: int,
     sweeps); otherwise the seeded generator picks among the possible branches.
     """
     if spec.p == 2:
-        raise Char2NotSupportedError(
-            "characteristic 2 collapses the Bell basis; use teleport_char2"
-        )
+        raise Char2NotSupportedError("characteristic 2 collapses the Bell basis; "
+                                     "use teleport_char2")
     return _teleport(alpha, beta, spec, seed, branch)
 
 
@@ -220,17 +201,12 @@ def _teleport(alpha, beta, spec: FieldSpec, seed: int,
     if alpha.is_zero() and beta.is_zero():
         raise ZeroStateError("input state must be nonzero")
     char2 = spec.p == 2
-    tr = ProtocolTranscript(
-        protocol="teleport_char2" if char2 else "teleport",
-        spec=spec,
-        inputs={"alpha": alpha.to_json(), "beta": beta.to_json()},
-        seed=seed,
-    )
+    tr = ProtocolTranscript("teleport_char2" if char2 else "teleport", spec,
+                            {"alpha": alpha.to_json(), "beta": beta.to_json()}, seed)
     phi = FieldVector(spec, [alpha, beta])
     system = tensor(phi, bell_state(spec))
     if char2:
-        psi = FieldVector(spec, _BELL_TABLE["psi+"][2])
-        system = system + (anti_diagonal(spec, 8) @ tensor(phi, psi))
+        system = system + (anti_diagonal(spec, 8) @ tensor(phi, _bell_vector(spec, "psi+")))
     tr.record("input", phi)
     tr.record("joint", system)
 
@@ -255,69 +231,29 @@ def _teleport(alpha, beta, spec: FieldSpec, seed: int,
     message, tr.correction, _ = _BELL_TABLE[label]
     tr.classical_message = message[-sdc_bits(spec):]
     tr.record(f"bob_pre_correction[{label}]", residual)
-    tr.final_state = _GATES[tr.correction](spec) @ residual
+    tr.final_state = _gate(spec, tr.correction) @ residual
     tr.record("bob_final", tr.final_state)
     return tr
 
 
 # --- super-dense coding -----------------------------------------------------------------
 
-def sdc_messages(spec: FieldSpec) -> List[str]:
-    """The two-bit messages super-dense coding carries over ``spec``.
-
-    Z acts trivially in characteristic 2, so there only the messages whose
-    gate has no Z (00 and 01) stay distinguishable.
-    """
-    return [msg for msg, gate, _ in _BELL_TABLE.values() if spec.p != 2 or "Z" not in gate]
-
-
-def sdc_bits(spec: FieldSpec) -> int:
-    """Bits one Bell use carries over ``spec``, the last bits of its message:
-    log2 of the number of ``sdc_messages``."""
-    return len(sdc_messages(spec)).bit_length() - 1
-
-
 def sdc_encode(bits: str, spec: FieldSpec) -> FieldVector:
     """Apply the two-bit gate rule to the shared Bell state."""
-    gate = next((g for msg, g, _ in _BELL_TABLE.values() if msg == bits), None)
-    if gate is None:
-        messages = sorted(msg for msg, _, _ in _BELL_TABLE.values())
-        raise BadMessageError(f"message must be one of {messages}, got {bits!r}")
-    if bits not in sdc_messages(spec):
-        raise Char2MessageUnsupportedError(
-            f"message {bits}: Z acts trivially in characteristic 2, "
-            "only the messages 00 and 01 are distinguishable"
-        )
-    full = tensor(_GATES[gate](spec), identity_matrix(spec, 2))
-    return full @ bell_state(spec)
+    return FieldVector.from_indices(spec, _sdc_encode(bits, spec))
 
 
 def sdc_decode(state: FieldVector) -> str:
     """Identify the Bell ray over the state's field and invert the gate rule."""
-    if len(state) != 4:
-        raise DimensionMismatchError("expected a two-qubit state")
-    spec = state.spec
-    ray = _ray(state.indices(), spec)
-    if ray is None:
-        raise NotBellRayError("zero state")
-    for label, vec in bell_basis(spec):
-        if _ray(vec.indices(), spec) == ray:
-            return _BELL_TABLE[label][0]
-    raise NotBellRayError("state is not a nonzero multiple of a Bell vector")
+    return _sdc_decode(state.indices(), state.spec)
 
 
 def sdc_transcript(bits: str, spec: FieldSpec, seed: Optional[int] = None) -> ProtocolTranscript:
     """One encode/decode round as a replayable transcript."""
-    tr = ProtocolTranscript(
-        protocol="superdense",
-        spec=spec,
-        inputs={"message": bits},
-        seed=seed,
-    )
+    tr = ProtocolTranscript("superdense", spec, {"message": bits}, seed)
     tr.record("shared", bell_state(spec))
     encoded = sdc_encode(bits, spec)
     tr.record("encoded", encoded)
-    decoded = sdc_decode(encoded)
-    tr.classical_message = decoded
+    tr.classical_message = sdc_decode(encoded)
     tr.final_state = encoded
     return tr

@@ -65,7 +65,7 @@ MUTANTS = [
       for test in ["tests/test_kernel.py::test_kernel_counts_q2_against_oracle",
                    "tests/test_nogo.py::test_index_core_matches_object_arithmetic",
                    "tests/test_geocode.py::test_bits_to_rays_normalizes_every_vector_of_gf4_4",
-                   "tests/test_protocols.py::test_sdc_roundtrip_gf9"]],
+                   "tests/test_bell.py::test_decode_reads_every_multiple_of_each_bell_vector"]],
     # A degree-2 conjugation sending c0 + c1 t to c0 + c1 t^-1, right only
     # when N(t) = 1, as under every default quadratic modulus.
     ("field.py",
@@ -136,6 +136,19 @@ MUTANTS = [
      ["tests/test_nogo.py::test_scan_matches_the_per_pair_reference"]),
     ("geocode.py", "        elif outcome == key:\n", "        elif outcome == ray:\n",
      ["tests/test_geocode.py::test_sweep_matches_the_per_trial_reference"]),
+    # The ZX gate's rows written as X's.
+    ("bell.py", '    "ZX": ((0, 1), (-1, 0)),\n', '    "ZX": ((0, 1), (1, 0)),\n',
+     ["tests/test_bell.py::test_the_gate_rows_are_the_pauli_gates"]),
+    # Super-dense decoding comparing the raw state, not its ray, to each Bell vector.
+    ("bell.py", "        if _indices(spec, vec) == ray and", "        if _indices(spec, vec) == state and",
+     ["tests/test_bell.py::test_decode_reads_every_multiple_of_each_bell_vector"]),
+    # The sweep's coordinate draw accepting the value ``order``, one past the last index.
+    ("geocode.py", "        if r < order:\n", "        if r <= order:\n",
+     ["tests/test_geocode.py::test_the_sweep_draws_each_coordinate_as_randrange"]),
+    # ``GeoParams`` accepting any shared lines: their number, range and disjointness unchecked.
+    ("geocode.py", "        if (len(line_indices) != 3 or", "        if False and (len(line_indices) != 3 or",
+     ["tests/test_errors.py::test_each_refusal_raises_its_own_type[geocode-params-lines-meeting]",
+      "tests/test_errors.py::test_each_refusal_raises_its_own_type[geocode-params-lines-negative]"]),
 ]
 
 

@@ -4,7 +4,7 @@ from gqt import errors
 from gqt.errors import GQTError
 from gqt.field import build_field
 from gqt.forms import _rref, standard_form
-from gqt.geocode import GeoCiphertext, agree_parameters, geo_decode
+from gqt.geocode import GeoCiphertext, GeoParams, agree_parameters, geo_decode
 from gqt.kernel import enumerate_kernel
 from gqt.linalg import FieldMatrix, FieldVector, basis_vector, identity_matrix, is_unitary, tensor
 from gqt.nogo import clone_obstruction, permutation_clone_check, scan
@@ -71,6 +71,14 @@ def _decode_four_points():
     geo_decode(GeoCiphertext(points), agree_parameters(geom, 0))
 
 
+def _shared_lines(line_indices):
+    """``GeoParams`` on the q=2 kernel with the identity unitary: 27 lines, of
+    which lines 0 and 1 meet."""
+    geom = enumerate_kernel(standard_form(GF4, 4))
+    assert len(geom.lines) == 27 and geom.lines[0] & geom.lines[1]
+    GeoParams(geom, line_indices, identity_matrix(GF4, 4))
+
+
 def _vec(spec, *entries):
     return FieldVector(spec, entries)
 
@@ -84,6 +92,11 @@ REFUSALS = [
     ("geocode-agree-parameters-no-lines", errors.ExhaustedSearchError,
      lambda: agree_parameters(enumerate_kernel(standard_form(GF4, 3)), 0)),
     ("geocode-decode-four-points", errors.NotUniqueError, _decode_four_points),
+    # the shared lines must be three in-range, pairwise disjoint lines
+    *[(f"geocode-params-lines-{name}", errors.DegenerateSpanError,
+       lambda lines=lines: _shared_lines(lines))
+      for name, lines in [("repeated", (0, 0, 0)), ("two", (0, 1)), ("negative", (-1, 0, 1)),
+                          ("out-of-range", (0, 1, 27)), ("meeting", (0, 1, 26))]],
     ("linalg-empty-vector", errors.DimensionMismatchError, lambda: FieldVector(GF4, [])),
     ("linalg-empty-matrix", errors.DimensionMismatchError, lambda: FieldMatrix(GF4, [])),
     ("linalg-ragged-rows", errors.DimensionMismatchError,

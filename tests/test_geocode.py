@@ -17,11 +17,13 @@ from gqt.errors import (
     SelfOrthogonalStateError,
 )
 from gqt import geocode
+from gqt.bell import sdc_messages
 from gqt.field import _ray, build_field
 from gqt.geocode import (
     GeoCiphertext,
     GeoParams,
     _bits_to_rays,
+    _coordinates,
     _decode_rays,
     _encode_ray,
     _rays_to_bits,
@@ -53,7 +55,7 @@ from gqt.points import (
     normalize_ray,
     unique_meet,
 )
-from gqt.protocols import sdc_decode, sdc_encode, sdc_messages
+from gqt.protocols import sdc_decode, sdc_encode
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,8 @@ def test_agree_parameters_deterministic_and_disjoint(kernel_q2, params_q2):
     a, b, c = (kernel_q2.lines[i] for i in params_q2.line_indices)
     assert not (a & b) and not (a & c) and not (b & c)
     assert is_unitary(params_q2.eta, kernel_q2.form)
+    # eta is built once, on first read, from the rows the parameters keep
+    assert params_q2.eta is params_q2.eta and params_q2.eta.indices() == params_q2.eta_rows
     assert agree_parameters(kernel_q2, seed=99).line_indices != params_q2.line_indices
 
 
@@ -394,7 +398,6 @@ def test_the_sweep_builds_no_objects(gf4, kernel_q2, monkeypatch, decoder):
     if decoder == "wrong":
         wrong = params.geom.rays[0]
         monkeypatch.setattr(geocode, "_decode_rays", lambda rays, params: wrong)
-    _sdc_codebook(gf4)  # built from the protocol's objects on first use
     expected = roundtrip_sweep(params, 200, 0).to_json()
     assert expected["witnesses"]
 
@@ -402,9 +405,21 @@ def test_the_sweep_builds_no_objects(gf4, kernel_q2, monkeypatch, decoder):
         raise AssertionError("the sweep built an object")
 
     for cls, name in [(FieldVector, "__init__"), (FieldVector, "from_indices"),
+                      (FieldMatrix, "__init__"), (FieldMatrix, "from_indices"),
                       (ProjectivePoint, "__init__")]:
         monkeypatch.setattr(cls, name, refuse)
-    assert roundtrip_sweep(params, 200, 0).to_json() == expected
+    # the parameters and the codebook are built inside the patched region too
+    _sdc_codebook.cache_clear()
+    assert roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0).to_json() == expected
+
+
+@pytest.mark.parametrize("order", [4, 9, 25])
+def test_the_sweep_draws_each_coordinate_as_randrange(order):
+    # the same stream as randrange, so every sweep and its witnesses are unchanged
+    for seed in range(50):
+        rng = random.Random(seed)
+        drawn = list(itertools.islice(_coordinates(random.Random(seed), order), 200))
+        assert drawn == [rng.randrange(order) for _ in range(200)]
 
 
 def test_parse_bitstream(gf4, gf9):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gqt.bell import sdc_messages
 from gqt.elements import FieldElement
 from gqt.errors import (
     BadMessageError,
@@ -30,7 +31,6 @@ from gqt.protocols import (
     possible_branches,
     sdc_decode,
     sdc_encode,
-    sdc_messages,
     sdc_transcript,
     teleport,
     teleport_char2,
