@@ -26,6 +26,7 @@ _EXPORTS = {
                   "possible_branches", "sdc_decode", "sdc_encode", "teleport", "teleport_char2"),
     "geocode": ("GeoCiphertext", "GeoParams", "agree_parameters", "geo_decode", "geo_encode",
                 "geo_transmit"),
+    "bell": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

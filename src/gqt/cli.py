@@ -248,20 +248,55 @@ def _cmd_geocode_decode(args) -> dict:
     return decode_report(_field_from_args(args), args.seed, args.bitstream)
 
 
+# --- output -------------------------------------------------------------------
+
+_encode = json.JSONEncoder().encode  # one scalar or key, in C
+
+
+def _key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: str, or int, float, bool and None quoted."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, written with one join per list
+    or dict; ``newline`` is a line break and the indent of ``obj``'s line."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):  # not bool, which json writes as true/false
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(_key(k) + ": " + _dumps(v, inner)
+                                                 for k, v in obj.items()) + newline + "}")
+    return _encode(obj)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
     except GQTError as exc:
-        return _emit(json.dumps({"error": exc.to_json()}, indent=2), args.out, 1)
+        return _emit(_dumps({"error": exc.to_json()}), args.out, 1)
 
     if isinstance(report, str):  # kernel catalog as CSV
         return _emit(report, args.out, 0)
 
     if not args.deterministic:
         report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return _emit(json.dumps(report, indent=2), args.out, 0)
+    return _emit(_dumps(report), args.out, 0)
 
 
 def _emit(payload: str, out: Optional[str], code: int) -> int:

@@ -408,11 +408,15 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
     witnesses: List[dict] = []
     # Scaling a state changes neither its meets nor its polar, so the outcome
     # is the ray's: the recovered ray, or the error class that stopped it.
+    # Each distinct draw is normalized once (None for the zero tuple).
+    keys: dict = {}
     outcomes: dict = {}
     done = 0
     while done < trials:
         ray = tuple(itertools.islice(coordinates, dim))
-        key = _ray(ray, spec)
+        if ray not in keys:
+            keys[ray] = _ray(ray, spec)
+        key = keys[ray]
         if key is None:
             continue
         if key not in outcomes:

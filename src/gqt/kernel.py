@@ -321,12 +321,19 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     distribution: Dict[int, int] = {}
     violations: List[Tuple[int, int, int]] = []
     gq_failures: List[Tuple[int, int]] = []
-    # Point sets as bitmasks: bit j is point j.
-    adjacency = [_mask(a) for a in geom.adjacency]
-    for li, line in enumerate(geom.lines):
-        line_mask = _mask(line)
-        size = len(line)
-        for xi, adjacent in enumerate(adjacency):
+    # Point sets as bitmasks: bit j is point j.  A point's neighbour mask is
+    # the union of its lines, so it holds the point itself, which no line
+    # the point is off can meet.
+    line_masks = [_mask(line) for line in geom.lines]
+    neighbours = []
+    for through in geom.incidence:
+        adjacent = 0
+        for li in through:
+            adjacent |= line_masks[li]
+        neighbours.append(adjacent)
+    for li, line_mask in enumerate(line_masks):
+        size = line_mask.bit_count()
+        for xi, adjacent in enumerate(neighbours):
             if line_mask >> xi & 1:
                 continue
             seen = adjacent & line_mask

@@ -149,6 +149,17 @@ MUTANTS = [
     ("geocode.py", "        if (len(line_indices) != 3 or", "        if False and (len(line_indices) != 3 or",
      ["tests/test_errors.py::test_each_refusal_raises_its_own_type[geocode-params-lines-meeting]",
       "tests/test_errors.py::test_each_refusal_raises_its_own_type[geocode-params-lines-negative]"]),
+    # The report writer's int fast path taking bools, which json writes as
+    # true/false, and its non-str keys written without quotes.
+    ("cli.py", "        if all(type(x) is int for x in obj):",
+     "        if all(isinstance(x, int) for x in obj):",
+     ["tests/test_cli.py::test_the_writer_matches_json_dumps_case_by_case"]),
+    ("cli.py", "        return '\"' + _encode(key) + '\"'\n", "        return _encode(key)\n",
+     ["tests/test_cli.py::test_the_writer_matches_json_dumps_case_by_case"]),
+    # One-or-All's neighbour mask built from the first line through each point only.
+    ("kernel.py", "            adjacent |= line_masks[li]\n",
+     "            adjacent |= line_masks[li]\n            break\n",
+     ["tests/test_kernel.py::test_one_or_all_matches_the_adjacency_reference"]),
 ]
 
 

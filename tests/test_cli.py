@@ -1,12 +1,15 @@
 import argparse
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gqt.geocode
 import gqt.kernel
-from gqt.cli import build_parser, run
+from gqt.cli import _dumps, build_parser, run
 from golden_jobs import GOLDEN, JOBS
 
 
@@ -484,3 +487,45 @@ def test_a_job_fills_in_only_its_own_subcommands_parsers():
     assert sorted(filled) == ["geocode", "geocode encode"]
     assert sorted(bare) == ["field", "geocode decode", "geocode roundtrip", "kernel", "noclone",
                             "nodelete", "sdc", "teleport", "theory", "verify"]
+
+
+# --- the report writer ------------------------------------------------------------
+
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children) | st.tuples(children, children)
+                      | st.lists(st.integers() | st.booleans())
+                      | st.dictionaries(_KEYS, children)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_the_writer_is_json_dumps_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [True, 1, 0], [0, False, 2], [[1, 2], [True], []],
+    {1: "int", 2.5: "float", True: "bool", None: "none", "s": "str"},
+    {False: [], -3: {}, math.inf: 0, math.nan: 1},
+    ["\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\", {"\u00fc\x07": "\u2028"}],
+    [math.nan, math.inf, -math.inf, -0.0, 1e300], {"x": math.nan},
+    [], {}, [[]], [{}], {"a": [], "b": {}}, (), (1, 2), ((True, None), ("a",)),
+    0, -7, 1.5, True, None, "text",
+], ids=repr)
+def test_the_writer_matches_json_dumps_case_by_case(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {(1, 2): 0}, {"a": {frozenset(): 1}}, [set()], {"a": object()}, [1, 2j], b"bytes",
+], ids=repr)
+def test_the_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        _dumps(value)
+    assert str(raised.value) == str(expected.value)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -374,6 +375,30 @@ def test_sweep_runs_each_ray_once(p, seed, trials, kernel_q2, kernel_q3, monkeyp
     assert len(rays) > 2 * len(set(rays))
     assert sorted(encoded) == sorted(set(rays))
     assert sorted(decoded) == sorted(encoding_rays(params, rays))
+
+
+@pytest.mark.parametrize("p, seed, trials", [(2, 5, 1000), (2, 0, 200), (3, 5, 2000)])
+def test_the_sweep_normalizes_each_distinct_draw_once(p, seed, trials, kernel_q2, kernel_q3,
+                                                      monkeypatch):
+    # ``_ray`` as the sweep itself calls it, not as its encode and decode cores do
+    params = agree_parameters(kernel_q2 if p == 2 else kernel_q3, seed)
+    spec = params.geom.spec
+    normalized = []
+
+    def recording_ray(v, spec):
+        if sys._getframe(1).f_code is roundtrip_sweep.__code__:
+            normalized.append(v)
+        return _ray(v, spec)
+
+    monkeypatch.setattr(geocode, "_ray", recording_ray)
+    report = roundtrip_sweep(params, trials, seed)
+    # every draw, the zero tuple included, until the last trial's state
+    rng, draws, states = random.Random(seed), [], 0
+    while states < report.trials + report.self_orthogonal_skipped:
+        draws.append(tuple(rng.randrange(spec.order) for _ in range(params.geom.form.dim)))
+        states += any(draws[-1])
+    assert sorted(normalized) == sorted(set(draws))
+    assert len(set(draws)) < len(draws)
 
 
 def test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray(gf4, kernel_q2, monkeypatch):

@@ -233,6 +233,13 @@ def test_kernel_object_api_runs_when_kernel_loads_first():
     assert result == json.dumps(namespace["result"])
 
 
+def test_every_module_is_an_attribute_of_the_package():
+    # each module but the front end and the package itself loads on first access
+    names = sorted(p.stem for p in MODULES if p.stem not in ("cli", "__init__"))
+    body = f"import gqt\nprint(json.dumps([getattr(gqt, n).__name__ for n in {names!r}]))"
+    assert json.loads(_fresh("import json\n" + body)) == [f"gqt.{n}" for n in names]
+
+
 def test_the_form_api_loads_no_object_class():
     loaded = _loaded("from gqt import standard_form\nfrom gqt.field import build_field\n"
                      "standard_form(build_field(3, 2), 4)")["gqt"]

@@ -389,16 +389,24 @@ def test_one_or_all_passes(fix, kernel_q2, kernel_q3):
     assert report.pairs_checked == len(geom.points) * len(geom.lines) - sum(map(len, geom.lines))
 
 
-def test_one_or_all_negative_control(kernel_q2):
-    # fabricate a non-isotropic "line" from three pairwise non-collinear points
+def with_fake_line(geom):
+    """The geometry plus a non-isotropic "line" of three pairwise non-collinear points."""
     picked = []
-    for i in range(len(kernel_q2.points)):
-        if all(i not in kernel_q2.adjacency[j] for j in picked):
+    for i in range(len(geom.rays)):
+        if all(i not in geom.adjacency[j] for j in picked):
             picked.append(i)
         if len(picked) == 3:
             break
-    fake = frozenset(picked)
-    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (fake,))
+    return KernelGeometry(geom.form, geom.rays, geom.lines + (frozenset(picked),))
+
+
+def with_doubled_line(geom):
+    """The geometry plus a second copy of line 0."""
+    return KernelGeometry(geom.form, geom.rays, geom.lines + (geom.lines[0],))
+
+
+def test_one_or_all_negative_control(kernel_q2):
+    tampered = with_fake_line(kernel_q2)
     report = verify_one_or_all(tampered)
     assert not report.passed
     assert any(li == len(kernel_q2.lines) for _, li, _ in report.violations)
@@ -408,7 +416,7 @@ def test_gq_unique_line_negative_control(kernel_q2):
     # a second copy of line 0 leaves every count as it was, but two points
     # of that line now share two lines
     doubled = kernel_q2.lines[0]
-    tampered = KernelGeometry(kernel_q2.form, kernel_q2.rays, kernel_q2.lines + (doubled,))
+    tampered = with_doubled_line(kernel_q2)
     report = verify_one_or_all(tampered)
     assert report.violations == [] and not report.passed
     # x on the doubled line sees exactly the meet y of a line L that misses x
@@ -417,6 +425,55 @@ def test_gq_unique_line_negative_control(kernel_q2):
                 for x in sorted(doubled - line)]
     assert len(expected) == 40  # 5 points, 2 more lines through each, 4 points off each
     assert report.gq_unique_line_failures == expected
+
+
+def reference_one_or_all(geom):
+    """The One-or-All sweep over each point's collinear points as a frozenset:
+    ``KernelGeometry.adjacency``, not the union of line bitmasks."""
+    distribution, violations, gq_failures = {}, [], []
+    for li, line in enumerate(geom.lines):
+        for xi, adjacent in enumerate(geom.adjacency):
+            if xi in line:
+                continue
+            seen = adjacent & line
+            distribution[len(seen)] = distribution.get(len(seen), 0) + 1
+            if len(seen) not in (1, len(line)):
+                violations.append((xi, li, len(seen)))
+            elif len(seen) == 1 and len(geom.incidence[xi] & geom.incidence[min(seen)]) != 1:
+                gq_failures.append((xi, li))
+    return gqt.kernel.OneOrAllReport(distribution, violations, gq_failures)
+
+
+def _one_or_all_geometries(name, kernel_q2, kernel_q3, modulus_change):
+    if name in ("q2", "q3"):
+        return kernel_q2 if name == "q2" else kernel_q3
+    if name.startswith("modulus-"):
+        return standard_kernel(modulus_change[int(name[-1])], 4)
+    if name.startswith("basis-"):
+        spec = build_field(int(name[-1]), 2)
+        a = invertible_matrix(spec, 4, random.Random(7))
+        return enumerate_kernel(HermitianForm(a.conj_transpose() @ a))
+    tamper, fix = name.split("-")
+    return (with_fake_line if tamper == "fake" else with_doubled_line)(
+        kernel_q2 if fix == "q2" else kernel_q3)
+
+
+# 12 (q=2) and 177 (q=3) points see no point of the fake line, the last; in
+# the other 18 and 24 violations a point sees two points of a real line, one
+# of them through the fake line.
+@pytest.mark.parametrize("name, on_fake_line, violations, gq_failures", [
+    ("q2", 0, 0, 0), ("q3", 0, 0, 0), ("modulus-0", 0, 0, 0), ("modulus-1", 0, 0, 0),
+    ("basis-2", 0, 0, 0), ("basis-3", 0, 0, 0),
+    ("fake-q2", 12, 30, 0), ("fake-q3", 177, 201, 0), ("doubled-q2", 0, 0, 40),
+])
+def test_one_or_all_matches_the_adjacency_reference(name, on_fake_line, violations, gq_failures,
+                                                    kernel_q2, kernel_q3, modulus_change):
+    geom = _one_or_all_geometries(name, kernel_q2, kernel_q3, modulus_change)
+    report = verify_one_or_all(geom)
+    last = len(geom.lines) - 1
+    assert (sum(li == last for _, li, _ in report.violations), len(report.violations),
+            len(report.gq_unique_line_failures)) == (on_fake_line, violations, gq_failures)
+    assert report.to_json() == reference_one_or_all(geom).to_json()
 
 
 def test_unitary_action_permutes_kernel(kernel_q2):
