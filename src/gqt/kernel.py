@@ -307,11 +307,6 @@ class OneOrAllReport:
         }
 
 
-def _mask(indices: Iterable[int]) -> int:
-    """The bitmask with bit j set for every j in indices."""
-    return sum(1 << j for j in indices)
-
-
 def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     """Check: a point off a line sees either one or all of its points.
 
@@ -323,14 +318,18 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
     gq_failures: List[Tuple[int, int]] = []
     # Point sets as bitmasks: bit j is point j.  A point's neighbour mask is
     # the union of its lines, so it holds the point itself, which no line
-    # the point is off can meet.
-    line_masks = [_mask(line) for line in geom.lines]
-    neighbours = []
-    for through in geom.incidence:
-        adjacent = 0
+    # the point is off can meet.  Its doubled mask holds the points other
+    # than itself on two of its lines, so the one point it sees on a line
+    # shares more than one line with it exactly when that point is in the mask.
+    line_masks = [sum(1 << j for j in line) for line in geom.lines]
+    neighbours, doubled = [], []
+    for xi, through in enumerate(geom.incidence):
+        adjacent = twice = 0
         for li in through:
+            twice |= adjacent & line_masks[li]
             adjacent |= line_masks[li]
         neighbours.append(adjacent)
+        doubled.append(twice & ~(1 << xi))
     for li, line_mask in enumerate(line_masks):
         size = line_mask.bit_count()
         for xi, adjacent in enumerate(neighbours):
@@ -341,12 +340,8 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
             distribution[count] = distribution.get(count, 0) + 1
             if count not in (1, size):
                 violations.append((xi, li, count))
-                continue
-            if count == 1:
-                # unique connecting line through x hitting this line
-                connecting = geom.incidence[xi] & geom.incidence[seen.bit_length() - 1]
-                if len(connecting) != 1:
-                    gq_failures.append((xi, li))
+            elif count == 1 and seen & doubled[xi]:
+                gq_failures.append((xi, li))
     return OneOrAllReport(distribution, violations, gq_failures)
 
 

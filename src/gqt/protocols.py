@@ -31,21 +31,9 @@ from .linalg import FieldMatrix, FieldVector, tensor
 
 # --- gates ----------------------------------------------------------------------
 
-def _gate(spec: FieldSpec, name: str) -> FieldMatrix:
+def gate(spec: FieldSpec, name: str) -> FieldMatrix:
     """The Pauli gate ``name`` of ``gqt.bell``: id, X, Z or ZX."""
     return FieldMatrix.from_indices(spec, [_indices(spec, row) for row in _PAULI[name]])
-
-
-def gate_x(spec: FieldSpec) -> FieldMatrix:
-    return _gate(spec, "X")
-
-
-def gate_z(spec: FieldSpec) -> FieldMatrix:
-    return _gate(spec, "Z")
-
-
-def gate_zx(spec: FieldSpec) -> FieldMatrix:
-    return _gate(spec, "ZX")
 
 
 def anti_diagonal(spec: FieldSpec, n: int) -> FieldMatrix:
@@ -231,7 +219,7 @@ def _teleport(alpha, beta, spec: FieldSpec, seed: int,
     message, tr.correction, _ = _BELL_TABLE[label]
     tr.classical_message = message[-sdc_bits(spec):]
     tr.record(f"bob_pre_correction[{label}]", residual)
-    tr.final_state = _gate(spec, tr.correction) @ residual
+    tr.final_state = gate(spec, tr.correction) @ residual
     tr.record("bob_final", tr.final_state)
     return tr
 

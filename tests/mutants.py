@@ -57,7 +57,7 @@ MUTANTS = [
      "        if per_point and len(through[i]) < per_point:\n",
      ["tests/test_kernel.py::test_polar_plane_scan_runs_only_for_points_with_lines_left"]),
     # The GQ refinement accepting two points that share two lines.
-    ("kernel.py", "                if len(connecting) != 1:\n", "                if False:\n",
+    ("kernel.py", "            elif count == 1 and seen & doubled[xi]:\n", "            elif False:\n",
      ["tests/test_kernel.py::test_gq_unique_line_negative_control"]),
     # ``field._ray`` scaling by the lead entry instead of its inverse: one
     # entry per module that calls it, each killed by a test of that module.
@@ -160,6 +160,10 @@ MUTANTS = [
     ("kernel.py", "            adjacent |= line_masks[li]\n",
      "            adjacent |= line_masks[li]\n            break\n",
      ["tests/test_kernel.py::test_one_or_all_matches_the_adjacency_reference"]),
+    # A unitary's permutation accepted without mapping the lines onto lines.
+    ("kernel.py", "    return tuple(image) if lines == set(geom.lines) else None\n",
+     "    return tuple(image)\n",
+     ["tests/test_kernel.py::test_unitary_escapes_counts_a_broken_geometry"]),
 ]
 
 

@@ -32,7 +32,7 @@ from gqt.protocols import (
     anti_diagonal,
     bell_basis,
     bell_state,
-    gate_z,
+    gate,
     sdc_decode,
     sdc_encode,
     teleport,
@@ -186,7 +186,7 @@ def test_criterion_06_superdense(gf4, gf9):
              for bits in ("00", "10", "01", "11"))
     ok = ok and all(sdc_decode(sdc_encode(bits, gf4)) == bits
                     for bits in ("00", "01"))
-    z_fixes = tensor(gate_z(gf4), identity_matrix(gf4, 2)) @ bell_state(gf4) \
+    z_fixes = tensor(gate(gf4, "Z"), identity_matrix(gf4, 2)) @ bell_state(gf4) \
         == bell_state(gf4)
     ok = ok and z_fixes
     report(6, ok,

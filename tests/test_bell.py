@@ -11,7 +11,7 @@ from gqt.errors import (
 )
 from gqt.field import build_field
 from gqt.linalg import FieldMatrix, FieldVector, identity_matrix, tensor
-from gqt.protocols import gate_x, gate_z, gate_zx
+from gqt.protocols import gate
 
 FIELDS = [build_field(p, 2) for p in (2, 3, 5)]
 IDS = ["gf4", "gf9", "gf25"]
@@ -40,7 +40,7 @@ def test_the_gate_rows_are_the_pauli_gates(spec):
     gates = object_gates(spec)
     for name, rows in _PAULI.items():
         assert [_indices(spec, row) for row in rows] == list(gates[name].indices())
-    assert gate_zx(spec) == gate_z(spec) @ gate_x(spec) == gates["ZX"]
+    assert gate(spec, "ZX") == gate(spec, "Z") @ gate(spec, "X") == gates["ZX"]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=IDS)

@@ -405,6 +405,16 @@ def with_doubled_line(geom):
     return KernelGeometry(geom.form, geom.rays, geom.lines + (geom.lines[0],))
 
 
+def with_bent_line(geom):
+    """The geometry with line 0 moved to its end and bent: its largest point
+    swapped for the smallest point off it collinear with its smallest, so
+    that it and a real line are two distinct lines that share two points."""
+    line = geom.lines[0]
+    first, last = min(line), max(line)
+    z = min(geom.adjacency[first] - line)
+    return KernelGeometry(geom.form, geom.rays, geom.lines[1:] + (line - {last} | {z},))
+
+
 def test_one_or_all_negative_control(kernel_q2):
     tampered = with_fake_line(kernel_q2)
     report = verify_one_or_all(tampered)
@@ -454,25 +464,29 @@ def _one_or_all_geometries(name, kernel_q2, kernel_q3, modulus_change):
         a = invertible_matrix(spec, 4, random.Random(7))
         return enumerate_kernel(HermitianForm(a.conj_transpose() @ a))
     tamper, fix = name.split("-")
-    return (with_fake_line if tamper == "fake" else with_doubled_line)(
-        kernel_q2 if fix == "q2" else kernel_q3)
+    tampered = {"fake": with_fake_line, "doubled": with_doubled_line, "bent": with_bent_line}
+    return tampered[tamper](kernel_q2 if fix == "q2" else kernel_q3)
 
 
 # 12 (q=2) and 177 (q=3) points see no point of the fake line, the last; in
 # the other 18 and 24 violations a point sees two points of a real line, one
-# of them through the fake line.
-@pytest.mark.parametrize("name, on_fake_line, violations, gq_failures", [
+# of them through the fake line.  The bent line, also the last, shares its
+# smallest point x and the point z it gained with the real line xz: points see
+# 0 or 2 points of it or of other lines, and x and z, which now share two
+# lines, fail the refinement on the lines where one of them sees only the other.
+@pytest.mark.parametrize("name, on_last_line, violations, gq_failures", [
     ("q2", 0, 0, 0), ("q3", 0, 0, 0), ("modulus-0", 0, 0, 0), ("modulus-1", 0, 0, 0),
     ("basis-2", 0, 0, 0), ("basis-3", 0, 0, 0),
     ("fake-q2", 12, 30, 0), ("fake-q3", 177, 201, 0), ("doubled-q2", 0, 0, 40),
+    ("bent-q2", 16, 47, 3), ("bent-q3", 57, 167, 5),
 ])
-def test_one_or_all_matches_the_adjacency_reference(name, on_fake_line, violations, gq_failures,
+def test_one_or_all_matches_the_adjacency_reference(name, on_last_line, violations, gq_failures,
                                                     kernel_q2, kernel_q3, modulus_change):
     geom = _one_or_all_geometries(name, kernel_q2, kernel_q3, modulus_change)
     report = verify_one_or_all(geom)
     last = len(geom.lines) - 1
     assert (sum(li == last for _, li, _ in report.violations), len(report.violations),
-            len(report.gq_unique_line_failures)) == (on_fake_line, violations, gq_failures)
+            len(report.gq_unique_line_failures)) == (on_last_line, violations, gq_failures)
     assert report.to_json() == reference_one_or_all(geom).to_json()
 
 

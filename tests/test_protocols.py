@@ -24,9 +24,7 @@ from gqt.protocols import (
     bell_basis,
     bell_state,
     decompose_in_basis,
-    gate_x,
-    gate_z,
-    gate_zx,
+    gate,
     measure_modal,
     possible_branches,
     sdc_decode,
@@ -55,7 +53,8 @@ def test_bell_state_and_self_pairing(gf4, gf9, form4_dim4, form9_dim4):
 
 def test_gates_are_unitary(gf9):
     f2 = standard_form(gf9, 2)
-    for g in (gate_x(gf9), gate_z(gf9), gate_zx(gf9), identity_matrix(gf9, 2)):
+    assert gate(gf9, "id") == identity_matrix(gf9, 2)
+    for g in (gate(gf9, "id"), gate(gf9, "X"), gate(gf9, "Z"), gate(gf9, "ZX")):
         assert is_unitary(g, f2)
     f8 = standard_form(gf9, 8)
     assert is_unitary(anti_diagonal(gf9, 8), f8)
@@ -253,7 +252,7 @@ def test_sdc_char2(gf4):
         with pytest.raises(Char2MessageUnsupportedError):
             sdc_encode(bits, gf4)
     # Z (x) id fixes the Bell state in characteristic 2
-    full = tensor(gate_z(gf4), identity_matrix(gf4, 2))
+    full = tensor(gate(gf4, "Z"), identity_matrix(gf4, 2))
     assert full @ bell_state(gf4) == bell_state(gf4)
 
 
