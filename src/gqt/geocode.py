@@ -358,25 +358,6 @@ def geo_transmit(ct: GeoCiphertext) -> Tuple[str, List[ProjectivePoint]]:
     return received_bits, deserialize_points(received_bits, spec, len(ct.points[0].coords))
 
 
-class RoundTripReport:
-    """Batch encode/transmit/decode sweep outcome."""
-
-    def __init__(self, trials: int, successes: int, degenerate: int,
-                 self_orthogonal_skipped: int, witnesses: List[dict]):
-        self.trials, self.successes, self.degenerate = trials, successes, degenerate
-        self.self_orthogonal_skipped = self_orthogonal_skipped
-        self.witnesses = witnesses
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "degenerate_count": self.degenerate,
-            "self_orthogonal_skipped": self.self_orthogonal_skipped,
-            "witnesses": self.witnesses,
-        }
-
-
 def _coordinates(rng: random.Random, order: int) -> Iterator[int]:
     """``rng.randrange(order)``, over and over, from the same stream.
 
@@ -391,12 +372,13 @@ def _coordinates(rng: random.Random, order: int) -> Iterator[int]:
             yield r
 
 
-def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripReport:
+def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> dict:
     """Seeded random non-self-orthogonal states through the full pipeline.
 
     Each distinct ray runs the index-level cores, encode to decode, once, and
     trials reuse its outcome.  It builds no objects: a witness's rays are written
     as coefficient lists by ``forms._rows_json``, as ``kernel enumerate`` writes points.
+    Returns the sweep's keys of the ``geocode roundtrip`` report.
     """
     geom = params.geom
     spec = geom.spec
@@ -443,13 +425,13 @@ def roundtrip_sweep(params: GeoParams, trials: int, seed: int) -> RoundTripRepor
                 "failure": "Mismatch",
                 "recovered": _rows_json([outcome], spec)[0],
             })
-    return RoundTripReport(
-        trials=trials,
-        successes=successes,
-        degenerate=degenerate,
-        self_orthogonal_skipped=skipped,
-        witnesses=witnesses,
-    )
+    return {
+        "trials": trials,
+        "successes": successes,
+        "degenerate_count": degenerate,
+        "self_orthogonal_skipped": skipped,
+        "witnesses": witnesses,
+    }
 
 
 # --- CLI reports -------------------------------------------------------------------
@@ -463,7 +445,7 @@ def roundtrip_report(spec: FieldSpec, seed: int, trials: int) -> dict:
     """The ``gqt geocode roundtrip`` report: the sweep, its field and shared lines."""
     _guard(trials > _MAX_TRIALS, f"roundtrip guard: trials <= {_MAX_TRIALS}")
     params = _standard_params(spec, seed)
-    return {**roundtrip_sweep(params, trials, seed).to_json(), "field": spec.to_json(),
+    return {**roundtrip_sweep(params, trials, seed), "field": spec.to_json(),
             "params": {"line_indices": list(params.line_indices), "seed": seed}}
 
 

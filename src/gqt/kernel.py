@@ -279,43 +279,18 @@ def _polar(rows: Sequence[Ray], f: HermitianForm) -> Tuple[int, List[List[int]]]
 
 # --- axioms and derived objects -------------------------------------------------
 
-class OneOrAllReport:
-    """Outcome of the One-or-All sweep over non-incident (point, line) pairs."""
-
-    def __init__(self, count_distribution: Dict[int, int],
-                 violations: List[Tuple[int, int, int]],
-                 gq_unique_line_failures: List[Tuple[int, int]]):
-        self.count_distribution = count_distribution
-        self.violations = violations  # (point index, line index, count)
-        self.gq_unique_line_failures = gq_unique_line_failures
-
-    @property
-    def pairs_checked(self) -> int:
-        return sum(self.count_distribution.values())
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations and not self.gq_unique_line_failures
-
-    def to_json(self) -> dict:
-        return {
-            "pairs_checked": self.pairs_checked,
-            "count_distribution": {str(k): v for k, v in sorted(self.count_distribution.items())},
-            "violations": [list(v) for v in self.violations],
-            "gq_unique_line_failures": [list(v) for v in self.gq_unique_line_failures],
-            "passed": self.passed,
-        }
-
-
-def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
+def verify_one_or_all(geom: KernelGeometry) -> dict:
     """Check: a point off a line sees either one or all of its points.
 
     Also checks the rank-2 refinement: exactly one line through the point
-    meets the line.  Violations are recorded, not raised.
+    meets the line.  Violations are recorded, not raised.  Returns the
+    ``one_or_all`` object of the ``gqt verify`` report: the pairs checked,
+    the count distribution keyed by count text, each violation as
+    [point, line, count] and each refinement failure as [point, line].
     """
     distribution: Dict[int, int] = {}
-    violations: List[Tuple[int, int, int]] = []
-    gq_failures: List[Tuple[int, int]] = []
+    violations: List[List[int]] = []
+    gq_failures: List[List[int]] = []
     # Point sets as bitmasks: bit j is point j.  A point's neighbour mask is
     # the union of its lines, so it holds the point itself, which no line
     # the point is off can meet.  Its doubled mask holds the points other
@@ -339,10 +314,16 @@ def verify_one_or_all(geom: KernelGeometry) -> OneOrAllReport:
             count = seen.bit_count()
             distribution[count] = distribution.get(count, 0) + 1
             if count not in (1, size):
-                violations.append((xi, li, count))
+                violations.append([xi, li, count])
             elif count == 1 and seen & doubled[xi]:
-                gq_failures.append((xi, li))
-    return OneOrAllReport(distribution, violations, gq_failures)
+                gq_failures.append([xi, li])
+    return {
+        "pairs_checked": sum(distribution.values()),
+        "count_distribution": {str(k): v for k, v in sorted(distribution.items())},
+        "violations": violations,
+        "gq_unique_line_failures": gq_failures,
+        "passed": not violations and not gq_failures,
+    }
 
 
 def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
@@ -363,7 +344,7 @@ def verify_report(spec: FieldSpec, dim: int, seed: int, samples: int) -> dict:
         "line_sizes": sizes,
         "double_counting_ok": (len(degrees) <= 1 and len(sizes) <= 1 and
                                len(geom.rays) * sum(degrees) == len(geom.lines) * sum(sizes)),
-        "one_or_all": verify_one_or_all(geom).to_json(),
+        "one_or_all": verify_one_or_all(geom),
         "unitary_samples": samples,
         "unitary_escapes": unitary_escapes(geom, seed, samples),
     }

@@ -85,12 +85,16 @@ class FieldVector:
         return hash((self.spec.p, self.spec.k, self._indices))
 
     def __add__(self, other: "FieldVector") -> "FieldVector":
+        if not isinstance(other, FieldVector):
+            return NotImplemented
         self._check(other)
         add = self.spec.add
         return FieldVector.from_indices(self.spec, [
             add[a][b] for a, b in zip(self._indices, other._indices)])
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
+        if not isinstance(other, FieldVector):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "FieldVector":
@@ -171,6 +175,8 @@ class FieldMatrix:
         return hash((self.spec.p, self.spec.k, self._rows))
 
     def __matmul__(self, other: Union["FieldMatrix", FieldVector]):
+        if not isinstance(other, (FieldMatrix, FieldVector)):
+            return NotImplemented
         spec = self.spec
         if other.spec != spec:
             raise FieldMismatchError("operands over different fields")

@@ -164,6 +164,18 @@ MUTANTS = [
     ("kernel.py", "    return tuple(image) if lines == set(geom.lines) else None\n",
      "    return tuple(image)\n",
      ["tests/test_kernel.py::test_unitary_escapes_counts_a_broken_geometry"]),
+    # ``run()`` catching one ``GQTError`` subclass less: a ``Parse`` error escapes
+    # as a traceback.
+    ("cli.py", "    except GQTError as exc:\n",
+     "    except GQTError as exc:\n        if exc.code == \"Parse\":\n            raise\n",
+     ["tests/test_cli.py::test_every_drawn_argv_keeps_the_failure_contract"]),
+    # The ``--trials`` guard moved after the kernel and parameters are built.
+    ("geocode.py", '    _guard(trials > _MAX_TRIALS, f"roundtrip guard: trials <= {_MAX_TRIALS}")\n'
+                   "    params = _standard_params(spec, seed)\n",
+     "    params = _standard_params(spec, seed)\n"
+     '    _guard(trials > _MAX_TRIALS, f"roundtrip guard: trials <= {_MAX_TRIALS}")\n',
+     ["tests/test_cli.py::test_every_drawn_argv_keeps_the_failure_contract"
+      "[geocode roundtrip-trials]"]),
 ]
 
 

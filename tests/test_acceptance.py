@@ -101,10 +101,10 @@ def test_criterion_03_one_or_all(kernel_q2, kernel_q3):
     ok = True
     for geom in (kernel_q2, kernel_q3):
         r = verify_one_or_all(geom)
-        ok = ok and r.passed and set(r.count_distribution) == {1}
-        details.append(f"q={geom.spec.q}: {r.pairs_checked} pairs, "
-                       f"{len(r.violations)} one-or-all violations, "
-                       f"{len(r.gq_unique_line_failures)} unique-line failures")
+        ok = ok and r["passed"] and set(r["count_distribution"]) == {"1"}
+        details.append(f"q={geom.spec.q}: {r['pairs_checked']} pairs, "
+                       f"{len(r['violations'])} one-or-all violations, "
+                       f"{len(r['gq_unique_line_failures'])} unique-line failures")
     report(3, ok, "; ".join(details))
 
 
@@ -246,12 +246,12 @@ def test_criterion_09_geocode(kernel_q2, kernel_q3):
     for geom, trials in ((kernel_q2, 100), (kernel_q3, 50)):
         params = agree_parameters(geom, seed=2024)
         r = roundtrip_sweep(params, trials=trials, seed=1)
-        mismatches = [w for w in r.witnesses if w["failure"] != "DegenerateSpan"]
+        mismatches = [w for w in r["witnesses"] if w["failure"] != "DegenerateSpan"]
         ok = ok and not mismatches
-        ok = ok and r.successes + r.degenerate == trials
-        ok = ok and len(r.witnesses) == r.degenerate
-        details.append(f"q={geom.spec.q}: {r.successes} exact round trips + "
-                       f"{r.degenerate} logged degeneracies = {trials} trials")
+        ok = ok and r["successes"] + r["degenerate_count"] == trials
+        ok = ok and len(r["witnesses"]) == r["degenerate_count"]
+        details.append(f"q={geom.spec.q}: {r['successes']} exact round trips + "
+                       f"{r['degenerate_count']} logged degeneracies = {trials} trials")
     report(9, ok, "; ".join(details))
 
 

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -212,24 +214,30 @@ def test_decode_rejects_tampered_point(gf4, params_q2):
 
 def test_sweep_q2(params_q2):
     report = roundtrip_sweep(params_q2, trials=100, seed=1)
-    assert report.trials == 100
-    assert report.successes + report.degenerate == 100
-    assert all(w["failure"] == "DegenerateSpan" for w in report.witnesses)
-    assert len(report.witnesses) == report.degenerate
-    assert report.successes > 0
+    assert report["trials"] == 100
+    assert report["successes"] + report["degenerate_count"] == 100
+    assert all(w["failure"] == "DegenerateSpan" for w in report["witnesses"])
+    assert len(report["witnesses"]) == report["degenerate_count"]
+    assert report["successes"] > 0
 
 
 def test_sweep_q3(params_q3):
     report = roundtrip_sweep(params_q3, trials=50, seed=1)
-    assert report.successes + report.degenerate == 50
-    assert all(w["failure"] == "DegenerateSpan" for w in report.witnesses)
-    assert report.successes > 0
+    assert report["successes"] + report["degenerate_count"] == 50
+    assert all(w["failure"] == "DegenerateSpan" for w in report["witnesses"])
+    assert report["successes"] > 0
 
 
 def test_sweep_deterministic(params_q2):
     a = roundtrip_sweep(params_q2, trials=20, seed=9)
     b = roundtrip_sweep(params_q2, trials=20, seed=9)
-    assert a.to_json() == b.to_json()
+    assert a == b
+
+
+def test_ciphertext_json_is_the_encode_golden(gf4, kernel_q2):
+    golden = json.loads((Path(__file__).parent / "golden" / "geocode_encode_q2.json").read_text())
+    ct = geo_encode(FieldVector(gf4, ["t", 1, 1, 0]), agree_parameters(kernel_q2, 5))
+    assert ct.to_json() == golden["ciphertext"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -265,7 +273,7 @@ def test_sweep_transmits_the_points_of_the_roundtrip_golden_job(gf4, kernel_q2, 
     monkeypatch.setattr(geocode, "_encode_ray", recording_encode)
     monkeypatch.setattr(geocode, "_transmit_bits", recording_transmit)
     report = roundtrip_sweep(params, 200, 0)
-    assert (report.successes, report.degenerate) == (178, 22)
+    assert (report["successes"], report["degenerate_count"]) == (178, 22)
     # one transmission per distinct ray that encodes, however often it is drawn
     assert len(encoded) == len(sent) == len(encoding_rays(params, drawn_rays(params, report, 0)))
     for rays, (bits, received) in zip(encoded, sent):
@@ -311,7 +319,8 @@ def reference_sweep(params, trials, seed):
                 "failure": "Mismatch",
                 "recovered": geocode._point(spec, recovered).to_json(),
             })
-    return geocode.RoundTripReport(trials, successes, degenerate, skipped, witnesses)
+    return {"trials": trials, "successes": successes, "degenerate_count": degenerate,
+            "self_orthogonal_skipped": skipped, "witnesses": witnesses}
 
 
 def drawn_rays(params, report, seed):
@@ -319,7 +328,7 @@ def drawn_rays(params, report, seed):
     spec = params.geom.spec
     rng = random.Random(seed)
     rays = []
-    while len(rays) < report.trials + report.self_orthogonal_skipped:
+    while len(rays) < report["trials"] + report["self_orthogonal_skipped"]:
         ray = tuple(rng.randrange(spec.order) for _ in range(params.geom.form.dim))
         if any(ray):
             rays.append(_ray(ray, spec))
@@ -349,8 +358,7 @@ SWEEPS = [(2, seed, seed, trials) for seed in (0, 1, 5) for trials in (200, 1000
 @pytest.mark.parametrize("p, params_seed, seed, trials", SWEEPS)
 def test_sweep_matches_the_per_trial_reference(p, params_seed, seed, trials, kernel_q2, kernel_q3):
     params = agree_parameters(kernel_q2 if p == 2 else kernel_q3, params_seed)
-    assert roundtrip_sweep(params, trials, seed).to_json() == \
-        reference_sweep(params, trials, seed).to_json()
+    assert roundtrip_sweep(params, trials, seed) == reference_sweep(params, trials, seed)
 
 
 @pytest.mark.parametrize("p, seed, trials", [(2, 5, 1000), (3, 5, 2000)])
@@ -394,7 +402,7 @@ def test_the_sweep_normalizes_each_distinct_draw_once(p, seed, trials, kernel_q2
     report = roundtrip_sweep(params, trials, seed)
     # every draw, the zero tuple included, until the last trial's state
     rng, draws, states = random.Random(seed), [], 0
-    while states < report.trials + report.self_orthogonal_skipped:
+    while states < report["trials"] + report["self_orthogonal_skipped"]:
         draws.append(tuple(rng.randrange(spec.order) for _ in range(params.geom.form.dim)))
         states += any(draws[-1])
     assert sorted(normalized) == sorted(set(draws))
@@ -408,10 +416,10 @@ def test_a_mismatch_is_witnessed_by_each_trial_that_draws_the_ray(gf4, kernel_q2
     wrong = params.geom.rays[0]
     monkeypatch.setattr(geocode, "_decode_rays", lambda rays, params: wrong)
     report = roundtrip_sweep(params, 300, 5)
-    assert report.to_json() == reference_sweep(params, 300, 5).to_json()
-    states = [FieldVector(gf4, w["state"]).indices() for w in report.witnesses
+    assert report == reference_sweep(params, 300, 5)
+    states = [FieldVector(gf4, w["state"]).indices() for w in report["witnesses"]
               if w["failure"] == "Mismatch"]
-    assert report.successes == 0 and len(states) + report.degenerate == 300
+    assert report["successes"] == 0 and len(states) + report["degenerate_count"] == 300
     assert len(set(states)) > len({_ray(s, gf4) for s in states})
 
 
@@ -423,7 +431,7 @@ def test_the_sweep_builds_no_objects(gf4, kernel_q2, monkeypatch, decoder):
     if decoder == "wrong":
         wrong = params.geom.rays[0]
         monkeypatch.setattr(geocode, "_decode_rays", lambda rays, params: wrong)
-    expected = roundtrip_sweep(params, 200, 0).to_json()
+    expected = roundtrip_sweep(params, 200, 0)
     assert expected["witnesses"]
 
     def refuse(*args, **kwargs):
@@ -435,7 +443,7 @@ def test_the_sweep_builds_no_objects(gf4, kernel_q2, monkeypatch, decoder):
         monkeypatch.setattr(cls, name, refuse)
     # the parameters and the codebook are built inside the patched region too
     _sdc_codebook.cache_clear()
-    assert roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0).to_json() == expected
+    assert roundtrip_sweep(agree_parameters(kernel_q2, 0), 200, 0) == expected
 
 
 @pytest.mark.parametrize("order", [4, 9, 25])

@@ -196,6 +196,34 @@ def test_vector_subtraction(gf4, gf9):
         u - FieldVector(gf4, [1, 1, 1])
 
 
+# Operands that are not vectors (for ``@``, not vectors or matrices): each
+# operator returns NotImplemented, so Python raises its usual TypeError.
+NON_OPERANDS = {
+    "vector-plus-int": lambda v, m: v + 1,
+    "vector-minus-int": lambda v, m: v - 1,
+    "vector-plus-none": lambda v, m: v + None,
+    "vector-plus-matrix": lambda v, m: v + m,
+    "matrix-at-int": lambda v, m: m @ 1,
+    "matrix-at-list": lambda v, m: m @ [1, 0],
+    "matrix-at-element": lambda v, m: m @ m.spec.one,
+}
+
+
+@pytest.mark.parametrize("case", list(NON_OPERANDS))
+def test_operands_of_another_type_raise_type_error(gf4, case):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        NON_OPERANDS[case](FieldVector(gf4, [1, "t"]), identity_matrix(gf4, 2))
+
+
+def test_equal_elements_and_matrices_hash_equal(gf4):
+    # each built two ways: from text, and by arithmetic
+    a, b = gf4.parse("t+1"), gf4.gen + 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    m = FieldMatrix(gf4, [["t", 1], [0, "t+1"]])
+    n = identity_matrix(gf4, 2) @ FieldMatrix.from_indices(gf4, m.indices())
+    assert m is not n and m == n and hash(m) == hash(n) and len({m, n}) == 1
+
+
 def test_tensor_examples(gf4):
     assert tensor(identity_matrix(gf4, 2), identity_matrix(gf4, 2)) == identity_matrix(gf4, 4)
     v = tensor(FieldVector(gf4, [1, 0]), FieldVector(gf4, [0, 1]))
